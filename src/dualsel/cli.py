@@ -16,8 +16,8 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from . import __version__, analytic, montecarlo, selection
-from .analytic import CapabilityError, SystemConfig
+from . import __version__, montecarlo, selection
+from .analytic import CapabilityError, EsrValue, SystemConfig
 from .specfun import QuadratureError
 
 __all__ = ["main", "run", "compare_engines", "RunManifest", "SweepResult", "CSV_HEADER"]
@@ -26,6 +26,10 @@ CSV_HEADER = "mode,K,n,rho_db,esr_nats,stderr,trials,seed"
 
 _ENGINES = ("analytic", "mc", "high-snr", "tdma", "both")
 _MODES = ("esr", "sweep-n", "sweep-rho", "select", "compare")
+# Selection method behind each single engine; tdma is the analytic n = K cell.
+_METHOD_OF = {
+    "analytic": "analytic", "mc": "montecarlo", "high-snr": "high_snr", "tdma": "analytic"
+}
 
 
 class _UsageError(Exception):
@@ -65,13 +69,12 @@ class SweepResult:
 
     rows: list = field(default_factory=list)
 
-    def add_analytic(self, label, K, n, rho_db, esr_nats):
-        self.rows.append((label, K, n, rho_db, esr_nats, None, None, None))
-
-    def add_mc(self, label, K, n, rho_db, est):
-        self.rows.append(
-            (label, K, n, rho_db, est.esr, est.std_error, est.trials, est.seed)
-        )
+    def add(self, label, K, n, rho_db, res):
+        """Append one row from an analytic EsrValue or a Monte Carlo EsrEstimate."""
+        if isinstance(res, montecarlo.EsrEstimate):
+            self.rows.append((label, K, n, rho_db, res.esr, res.std_error, res.trials, res.seed))
+        else:
+            self.rows.append((label, K, n, rho_db, res.value, None, None, None))
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ class CompareEntry:
     K: int
     n: int
     rho_db: float
-    esr_analytic: float
+    exact: EsrValue
     estimate: montecarlo.EsrEstimate
     abs_diff: float
     sigma: float
@@ -91,15 +94,16 @@ class CompareEntry:
 def compare_engines(cfg, trials, seed, tol=1e-9):
     """Evaluate the exact and Monte Carlo ESR for one configuration and
     report their gap in standard-error units; flagged when above 3."""
-    exact = analytic.esr_exact(cfg, tol=tol).value
-    est = montecarlo.estimate_esr(cfg, trials, seed)
-    diff = abs(exact - est.esr)
+    K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
+    exact = selection.evaluate("analytic", K, n, rho, tol=tol)
+    est = selection.evaluate("montecarlo", K, n, rho, trials, seed)
+    diff = abs(exact.value - est.esr)
     sigma = diff / est.std_error if est.std_error > 0 else math.inf
     return CompareEntry(
-        K=cfg.num_users,
-        n=cfg.served_index,
-        rho_db=10.0 * math.log10(cfg.transmit_snr),
-        esr_analytic=exact,
+        K=K,
+        n=n,
+        rho_db=10.0 * math.log10(rho),
+        exact=exact,
         estimate=est,
         abs_diff=diff,
         sigma=sigma,
@@ -114,6 +118,8 @@ def _parse_rho_db(text):
     if len(parts) != 3:
         raise _UsageError(f"--rho-db expects VALUE or START:STOP:STEP, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UsageError(f"--rho-db range needs finite values, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"--rho-db range needs stop >= start and step > 0, got {text!r}")
     values = []
@@ -128,7 +134,10 @@ def _parse_rho_db(text):
 
 
 def _rho_linear(rho_db):
-    return 10.0 ** (rho_db / 10.0)
+    try:
+        return 10.0 ** (rho_db / 10.0)
+    except OverflowError:
+        raise _UsageError(f"--rho-db {rho_db:g} is too large for a linear SNR") from None
 
 
 def _build_parser():
@@ -172,6 +181,8 @@ def _engines_for(mode, engine):
 
 
 def _check_flags(ns, rho_values):
+    if ns.k < 2:
+        raise _UsageError(f"--k must be at least 2, got {ns.k}")
     if not (0 <= ns.seed < 1 << 64):
         raise _UsageError("--seed must be an unsigned 64-bit integer")
     if ns.trials < 1:
@@ -186,39 +197,13 @@ def _check_flags(ns, rho_values):
             raise _UsageError(f"--served must be in [1, {ns.k}]")
     if ns.mode in ("sweep-n", "select") and ns.served is not None:
         raise _UsageError(f"--served is not used by --mode {ns.mode}")
+    if ns.mode in ("esr", "sweep-rho") and ns.engine == "tdma" and ns.served is not None:
+        raise _UsageError("--served is not used by --engine tdma; it evaluates n = K")
     if ns.mode in ("esr", "select") and len(rho_values) != 1:
         raise _UsageError(f"--mode {ns.mode} needs a single --rho-db value")
     if ns.mode == "compare" and ns.served == ns.k:
         raise _UsageError("--mode compare needs a dual-selection slot (served < K)")
-
-
-def _eval_point(engine, K, n, rho, trials, seed, tol, rows, rho_db):
-    """One CSV row for (engine, K, n, rho); n == K means the TDMA-like slot."""
-    if engine == "analytic":
-        if n < K:
-            cfg = SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
-            rows.add_analytic("analytic", K, n, rho_db, analytic.esr_exact(cfg, tol=tol).value)
-        else:
-            rows.add_analytic("analytic", K, n, rho_db, analytic.esr_tdma_exact(K, rho).value)
-    elif engine == "high-snr":
-        if n < K:
-            cfg = SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
-            rows.add_analytic("high-snr", K, n, rho_db, analytic.esr_high_snr(cfg).value)
-        else:
-            rows.add_analytic(
-                "high-snr", K, n, rho_db, analytic.esr_tdma_high_snr(K, variant="corrected").value
-            )
-    elif engine == "mc":
-        if n < K:
-            cfg = SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
-            est = montecarlo.estimate_esr(cfg, trials, seed)
-        else:
-            est = montecarlo.estimate_esr_tdma(K, rho, trials, seed)
-        rows.add_mc("mc", K, n, rho_db, est)
-    elif engine == "tdma":
-        rows.add_analytic("tdma", K, K, rho_db, analytic.esr_tdma_exact(K, rho).value)
-    else:  # pragma: no cover - engine list is closed
-        raise _UsageError(f"unknown engine {engine!r}")
+    _rho_linear(max(rho_values))  # the largest value is the one that can overflow
 
 
 def run(ns, argv, out=None, err=None):
@@ -237,37 +222,27 @@ def run(ns, argv, out=None, err=None):
     engines = _engines_for(ns.mode, ns.engine)
     rows = SweepResult()
 
-    if ns.mode == "esr":
-        rho_db = rho_values[0]
-        rho = _rho_linear(rho_db)
-        for engine in engines:
-            n = ns.k if engine == "tdma" else ns.served
-            _eval_point(engine, ns.k, n, rho, ns.trials, ns.seed, ns.tol, rows, rho_db)
-    elif ns.mode == "sweep-n":
-        for rho_db in rho_values:
-            rho = _rho_linear(rho_db)
-            for engine in engines:
-                for n in range(1, ns.k + 1):
-                    _eval_point(engine, ns.k, n, rho, ns.trials, ns.seed, ns.tol, rows, rho_db)
-    elif ns.mode == "sweep-rho":
-        for engine in engines:
-            for rho_db in rho_values:
-                rho = _rho_linear(rho_db)
-                n = ns.k if engine == "tdma" else ns.served
-                _eval_point(engine, ns.k, n, rho, ns.trials, ns.seed, ns.tol, rows, rho_db)
+    if ns.mode in ("esr", "sweep-n", "sweep-rho"):
+        if ns.mode == "sweep-n":  # rho-major
+            cells = [(e, n, r) for r in rho_values for e in engines for n in range(1, ns.k + 1)]
+        else:  # engine-major; esr has a single rho
+            cells = [
+                (e, ns.k if e == "tdma" else ns.served, r) for e in engines for r in rho_values
+            ]
+        for engine, n, rho_db in cells:
+            res = selection.evaluate(
+                _METHOD_OF[engine], ns.k, n, _rho_linear(rho_db), ns.trials, ns.seed, ns.tol
+            )
+            rows.add(engine, ns.k, n, rho_db, res)
     elif ns.mode == "select":
         rho_db = rho_values[0]
         rho = _rho_linear(rho_db)
-        method_of = {"analytic": "analytic", "mc": "montecarlo", "high-snr": "high_snr"}
         for engine in engines:
             result = selection.select_served(
-                ns.k, rho, method=method_of[engine], trials=ns.trials, seed=ns.seed, tol=ns.tol
+                ns.k, rho, method=_METHOD_OF[engine], trials=ns.trials, seed=ns.seed, tol=ns.tol
             )
             for n, res in result.esr_by_n:
-                if isinstance(res, montecarlo.EsrEstimate):
-                    rows.add_mc(engine, ns.k, n, rho_db, res)
-                else:
-                    rows.add_analytic(engine, ns.k, n, rho_db, res.value)
+                rows.add(engine, ns.k, n, rho_db, res)
             manifest.extras[f"best_n_{engine.replace('-', '_')}"] = result.best_n
             print(
                 f"select[{engine}]: best served index n = {result.best_n} "
@@ -282,15 +257,15 @@ def run(ns, argv, out=None, err=None):
             rho = _rho_linear(rho_db)
             cfg = SystemConfig(num_users=ns.k, served_index=ns.served, transmit_snr=rho)
             entry = compare_engines(cfg, ns.trials, ns.seed, tol=ns.tol)
-            rows.add_analytic("analytic", ns.k, ns.served, rho_db, entry.esr_analytic)
-            rows.add_mc("mc", ns.k, ns.served, rho_db, entry.estimate)
+            rows.add("analytic", ns.k, ns.served, rho_db, entry.exact)
+            rows.add("mc", ns.k, ns.served, rho_db, entry.estimate)
             worst_sigma = max(worst_sigma, entry.sigma)
             worst_diff = max(worst_diff, entry.abs_diff)
             any_flagged = any_flagged or entry.flagged
             tag = "FLAG" if entry.flagged else "ok"
             print(
                 f"compare[{tag}] K={ns.k} n={ns.served} rho={rho_db:g} dB: "
-                f"analytic={entry.esr_analytic:.6f} mc={entry.estimate.esr:.6f} "
+                f"analytic={entry.exact.value:.6f} mc={entry.estimate.esr:.6f} "
                 f"|diff|={entry.abs_diff:.3e} ({entry.sigma:.2f} sigma)",
                 file=err,
             )
@@ -298,10 +273,14 @@ def run(ns, argv, out=None, err=None):
         manifest.extras["compare_max_sigma"] = f"{worst_sigma:.3f}"
         manifest.extras["compare_flagged"] = int(any_flagged)
 
-    _emit_csv(rows, ns.units, out)
     manifest.rows_emitted = len(rows.rows)
     manifest.finished = datetime.now(timezone.utc).isoformat()
-    manifest.write(ns.manifest)
+    try:
+        manifest.write(ns.manifest)
+    except OSError as exc:
+        print(f"dualsel: cannot write manifest {ns.manifest}: {exc.strerror or exc}", file=err)
+        return 2
+    _emit_csv(rows, ns.units, out)
     return 0
 
 

@@ -45,7 +45,7 @@ class TestRhoParsing:
     def test_bad_specs(self):
         from dualsel.cli import _UsageError
 
-        for bad in ("1:2", "5:1:1", "1:5:0", "1:5:-1", "a:b:c"):
+        for bad in ("1:2", "5:1:1", "1:5:0", "1:5:-1", "a:b:c", "0:inf:1", "nan:1:1"):
             with pytest.raises((_UsageError, ValueError)):
                 _parse_rho_db(bad)
 
@@ -220,6 +220,78 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["--mode", "esr", "--k", "4", "--frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "esr", "--served", "1", "--engine", "analytic"],
+            ["--mode", "esr", "--engine", "tdma"],
+            ["--mode", "sweep-n", "--engine", "mc"],
+            ["--mode", "sweep-rho", "--engine", "tdma"],
+            ["--mode", "select"],
+            ["--mode", "compare", "--served", "1"],
+        ],
+    )
+    def test_fewer_than_two_users_is_usage_error(self, args, tmp_path):
+        assert main([*args, "--k", "1", "--manifest", str(tmp_path / "m.txt")]) == 2
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("mode, served", [("esr", "9"), ("sweep-rho", "4")])
+    def test_served_with_tdma_engine_is_usage_error(self, mode, served, tmp_path):
+        assert main(["--mode", mode, "--k", "4", "--served", served, "--engine", "tdma",
+                     "--manifest", str(tmp_path / "m.txt")]) == 2
+
+    def test_overflowing_rho_is_usage_error(self, tmp_path, capsys):
+        assert main(["--mode", "esr", "--k", "4", "--served", "3", "--rho-db", "4000",
+                     "--manifest", str(tmp_path / "m.txt")]) == 2
+        assert "4000" in capsys.readouterr().err
+
+    def test_unwritable_manifest_is_usage_error(self, tmp_path):
+        path = tmp_path / "missing" / "m.txt"
+        code, out, err = run_inproc(
+            ["--mode", "esr", "--k", "4", "--served", "3", "--engine", "high-snr"], path
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"dualsel: cannot write manifest {path}: ")
+
+
+class TestMonteCarloPins:
+    """Monte Carlo rows are bit-reproducible, so their CSV bytes are pinned:
+    any change to how cells are dispatched must leave them unchanged."""
+
+    @pytest.mark.parametrize(
+        "args, mc_rows",
+        [
+            (["--mode", "esr", "--k", "3", "--served", "2", "--engine", "mc"],
+             "mc,3,2,20,1.93562336846,0.0545529,500,11\n"),
+            (["--mode", "esr", "--k", "3", "--served", "3", "--engine", "mc"],
+             "mc,3,3,20,0.987372430603,0.0599113,500,11\n"),
+            (["--mode", "sweep-n", "--k", "3", "--engine", "mc", "--rho-db", "0:10:10"],
+             "mc,3,1,0,0,0.0128509,500,11\n"
+             "mc,3,2,0,0.0357383889619,0.0149644,500,11\n"
+             "mc,3,3,0,0.413948044323,0.0251478,500,11\n"
+             "mc,3,1,10,0.0633874982539,0.0354495,500,11\n"
+             "mc,3,2,10,0.620481918643,0.0369056,500,11\n"
+             "mc,3,3,10,0.821836138363,0.0483321,500,11\n"),
+            (["--mode", "sweep-rho", "--k", "3", "--served", "2", "--engine", "mc",
+              "--rho-db", "0:20:10"],
+             "mc,3,2,0,0.0357383889619,0.0149644,500,11\n"
+             "mc,3,2,10,0.620481918643,0.0369056,500,11\n"
+             "mc,3,2,20,1.93562336846,0.0545529,500,11\n"),
+            (["--mode", "select", "--k", "3", "--engine", "mc"],
+             "mc,3,1,20,1.2599365503,0.055354,500,11\n"
+             "mc,3,2,20,1.93562336846,0.0545529,500,11\n"
+             "mc,3,3,20,0.987372430603,0.0599113,500,11\n"),
+            (["--mode", "compare", "--k", "3", "--served", "2", "--rho-db", "10:20:10"],
+             "mc,3,2,10,0.620481918643,0.0369056,500,11\n"
+             "mc,3,2,20,1.93562336846,0.0545529,500,11\n"),
+        ],
+    )
+    def test_mc_rows_are_pinned(self, args, mc_rows, tmp_path):
+        code, out, _ = run_inproc([*args, "--trials", "500", "--seed", "11"], tmp_path / "m.txt")
+        assert code == 0
+        assert "".join(l + "\n" for l in out.splitlines() if l.startswith("mc,")) == mc_rows
 
 
 class TestDeterminism:

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from dualsel import analytic, montecarlo
-from dualsel.analytic import CapabilityError, EsrValue
-from dualsel.selection import SelectionResult, select_served
+from dualsel.analytic import CapabilityError, EsrValue, SystemConfig
+from dualsel.selection import SelectionResult, evaluate, select_served
 
 
 def scalar(res):
@@ -91,3 +91,22 @@ class TestSearch:
         b = select_served(4, 100.0, method="montecarlo", trials=5_000, seed=3)
         assert a == b
         assert isinstance(a, SelectionResult)
+
+
+CELL = SystemConfig(num_users=4, served_index=2, transmit_snr=10.0)
+
+
+@pytest.mark.parametrize(
+    "method, n, direct",
+    [
+        ("analytic", 2, lambda: analytic.esr_exact(CELL, tol=1e-9)),
+        ("analytic", 4, lambda: analytic.esr_tdma_exact(4, 10.0)),
+        ("high_snr", 2, lambda: analytic.esr_high_snr(CELL)),
+        ("high_snr", 4, lambda: analytic.esr_tdma_high_snr(4, variant="corrected")),
+        ("montecarlo", 2, lambda: montecarlo.estimate_esr(CELL, 3_000, 5)),
+        ("montecarlo", 4, lambda: montecarlo.estimate_esr_tdma(4, 10.0, 3_000, 5)),
+    ],
+)
+def test_evaluate_equals_the_direct_engine_call(method, n, direct):
+    # n = K is the TDMA-like slot, answered by each engine's TDMA function
+    assert evaluate(method, 4, n, 10.0, trials=3_000, seed=5, tol=1e-9) == direct()
