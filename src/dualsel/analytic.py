@@ -147,9 +147,39 @@ def xi_table(K, n):
 
 def _as_float_array(t, name):
     arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+    if not (arr >= 0.0).all():  # also false for nan
         raise ValueError(f"{name} must be >= 0, got {t!r}")
     return arr
+
+
+def _cdf_T_upper(t, table, rho):
+    # Branch t >= 1, summed row by row over i with j as the column axis.
+    K, n = table.K, table.n
+    b = np.arange(K - n + 1, K + 1, dtype=float)  # K - n + 1 + j
+    t = t[:, None]
+    # the i = 0 row is written out: i*t would produce nan at t = inf
+    acc = np.full(t.shape[0], (table.coefficients[0] / b).sum())
+    with np.errstate(over="ignore"):
+        for i in range(1, K - n + 1):
+            e = np.exp(-2.0 * t * i / rho)
+            acc += (table.coefficients[i] * e / (i * (t - 1.0) + b)).sum(axis=1)
+    return acc
+
+
+def _cdf_T_lower(t, table, rho):
+    # Branch t < 1, summed row by row over i with j as the column axis.
+    K, n = table.K, table.n
+    b = np.arange(K - n + 1, K + 1, dtype=float)  # K - n + 1 + j
+    t = t[:, None]
+    with np.errstate(over="ignore"):
+        # exponent -> -inf as t -> 1-, so exp() underflows to 0 exactly
+        # where the branches meet
+        tail = np.exp(-2.0 * t * b / (rho * (1.0 - t)))
+    acc = (table.coefficients[0] * (1.0 - tail) / b).sum(axis=1)
+    for i in range(1, K - n + 1):
+        e = np.exp(-2.0 * t * i / rho)
+        acc += (table.coefficients[i] * (e - tail) / (i * (t - 1.0) + b)).sum(axis=1)
+    return acc
 
 
 def cdf_T(t, cfg):
@@ -158,30 +188,19 @@ def cdf_T(t, cfg):
 
     Accepts a scalar or array t >= 0. The formula has two branches glued at
     t = 1; the lower branch's extra exponential vanishes as t -> 1-, so the
-    CDF is continuous there.
+    CDF is continuous there. Each branch sums the Xi table one row i at a
+    time, with the column index j as a broadcast axis of shape (points, n).
     """
     table = xi_table(cfg.num_users, cfg.served_index)
-    K, n, rho = table.K, table.n, cfg.transmit_snr
+    rho = cfg.transmit_snr
     scalar = np.ndim(t) == 0
     arr = np.atleast_1d(_as_float_array(t, "t"))
-    out = np.zeros_like(arr)
     hi = arr >= 1.0
-    lo = ~hi
-    th, tl = arr[hi], arr[lo]
-    with np.errstate(over="ignore"):
-        for i in range(K - n + 1):
-            # write the i = 0 term explicitly: i*t would produce nan at t = inf
-            e_hi = np.exp(-2.0 * th * i / rho) if i else np.ones_like(th)
-            e_lo = np.exp(-2.0 * tl * i / rho) if i else np.ones_like(tl)
-            for j in range(n):
-                c = table.coefficients[i, j]
-                b = K - n + 1 + j
-                d_hi = i * (th - 1.0) + b if i else b
-                out[hi] += c * e_hi / d_hi
-                # exponent -> -inf as t -> 1-, so exp() underflows to 0
-                # exactly where the branches meet
-                tail = np.exp(-2.0 * tl * b / (rho * (1.0 - tl)))
-                out[lo] += c * (e_lo - tail) / (i * (tl - 1.0) + b)
+    out = np.empty_like(arr)
+    if hi.any():
+        out[hi] = _cdf_T_upper(arr[hi], table, rho)
+    if not hi.all():
+        out[~hi] = _cdf_T_lower(arr[~hi], table, rho)
     return float(out[0]) if scalar else out
 
 
@@ -257,6 +276,20 @@ def exp_cb(cfg):
     return math.fsum(first) - math.fsum(second)
 
 
+def _as_positive_array(u, name):
+    # The whole array is checked once; one bad element rejects the call.
+    arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise ValueError(f"{name} must be positive and finite, got {u!r}")
+    return arr
+
+
+def _e1_scaled_each(x):
+    # e^x E1(x) node by node through the scalar kernel (looked up in this
+    # module, so a rebinding of analytic.e1_scaled sees every node).
+    return np.array([e1_scaled(v) for v in x.tolist()])
+
+
 def theta(u, rho):
     """Eavesdropper-rate kernel with the substituted inner integral taken
     over v in (0, inf).
@@ -269,14 +302,16 @@ def theta(u, rho):
     Vanishes at both ends: ~ (rho - 1) u as u -> 0+ (the e^x E1(x) factor
     decays like 1/x against the 1/u pole, so no overflow), ~ -log(u)/u^2 as
     u -> inf.
+
+    Accepts a scalar (returns a float) or an array of positive finite u.
     """
-    u = float(u)
-    if not (math.isfinite(u) and u > 0.0):
-        raise ValueError(f"u must be positive and finite, got {u!r}")
-    phi = e1_scaled(2.0 * (u + 1.0) / (rho * u))
-    first = (phi + 1.0 - math.log1p(u)) / ((u + 1.0) * (u + 1.0))
+    scalar = np.ndim(u) == 0
+    u = _as_positive_array(u, "u")
+    phi = _e1_scaled_each(2.0 * (u + 1.0) / (rho * u))
+    first = (phi + 1.0 - np.log1p(u)) / ((u + 1.0) * (u + 1.0))
     second = (2.0 / rho) * phi / (u * (u + 1.0))
-    return first - second
+    out = first - second
+    return float(out[0]) if scalar else out
 
 
 def theta_corrected(u, rho):
@@ -293,15 +328,16 @@ def theta_corrected(u, rho):
 
     Decays like e^(-2u/rho)/u^2 for large u, so the tail integral converges
     much faster than for the uncorrected kernel.
+
+    Accepts a scalar (returns a float) or an array of positive finite u.
     """
-    u = float(u)
-    if not (math.isfinite(u) and u > 0.0):
-        raise ValueError(f"u must be positive and finite, got {u!r}")
+    scalar = np.ndim(u) == 0
+    u = _as_positive_array(u, "u")
     up1 = u + 1.0
-    w = 2.0 * up1 * up1 / (rho * u)
-    phi = e1_scaled(w)
+    phi = _e1_scaled_each(2.0 * up1 * up1 / (rho * u))
     bracket = 1.0 / (up1 * up1) + phi * (1.0 / (up1 * up1) - 2.0 / (rho * u * up1))
-    return math.exp(-2.0 * up1 / rho) * bracket
+    out = np.exp(-2.0 * up1 / rho) * bracket
+    return float(out[0]) if scalar else out
 
 
 def psi(cfg, tol=1e-9, variant="corrected"):
@@ -317,7 +353,7 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     kernel = _select_kernel(variant)
     rho = cfg.transmit_snr
 
-    def f(u):
+    def f(u):  # u is a panel's node array
         return kernel(u, rho) * cdf_T(u, cfg)
 
     left = quad_interval(f, 0.0, 1.0, tol=0.5 * tol)

@@ -24,6 +24,9 @@ __all__ = ["main", "run", "compare_engines", "RunManifest", "SweepResult", "CSV_
 
 CSV_HEADER = "mode,K,n,rho_db,esr_nats,stderr,trials,seed"
 
+#: Most SNR values one --rho-db START:STOP:STEP range may expand to.
+MAX_RHO_VALUES = 10_000
+
 _ENGINES = ("analytic", "mc", "high-snr", "tdma", "both")
 _MODES = ("esr", "sweep-n", "sweep-rho", "select", "compare")
 # Selection method behind each single engine; tdma is the analytic n = K cell.
@@ -122,6 +125,14 @@ def _parse_rho_db(text):
         raise _UsageError(f"--rho-db range needs finite values, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"--rho-db range needs stop >= start and step > 0, got {text!r}")
+    # The loop below yields floor(span) + 1 values; count them before
+    # building the list, so a huge range is refused without allocating it.
+    span = (stop + 1e-9 - start) / step
+    if span >= MAX_RHO_VALUES:
+        raise _UsageError(
+            f"--rho-db range {text!r} expands to {span + 1:.0f} values, "
+            f"more than the limit of {MAX_RHO_VALUES}"
+        )
     values = []
     k = 0
     while True:

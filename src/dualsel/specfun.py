@@ -1,5 +1,10 @@
-"""Scalar special-function kernels: exponential integral E1, real dilogarithm,
-and adaptive Gauss-Kronrod quadrature on semi-infinite intervals.
+"""Special-function kernels: exponential integral E1, real dilogarithm, and
+adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals.
+
+E1 and the dilogarithm are scalar. The quadrature integrand contract is
+"array of nodes in, array of values out": each Gauss-Kronrod panel calls
+the integrand once, on a 1-D float array of its 15 nodes, and expects an
+array of the same shape back.
 
 Everything downstream (rate formulas, CDFs, the high-SNR corollary) reduces to
 these three primitives, so they are kept self-contained and individually
@@ -8,7 +13,10 @@ testable against independent oracles.
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
@@ -182,18 +190,28 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
+# Panel node offsets in units of the half-width: the centre, then the seven
+# left nodes, then the seven right nodes. mid + half * (-x) is bit-identical
+# to mid - half * x, so every node is the same double as a node-by-node loop.
+_NODES = np.array([0.0] + [-x for x in _XGK[:7]] + list(_XGK[:7]))
+
+# Bound on the relative rounding of one running-total update (three
+# additions), with room to spare.
+_RUNNING_ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 def _gk15(f, a, b):
-    # One Gauss-Kronrod panel; returns (kronrod, |kronrod - gauss|).
+    # One Gauss-Kronrod panel; returns (kronrod, |kronrod - gauss|). The 15
+    # nodes go to f in one call; the reduction order is fixed (centre, then
+    # the symmetric pairs outward-in), so results are reproducible.
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = f(mid)
+    fx = f(mid + half * _NODES).tolist()
+    fc = fx[0]
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     for i in range(7):
-        dx = half * _XGK[i]
-        s = f(mid - dx) + f(mid + dx)
+        s = fx[1 + i] + fx[8 + i]
         resk += _WGK[i] * s
         if i % 2 == 1:
             resg += _WG[i // 2] * s
@@ -205,16 +223,27 @@ def _gk15(f, a, b):
 def _adaptive_gk(f, a, b, tol, max_evals):
     # Globally adaptive bisection: always split the interval with the largest
     # error estimate. Deterministic: ties broken by insertion order.
+    #
+    # The error total is kept as a running sum (as QUADPACK dqagse does),
+    # with a bound `slack` on its accumulated rounding. The exact fsum over
+    # the heap is taken only when the running total may have reached tol,
+    # and it alone decides the stop, so every decision is the one an exact
+    # sum after each split would make. A stop it refuses resynchronises the
+    # running total, and so does a nan total (a panel with a nan or inf
+    # error estimate has left the heap).
     val, err = _gk15(f, a, b)
     evals = 15
     counter = 0
     heap = [(-err, counter, a, b, val, err)]
+    total_err, slack = err, 0.0
     while True:
-        total_err = math.fsum(item[5] for item in heap)
-        if total_err <= tol:
-            break
+        if not total_err - slack > tol:
+            total_err, slack = math.fsum(item[5] for item in heap), 0.0
+            if total_err <= tol:
+                break
         if evals + 30 > max_evals:
             best = math.fsum(item[4] for item in heap)
+            total_err = math.fsum(item[5] for item in heap)
             raise QuadratureError(
                 f"quadrature budget of {max_evals} evaluations exhausted "
                 f"(reached {total_err:.3e}, wanted {tol:.3e})",
@@ -222,7 +251,7 @@ def _adaptive_gk(f, a, b, tol, max_evals):
                 total_err,
                 evals,
             )
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        _, _, lo, hi, _, e_popped = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         v1, e1_ = _gk15(f, lo, mid)
         v2, e2_ = _gk15(f, mid, hi)
@@ -231,16 +260,20 @@ def _adaptive_gk(f, a, b, tol, max_evals):
         heapq.heappush(heap, (-e1_, counter, lo, mid, v1, e1_))
         counter += 1
         heapq.heappush(heap, (-e2_, counter, mid, hi, v2, e2_))
+        slack += _RUNNING_ROUNDING * (total_err + e1_ + e2_)
+        total_err += e1_ + e2_ - e_popped
     value = math.fsum(item[4] for item in heap)
-    err = math.fsum(item[5] for item in heap)
-    return QuadratureResult(value, err, evals)
+    return QuadratureResult(value, total_err, evals)
 
 
 def quad_interval(f, a, b, tol=1e-9, max_evals=200_000):
     """Adaptive Gauss-Kronrod quadrature of f over the finite interval [a, b].
 
-    Endpoints are never evaluated (all Kronrod nodes are interior), so
-    removable endpoint limits are fine.
+    f takes a 1-D float array of nodes and returns an array of the same
+    shape (write it with numpy ufuncs, e.g. ``lambda u: np.exp(-u)``); it is
+    called once per 15-node panel. Endpoints are never evaluated (all
+    Kronrod nodes are interior), so removable endpoint limits are fine.
+    The value and error estimate are exact fsums over the final panels.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
@@ -255,6 +288,9 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
     accumulated Gauss-Kronrod error estimate drops below tol. The integrand
     must decay at least like 1/u^2 for the transformed integrand to stay
     integrable at v -> 1.
+
+    f follows the same contract as in quad_interval: a 1-D float array of
+    nodes u in, an array of the same shape out, once per 15-node panel.
 
     Returns
     -------
@@ -272,6 +308,7 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
     _check_positive(tol, "tol")
 
     def g(v):
+        # v is the panel's node array; the map and its Jacobian act on it whole
         w = 1.0 - v
         return f(a + v / w) / (w * w)
 

@@ -126,9 +126,9 @@ def _e1_oracle_scaled(x):
     # quadrature-only e^x E1(x): smooth finite integral below 1, a decaying
     # semi-infinite integral above; no series, no continued fraction
     if x <= 1.0:
-        smooth = quad_interval(lambda t: -math.expm1(-t) / t, 0.0, x, tol=1e-13)
+        smooth = quad_interval(lambda t: -np.expm1(-t) / t, 0.0, x, tol=1e-13)
         return math.exp(x) * (-EULER_GAMMA - math.log(x) + smooth.value)
-    return quad_semi_infinite(lambda s: math.exp(-s) / (x + s), 0.0, tol=1e-13).value
+    return quad_semi_infinite(lambda s: np.exp(-s) / (x + s), 0.0, tol=1e-13).value
 
 
 def test_criterion_05_special_function_suite():
@@ -191,7 +191,7 @@ def test_criterion_07_upsilon_continuity_and_integral():
                     if xi in checked:
                         continue
                     oracle = quad_semi_infinite(
-                        lambda u: (lead + math.log(u / (u + 1.0) ** 2))
+                        lambda u: (lead + np.log(u / (u + 1.0) ** 2))
                         / ((u + 1.0) ** 2 * (u + xi)),
                         1.0,
                         tol=1e-10,

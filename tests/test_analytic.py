@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from dualsel import montecarlo
+from dualsel import analytic, montecarlo
 from dualsel.analytic import (
     CapabilityError,
     SystemConfig,
@@ -128,6 +129,30 @@ class TestCdfT:
                     gap = abs(cdf_T(1.0 - eps, cfg) - cdf_T(1.0 + eps, cfg))
                     assert gap < 2.5 * eps
 
+    def test_nodes_match_high_precision_xi_sum(self):
+        # one array call on points of both branches (t < 1, t = 1, t > 1)
+        # against the same double sum in 50-digit arithmetic
+        t = np.array([0.0, 1e-3, 0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0, 10.0, 100.0, 1e4])
+        with mp.workdps(50):
+            for K in (4, 8):
+                for n in range(1, K):
+                    c = xi_table(K, n).coefficients
+                    for rho_db in (0.0, 20.0, 40.0):
+                        rho = 10.0 ** (rho_db / 10.0)
+                        r = mp.mpf(rho)
+                        got = cdf_T(t, cfg_of(K, n, rho))
+                        for tv, g in zip(t.tolist(), got.tolist()):
+                            x = mp.mpf(tv)
+                            ref = mp.mpf(0)
+                            for i in range(K - n + 1):
+                                for j in range(n):
+                                    b = K - n + 1 + j
+                                    e = mp.exp(-2 * x * i / r)
+                                    if x < 1:
+                                        e -= mp.exp(-2 * x * b / (r * (1 - x)))
+                                    ref += mp.mpf(c[i, j]) * e / (i * (x - 1) + b)
+                            assert abs(g - float(ref)) <= 1e-12, (K, n, rho_db, tv)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             cdf_T(-0.1, cfg_of(4, 2, 10.0))
@@ -178,7 +203,7 @@ class TestExpCb:
         # ergodic capacity of one Rayleigh link at SNR rho/2
         rho = 25.0
         oracle = quad_semi_infinite(
-            lambda x: math.log1p(0.5 * rho * x) * math.exp(-x), 0.0, tol=1e-12
+            lambda x: np.log1p(0.5 * rho * x) * np.exp(-x), 0.0, tol=1e-12
         ).value
         assert e1_scaled(2.0 / rho) == pytest.approx(oracle, abs=1e-10)
 
@@ -222,7 +247,7 @@ class TestThetaKernels:
     def test_reference_value_via_quadrature_oracle(self):
         # Theta(1) at rho=100 from the printed composition, with e^x E1(x)
         # supplied by quadrature rather than the library path
-        phi = quad_semi_infinite(lambda s: math.exp(-s) / (0.04 + s), 0.0, tol=1e-13).value
+        phi = quad_semi_infinite(lambda s: np.exp(-s) / (0.04 + s), 0.0, tol=1e-13).value
         expected = (phi + 1.0 - math.log(2.0)) / 4.0 - 0.02 * phi / 2.0
         assert theta(1.0, 100.0) == pytest.approx(expected, abs=1e-11)
 
@@ -258,8 +283,8 @@ class TestThetaKernels:
                 eta = (u + 1.0) / u
                 oracle = quad_semi_infinite(
                     lambda v: v
-                    * math.exp(-eta * v)
-                    * (math.log1p(0.5 * rho * v) - math.log1p(u)),
+                    * np.exp(-eta * v)
+                    * (np.log1p(0.5 * rho * v) - math.log1p(u)),
                     2.0 * u / rho,
                     tol=1e-13,
                 ).value / u**2
@@ -287,6 +312,22 @@ class TestThetaKernels:
                 theta(bad, 10.0)
             with pytest.raises(ValueError):
                 theta_corrected(bad, 10.0)
+
+    def test_array_call_equals_scalar_calls_bitwise(self):
+        u = np.concatenate([np.logspace(-9, 12, 40), np.linspace(0.05, 3.0, 15)])
+        for kernel in (theta, theta_corrected):
+            for rho in (1.0, 10.0, 100.0, 1e4):
+                got = kernel(u, rho)
+                assert isinstance(got, np.ndarray) and got.shape == u.shape
+                assert got.tolist() == [kernel(x, rho) for x in u.tolist()]
+                assert isinstance(kernel(0.5, rho), float)
+
+    def test_one_bad_element_rejects_the_array(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            u = np.array([0.5, bad, 2.0])
+            for kernel in (theta, theta_corrected):
+                with pytest.raises(ValueError):
+                    kernel(u, 10.0)
 
 
 class TestPsiAndExpCe:
@@ -341,6 +382,27 @@ class TestPsiAndExpCe:
 
 
 class TestEsrExact:
+    @pytest.mark.parametrize("rho_db, evaluations", [(0.0, 120), (20.0, 480), (60.0, 570)])
+    def test_quadrature_evaluation_counts_are_pinned(self, monkeypatch, rho_db, evaluations):
+        # the integrand-evaluation total of both halves of psi; the counts
+        # were taken from the node-by-node quadrature, so an array-evaluated
+        # panel must reproduce the same adaptive decisions
+        seen = []
+
+        def counting(quad):
+            def wrapped(*args, **kwargs):
+                result = quad(*args, **kwargs)
+                seen.append(result.evaluations)
+                return result
+
+            return wrapped
+
+        monkeypatch.setattr(analytic, "quad_interval", counting(analytic.quad_interval))
+        monkeypatch.setattr(analytic, "quad_semi_infinite", counting(analytic.quad_semi_infinite))
+        esr_exact(cfg_of(8, 7, 10.0 ** (rho_db / 10.0)))
+        assert len(seen) == 2
+        assert sum(seen) == evaluations
+
     def test_against_simulation_quick(self):
         cfg = cfg_of(4, 3, 100.0)
         est = montecarlo.estimate_esr(cfg, 10_000, seed=5)
@@ -379,7 +441,7 @@ class TestUpsilon:
         lead = math.log(rho / 2.0) + 1.0 - EULER_GAMMA
         for xi in (0.25, 0.5, 1.0, 1.75, 3.0, 7.0):
             oracle = quad_semi_infinite(
-                lambda u: (lead + math.log(u / (u + 1.0) ** 2)) / ((u + 1.0) ** 2 * (u + xi)),
+                lambda u: (lead + np.log(u / (u + 1.0) ** 2)) / ((u + 1.0) ** 2 * (u + xi)),
                 1.0,
                 tol=1e-11,
             ).value

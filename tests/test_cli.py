@@ -49,6 +49,16 @@ class TestRhoParsing:
             with pytest.raises((_UsageError, ValueError)):
                 _parse_rho_db(bad)
 
+    def test_range_longer_than_the_cap_is_refused_before_expansion(self):
+        # counted arithmetically, so the 1e15-value range is never built
+        from dualsel.cli import MAX_RHO_VALUES, _UsageError
+
+        with pytest.raises(_UsageError, match="1000000000000001 values"):
+            _parse_rho_db("0:1e12:1e-3")
+        assert len(_parse_rho_db(f"1:{MAX_RHO_VALUES}:1")) == MAX_RHO_VALUES
+        with pytest.raises(_UsageError, match=str(MAX_RHO_VALUES + 1)):
+            _parse_rho_db(f"0:{MAX_RHO_VALUES}:1")
+
 
 class TestSweepN:
     def test_fig1_shape(self, tmp_path):
@@ -245,6 +255,12 @@ class TestExitCodes:
         assert main(["--mode", "esr", "--k", "4", "--served", "3", "--rho-db", "4000",
                      "--manifest", str(tmp_path / "m.txt")]) == 2
         assert "4000" in capsys.readouterr().err
+
+    def test_oversized_rho_range_is_usage_error(self, tmp_path, capsys):
+        assert main(["--mode", "sweep-rho", "--k", "4", "--served", "3", "--engine", "high-snr",
+                     "--rho-db", "0:1e12:1e-3", "--manifest", str(tmp_path / "m.txt")]) == 2
+        assert "1000000000000001 values" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_unwritable_manifest_is_usage_error(self, tmp_path):
         path = tmp_path / "missing" / "m.txt"
