@@ -79,7 +79,6 @@ class SystemConfig:
     num_users: int
     served_index: int
     transmit_snr: float
-    jammer_index: int = None
 
     def __post_init__(self):
         _check_user_count(self.num_users)
@@ -91,13 +90,6 @@ class SystemConfig:
         rho = self.transmit_snr
         if not (isinstance(rho, (int, float, np.floating)) and math.isfinite(rho) and rho > 0):
             raise ValueError(f"transmit_snr must be positive and finite, got {rho!r}")
-        if self.jammer_index is None:
-            object.__setattr__(self, "jammer_index", self.num_users)
-        elif self.jammer_index != self.num_users:
-            raise ValueError(
-                f"jammer_index is always the strongest user {self.num_users}, "
-                f"got {self.jammer_index!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -381,14 +373,14 @@ def exp_ce(cfg, tol=1e-9, variant="corrected"):
     return re1 + math.exp(a) * psi(cfg, tol=tol, variant=variant)
 
 
-def esr_exact(cfg, tol=1e-9, variant="corrected"):
+def esr_exact(cfg, tol=1e-9):
     """Exact ergodic secrecy rate of the dual-selection slot, in nats.
 
     Difference of the expected legitimate and eavesdropper rates, clamped
     at zero (the clamp applies to the difference of expectations, not per
     realization).
     """
-    unclamped = exp_cb(cfg) - exp_ce(cfg, tol=tol, variant=variant)
+    unclamped = exp_cb(cfg) - exp_ce(cfg, tol=tol)
     return _clamped(unclamped)
 
 

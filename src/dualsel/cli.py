@@ -16,11 +16,11 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from . import __version__, montecarlo, selection
-from .analytic import CapabilityError, EsrValue, SystemConfig
+from . import __version__, selection
+from .analytic import CapabilityError
 from .specfun import QuadratureError
 
-__all__ = ["main", "run", "compare_engines", "RunManifest", "SweepResult", "CSV_HEADER"]
+__all__ = ["main", "run", "RunManifest", "CSV_HEADER"]
 
 CSV_HEADER = "mode,K,n,rho_db,esr_nats,stderr,trials,seed"
 
@@ -63,55 +63,6 @@ class RunManifest:
         lines += [f"{k}={v}" for k, v in self.extras.items()]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-@dataclass
-class SweepResult:
-    """Ordered CSV rows: (mode, K, n, rho_db, esr_nats, stderr, trials, seed)
-    with None in the trailing columns where not applicable."""
-
-    rows: list = field(default_factory=list)
-
-    def add(self, label, K, n, rho_db, res):
-        """Append one row from an analytic EsrValue or a Monte Carlo EsrEstimate."""
-        if isinstance(res, montecarlo.EsrEstimate):
-            self.rows.append((label, K, n, rho_db, res.esr, res.std_error, res.trials, res.seed))
-        else:
-            self.rows.append((label, K, n, rho_db, res.value, None, None, None))
-
-
-@dataclass(frozen=True)
-class CompareEntry:
-    """Agreement of the two engines at one operating point."""
-
-    K: int
-    n: int
-    rho_db: float
-    exact: EsrValue
-    estimate: montecarlo.EsrEstimate
-    abs_diff: float
-    sigma: float
-    flagged: bool
-
-
-def compare_engines(cfg, trials, seed, tol=1e-9):
-    """Evaluate the exact and Monte Carlo ESR for one configuration and
-    report their gap in standard-error units; flagged when above 3."""
-    K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
-    exact = selection.evaluate("analytic", K, n, rho, tol=tol)
-    est = selection.evaluate("montecarlo", K, n, rho, trials, seed)
-    diff = abs(exact.value - est.esr)
-    sigma = diff / est.std_error if est.std_error > 0 else math.inf
-    return CompareEntry(
-        K=K,
-        n=n,
-        rho_db=10.0 * math.log10(rho),
-        exact=exact,
-        estimate=est,
-        abs_diff=diff,
-        sigma=sigma,
-        flagged=sigma > 3.0,
-    )
 
 
 def _parse_rho_db(text):
@@ -217,6 +168,20 @@ def _check_flags(ns, rho_values):
     _rho_linear(max(rho_values))  # the largest value is the one that can overflow
 
 
+def _cells(ns, engines, rho_values):
+    """The (engine, n, rho_db) cells of a run, in CSV row order: engine-major
+    for sweep-rho, rho-major for every other mode."""
+
+    def served(engine):
+        if ns.mode in ("sweep-n", "select"):
+            return range(1, ns.k + 1)
+        return [ns.k if engine == "tdma" else ns.served]
+
+    if ns.mode == "sweep-rho":
+        return [(e, n, r) for e in engines for r in rho_values for n in served(e)]
+    return [(e, n, r) for r in rho_values for e in engines for n in served(e)]
+
+
 def run(ns, argv, out=None, err=None):
     """Execute parsed flags: emit CSV rows to `out`, diagnostics to `err`,
     and write the manifest. Returns the process exit code."""
@@ -231,84 +196,66 @@ def run(ns, argv, out=None, err=None):
     rho_values = _parse_rho_db(ns.rho_db)
     _check_flags(ns, rho_values)
     engines = _engines_for(ns.mode, ns.engine)
-    rows = SweepResult()
+    rows = []
+    for engine, n, rho_db in _cells(ns, engines, rho_values):
+        res = selection.evaluate(
+            _METHOD_OF[engine], ns.k, n, _rho_linear(rho_db), ns.trials, ns.seed, ns.tol
+        )
+        rows.append(((engine, n, rho_db), res))
 
-    if ns.mode in ("esr", "sweep-n", "sweep-rho"):
-        if ns.mode == "sweep-n":  # rho-major
-            cells = [(e, n, r) for r in rho_values for e in engines for n in range(1, ns.k + 1)]
-        else:  # engine-major; esr has a single rho
-            cells = [
-                (e, ns.k if e == "tdma" else ns.served, r) for e in engines for r in rho_values
-            ]
-        for engine, n, rho_db in cells:
-            res = selection.evaluate(
-                _METHOD_OF[engine], ns.k, n, _rho_linear(rho_db), ns.trials, ns.seed, ns.tol
-            )
-            rows.add(engine, ns.k, n, rho_db, res)
-    elif ns.mode == "select":
-        rho_db = rho_values[0]
-        rho = _rho_linear(rho_db)
+    if ns.mode == "select":
         for engine in engines:
-            result = selection.select_served(
-                ns.k, rho, method=_METHOD_OF[engine], trials=ns.trials, seed=ns.seed, tol=ns.tol
-            )
-            for n, res in result.esr_by_n:
-                rows.add(engine, ns.k, n, rho_db, res)
-            manifest.extras[f"best_n_{engine.replace('-', '_')}"] = result.best_n
+            best_n = selection.best_served([(n, res) for (e, n, _), res in rows if e == engine])
+            manifest.extras[f"best_n_{engine.replace('-', '_')}"] = best_n
             print(
-                f"select[{engine}]: best served index n = {result.best_n} "
-                f"(K={ns.k}, rho={rho_db:g} dB)",
+                f"select[{engine}]: best served index n = {best_n} "
+                f"(K={ns.k}, rho={rho_values[0]:g} dB)",
                 file=err,
             )
     elif ns.mode == "compare":
         worst_sigma = 0.0
         worst_diff = 0.0
         any_flagged = False
-        for rho_db in rho_values:
-            rho = _rho_linear(rho_db)
-            cfg = SystemConfig(num_users=ns.k, served_index=ns.served, transmit_snr=rho)
-            entry = compare_engines(cfg, ns.trials, ns.seed, tol=ns.tol)
-            rows.add("analytic", ns.k, ns.served, rho_db, entry.exact)
-            rows.add("mc", ns.k, ns.served, rho_db, entry.estimate)
-            worst_sigma = max(worst_sigma, entry.sigma)
-            worst_diff = max(worst_diff, entry.abs_diff)
-            any_flagged = any_flagged or entry.flagged
-            tag = "FLAG" if entry.flagged else "ok"
+        # rho-major cells alternate analytic, mc at each rho
+        for ((_, n, rho_db), exact), (_, est) in zip(rows[0::2], rows[1::2]):
+            diff = abs(exact.value - est.esr)
+            sigma = diff / est.std_error if est.std_error > 0 else math.inf
+            flagged = sigma > 3.0
+            worst_sigma = max(worst_sigma, sigma)
+            worst_diff = max(worst_diff, diff)
+            any_flagged = any_flagged or flagged
             print(
-                f"compare[{tag}] K={ns.k} n={ns.served} rho={rho_db:g} dB: "
-                f"analytic={entry.exact.value:.6f} mc={entry.estimate.esr:.6f} "
-                f"|diff|={entry.abs_diff:.3e} ({entry.sigma:.2f} sigma)",
+                f"compare[{'FLAG' if flagged else 'ok'}] K={ns.k} n={n} rho={rho_db:g} dB: "
+                f"analytic={exact.value:.6f} mc={est.esr:.6f} "
+                f"|diff|={diff:.3e} ({sigma:.2f} sigma)",
                 file=err,
             )
         manifest.extras["compare_max_abs_diff"] = f"{worst_diff:.6e}"
         manifest.extras["compare_max_sigma"] = f"{worst_sigma:.3f}"
         manifest.extras["compare_flagged"] = int(any_flagged)
 
-    manifest.rows_emitted = len(rows.rows)
+    manifest.rows_emitted = len(rows)
     manifest.finished = datetime.now(timezone.utc).isoformat()
     try:
         manifest.write(ns.manifest)
     except OSError as exc:
         print(f"dualsel: cannot write manifest {ns.manifest}: {exc.strerror or exc}", file=err)
         return 2
-    _emit_csv(rows, ns.units, out)
+    _emit_csv(rows, ns.k, ns.units, out)
     return 0
 
 
-def _emit_csv(rows, units, out):
+def _emit_csv(rows, K, units, out):
+    """One CSV line per ((engine, n, rho_db), result) pair; only mc rows
+    fill the stderr, trials and seed columns."""
     scale = 1.0 / math.log(2.0) if units == "bits" else 1.0
     out.write(CSV_HEADER + "\n")
-    for label, K, n, rho_db, esr, stderr, trials, seed in rows.rows:
-        cols = [
-            label,
-            str(K),
-            str(n),
-            f"{rho_db:.10g}",
-            f"{esr * scale:.12g}",
-            "" if stderr is None else f"{stderr * scale:.6g}",
-            "" if trials is None else str(trials),
-            "" if seed is None else str(seed),
-        ]
+    for (engine, n, rho_db), res in rows:
+        if engine == "mc":
+            esr, mc_cols = res.esr, [f"{res.std_error * scale:.6g}", str(res.trials), str(res.seed)]
+        else:
+            esr, mc_cols = res.value, ["", "", ""]
+        cols = [engine, str(K), str(n), f"{rho_db:.10g}", f"{esr * scale:.12g}", *mc_cols]
         out.write(",".join(cols) + "\n")
 
 

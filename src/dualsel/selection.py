@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import analytic, montecarlo
 from .analytic import SystemConfig
 
-__all__ = ["SelectionResult", "evaluate", "select_served"]
+__all__ = ["SelectionResult", "best_served", "evaluate", "select_served"]
 
 _METHODS = ("analytic", "montecarlo", "high_snr")
 
@@ -45,8 +45,10 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
     Returns what the engine returns: an analytic EsrValue, or for
     "montecarlo" an EsrEstimate from `trials` trials at `seed`. The engine
     functions are looked up on their modules at call time, so rebinding
-    them there (tracing, test doubles) reaches every caller.
+    them there (tracing, test doubles) reaches every caller. K outside
+    [2, MAX_USERS] raises, K > MAX_USERS as a CapabilityError.
     """
+    analytic._check_user_count(K)  # for every n: the n = K engines accept K > MAX_USERS
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if n == K:
@@ -63,6 +65,14 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
     return montecarlo.estimate_esr(cfg, trials, seed)
 
 
+def best_served(esr_by_n):
+    """The served index n with the largest ESR among (n, result) pairs,
+    where each result is an analytic EsrValue or a Monte Carlo EsrEstimate.
+    Ties break toward the earliest pair, so toward the smallest n when the
+    pairs are in increasing n."""
+    return max(esr_by_n, key=lambda pair: _esr_scalar(pair[1]))[0]
+
+
 def select_served(K, rho, method="analytic", trials=10_000, seed=0, tol=1e-9):
     """Scan every candidate served index and return the ESR-maximizing one.
 
@@ -71,10 +81,5 @@ def select_served(K, rho, method="analytic", trials=10_000, seed=0, tol=1e-9):
     estimator; every candidate reuses the same seed, so candidates are
     compared on common random numbers). Ties break toward the smallest n.
     """
-    analytic._check_user_count(K)
-    results = [(n, evaluate(method, K, n, rho, trials, seed, tol)) for n in range(1, K + 1)]
-    best_n, best = results[0]
-    for n, res in results[1:]:
-        if _esr_scalar(res) > _esr_scalar(best):
-            best_n, best = n, res
-    return SelectionResult(best_n=best_n, esr_by_n=tuple(results), method=method)
+    results = tuple((n, evaluate(method, K, n, rho, trials, seed, tol)) for n in range(1, K + 1))
+    return SelectionResult(best_n=best_served(results), esr_by_n=results, method=method)

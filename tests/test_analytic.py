@@ -34,12 +34,6 @@ def cfg_of(K, n, rho):
 
 
 class TestSystemConfig:
-    def test_jammer_is_always_strongest(self):
-        cfg = cfg_of(4, 2, 10.0)
-        assert cfg.jammer_index == 4
-        with pytest.raises(ValueError):
-            SystemConfig(num_users=4, served_index=2, transmit_snr=10.0, jammer_index=3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             cfg_of(4, 0, 10.0)

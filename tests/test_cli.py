@@ -7,8 +7,7 @@ import sys
 
 import pytest
 
-from dualsel.cli import CSV_HEADER, _build_parser, _parse_rho_db, main, run, compare_engines
-from dualsel.analytic import SystemConfig
+from dualsel.cli import CSV_HEADER, _build_parser, _parse_rho_db, main, run
 
 
 def run_inproc(args, manifest_path):
@@ -77,13 +76,16 @@ class TestSweepN:
 
     def test_both_engines_roworder(self, tmp_path):
         code, out, _ = run_inproc(
-            ["--mode", "sweep-n", "--k", "3", "--rho-db", "10", "--trials", "2000"],
+            ["--mode", "sweep-n", "--k", "3", "--rho-db", "10:20:10", "--trials", "2000"],
             tmp_path / "m.txt",
         )
         assert code == 0
         rows = parse_rows(out)
-        assert [r[0] for r in rows] == ["analytic"] * 3 + ["mc"] * 3
-        mc_rows = rows[3:]
+        # rho-major: both engines' n-scans at 10 dB, then at 20 dB
+        assert [(r[0], r[3]) for r in rows] == [
+            (e, rho) for rho in ("10", "20") for e in ("analytic", "mc") for _ in range(3)
+        ]
+        mc_rows = [r for r in rows if r[0] == "mc"]
         assert all(r[6] == "2000" and r[7] == "0" for r in mc_rows)
 
 
@@ -133,6 +135,7 @@ class TestSweepRho:
         assert code == 0
         rows = parse_rows(out)
         assert len(rows) == 10  # 5 rho points x 2 engines
+        assert [r[0] for r in rows] == ["analytic"] * 5 + ["mc"] * 5  # engine-major
         analytic = {r[3]: float(r[4]) for r in rows if r[0] == "analytic"}
         for r in rows:
             if r[0] == "mc":
@@ -155,10 +158,17 @@ class TestSelectMode:
 
 
 class TestCompareMode:
-    def test_compare_engines_function(self):
-        cfg = SystemConfig(num_users=4, served_index=3, transmit_snr=100.0)
-        entry = compare_engines(cfg, 50_000, 0)
-        assert entry.sigma < 3.0 and not entry.flagged
+    def test_engines_agree_within_three_sigma(self, tmp_path):
+        code, _, err = run_inproc(
+            ["--mode", "compare", "--k", "4", "--served", "3", "--rho-db", "20",
+             "--trials", "50000", "--seed", "0"],
+            tmp_path / "m.txt",
+        )
+        assert code == 0
+        assert err.startswith("compare[ok] ")
+        manifest = dict(l.split("=", 1) for l in (tmp_path / "m.txt").read_text().splitlines())
+        assert manifest["compare_flagged"] == "0"
+        assert float(manifest["compare_max_sigma"]) < 3.0
 
     def test_compare_mode_rows_and_report(self, tmp_path):
         code, out, err = run_inproc(
@@ -219,8 +229,17 @@ class TestExitCodes:
                      "--rho-db", "10:5:1", "--manifest", str(tmp_path / "m.txt")]) == 2
 
     def test_capability_error(self, tmp_path):
-        assert main(["--mode", "sweep-n", "--k", "25", "--engine", "analytic",
-                     "--manifest", str(tmp_path / "m.txt")]) == 3
+        # the K <= 20 cap holds at n = K under every engine too
+        for args in (
+            ["--mode", "sweep-n", "--k", "25", "--engine", "analytic"],
+            ["--mode", "esr", "--k", "21", "--served", "21", "--engine", "mc"],
+            ["--mode", "esr", "--k", "21", "--served", "21", "--engine", "high-snr"],
+            ["--mode", "sweep-rho", "--k", "30", "--served", "30", "--engine", "mc",
+             "--rho-db", "0:10:10"],
+            ["--mode", "esr", "--k", "2000", "--served", "2000", "--engine", "high-snr"],
+        ):
+            assert main([*args, "--trials", "10", "--manifest", str(tmp_path / "m.txt")]) == 3
+        assert not (tmp_path / "m.txt").exists()
 
     def test_numerical_error(self, tmp_path):
         # an unreachable tolerance exhausts the quadrature budget
@@ -308,6 +327,48 @@ class TestMonteCarloPins:
         code, out, _ = run_inproc([*args, "--trials", "500", "--seed", "11"], tmp_path / "m.txt")
         assert code == 0
         assert "".join(l + "\n" for l in out.splitlines() if l.startswith("mc,")) == mc_rows
+
+
+class TestVerdictPins:
+    """The whole output of a select and a compare run is pinned: CSV, the
+    verdict lines on stderr and the verdict keys of the manifest."""
+
+    @pytest.mark.parametrize(
+        "args, csv, verdicts, manifest_tail",
+        [
+            (["--mode", "select", "--k", "4", "--engine", "both"],
+             "analytic,4,1,20,1.06615846183,,,\n"
+             "analytic,4,2,20,1.76488164077,,,\n"
+             "analytic,4,3,20,2.10866053555,,,\n"
+             "analytic,4,4,20,1.10693116149,,,\n"
+             "mc,4,1,20,1.16359813828,0.0526978,500,11\n"
+             "mc,4,2,20,1.80496609483,0.0518581,500,11\n"
+             "mc,4,3,20,2.12987386821,0.0535349,500,11\n"
+             "mc,4,4,20,1.02338360242,0.0584107,500,11\n",
+             "select[analytic]: best served index n = 3 (K=4, rho=20 dB)\n"
+             "select[mc]: best served index n = 3 (K=4, rho=20 dB)\n",
+             ["rows_emitted=8", "best_n_analytic=3", "best_n_mc=3"]),
+            (["--mode", "compare", "--k", "3", "--served", "2", "--rho-db", "10:20:10"],
+             "analytic,3,2,10,0.568554855864,,,\n"
+             "mc,3,2,10,0.620481918643,0.0369056,500,11\n"
+             "analytic,3,2,20,1.85195729787,,,\n"
+             "mc,3,2,20,1.93562336846,0.0545529,500,11\n",
+             "compare[ok] K=3 n=2 rho=10 dB: analytic=0.568555 mc=0.620482 "
+             "|diff|=5.193e-02 (1.41 sigma)\n"
+             "compare[ok] K=3 n=2 rho=20 dB: analytic=1.851957 mc=1.935623 "
+             "|diff|=8.367e-02 (1.53 sigma)\n",
+             ["rows_emitted=4", "compare_max_abs_diff=8.366607e-02",
+              "compare_max_sigma=1.534", "compare_flagged=0"]),
+        ],
+        ids=["select", "compare"],
+    )
+    def test_output_is_pinned(self, args, csv, verdicts, manifest_tail, tmp_path):
+        code, out, err = run_inproc([*args, "--trials", "500", "--seed", "11"], tmp_path / "m.txt")
+        assert code == 0
+        assert out == CSV_HEADER + "\n" + csv
+        assert err == verdicts
+        # rows_emitted and the verdict keys come after the fixed header fields
+        assert (tmp_path / "m.txt").read_text().splitlines()[5:] == manifest_tail
 
 
 class TestDeterminism:
