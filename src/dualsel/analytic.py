@@ -491,8 +491,7 @@ def esr_tdma_high_snr(K, variant="corrected"):
     simulation; "printed" evaluates the flipped-sign form, which is
     negative for every K >= 2 and therefore clamps to zero.
     """
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ValueError(f"K must be a positive integer, got {K!r}")
+    _check_order_stat_count(K)
     if variant == "corrected":
         unclamped = math.fsum(
             (-1.0) ** i * math.comb(K, i) * math.log(i) for i in range(1, K + 1)

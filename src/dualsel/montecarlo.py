@@ -8,6 +8,8 @@ Reproducibility contract: every trial owns a fixed slice of a counter-based
 Philox stream keyed by the seed, so trial i yields bit-identical gains no
 matter how trials are batched, ordered, or distributed across workers.
 Reductions run in trial order with exact (fsum) accumulation across batches.
+Cells that share (seed, trials, K) reuse the last drawn batch of sorted
+gains instead of drawing it again; its content is determined by its key.
 """
 
 import math
@@ -32,6 +34,9 @@ __all__ = [
 BATCH_TRIALS = 1 << 16
 
 _U64 = 1 << 64
+
+#: The last drawn batch, ((seed, start_trial, n_trials, K), (h, g)), or None.
+_last_batch = None
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,29 @@ def _gains_from_uniforms(u, K):
     return np.take_along_axis(h, order, axis=1), np.take_along_axis(g, order, axis=1)
 
 
+def _batch_gains(seed, start_trial, n_trials, K):
+    """Sorted base-station gains and the matching eavesdropper gains of
+    trials [start_trial, start_trial + n_trials), shape (n_trials, K) each,
+    read-only.
+
+    Philox is counter-based, so the key fixes the content and the one-slot
+    memo can never be stale. The slot is read once, so concurrent callers
+    never see each other's batch, and it is emptied before a draw, so a miss
+    holds no more memory than drawing without the memo.
+    """
+    global _last_batch
+    key = (seed, start_trial, n_trials, K)
+    last = _last_batch
+    if last is not None and last[0] == key:
+        return last[1]
+    last = _last_batch = None  # the local too, or the old batch outlives the draw
+    h, g = _gains_from_uniforms(_uniform_block(seed, start_trial, n_trials, K), K)
+    h.setflags(write=False)
+    g.setflags(write=False)
+    _last_batch = (key, (h, g))
+    return h, g
+
+
 def draw_realization(seed, trial_index, K):
     """Channel gains of one trial: 2K unit-mean exponentials, BS side sorted.
 
@@ -108,13 +136,8 @@ def draw_realization(seed, trial_index, K):
         raise ValueError(f"trial_index must be an unsigned 64-bit integer, got {trial_index!r}")
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise ValueError(f"K must be a positive integer, got {K!r}")
-    u = _uniform_block(seed, int(trial_index), 1, int(K))
-    h, g = _gains_from_uniforms(u, int(K))
-    h = h[0]
-    g = g[0]
-    h.setflags(write=False)
-    g.setflags(write=False)
-    return ChannelRealization(gains_bs=h, gains_eve=g)
+    h, g = _batch_gains(seed, int(trial_index), 1, int(K))
+    return ChannelRealization(gains_bs=h[0], gains_eve=g[0])
 
 
 def slot_rates(real, n, rho):
@@ -146,8 +169,7 @@ def slot_rates(real, n, rho):
     return SlotRates(rate_bs=rate_bs, rate_eve=rate_eve, eve_decoded_jamming=decoded)
 
 
-def _batch_slot_rates(u, K, n, rho):
-    h, g = _gains_from_uniforms(u, K)
+def _batch_slot_rates(h, g, K, n, rho):
     inv = 2.0 / rho
     hn, hK = h[:, n - 1], h[:, K - 1]
     gn, gK = g[:, n - 1], g[:, K - 1]
@@ -164,8 +186,7 @@ def _reduce_rates(seed, trials, K, batch_fn):
     start = 0
     while start < trials:
         count = min(BATCH_TRIALS, trials - start)
-        u = _uniform_block(seed, start, count, K)
-        cb, ce = batch_fn(u)
+        cb, ce = batch_fn(*_batch_gains(seed, start, count, K))
         sums_cb.append(float(np.sum(cb)))
         sums_ce.append(float(np.sum(ce)))
         sums_d2.append(float(np.sum((cb - ce) ** 2)))
@@ -197,7 +218,7 @@ def estimate_esr(cfg, trials, seed):
     if n > K - 1:
         raise ValueError("served_index = K is the TDMA-like slot; use estimate_esr_tdma")
     mean_cb, mean_ce, diff, std_error = _reduce_rates(
-        seed, int(trials), K, lambda u: _batch_slot_rates(u, K, n, rho)
+        seed, int(trials), K, lambda h, g: _batch_slot_rates(h, g, K, n, rho)
     )
     return EsrEstimate(
         esr=max(0.0, diff),
@@ -209,8 +230,7 @@ def estimate_esr(cfg, trials, seed):
     )
 
 
-def _batch_tdma_rates(u, K, rho):
-    h, g = _gains_from_uniforms(u, K)
+def _batch_tdma_rates(h, g, K, rho):
     cb = np.log1p(rho * h[:, K - 1])
     ce = np.log1p(rho * g[:, K - 1])
     return cb, ce
@@ -228,7 +248,7 @@ def estimate_esr_tdma(K, rho, trials, seed):
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
     mean_cb, mean_ce, diff, std_error = _reduce_rates(
-        seed, int(trials), int(K), lambda u: _batch_tdma_rates(u, int(K), rho)
+        seed, int(trials), int(K), lambda h, g: _batch_tdma_rates(h, g, int(K), rho)
     )
     return EsrEstimate(
         esr=max(0.0, diff),
@@ -257,8 +277,7 @@ def empirical_cdf_T(cfg, samples, seed):
     start = 0
     while start < samples:
         count = min(BATCH_TRIALS, samples - start)
-        u = _uniform_block(seed, start, count, K)
-        h, _ = _gains_from_uniforms(u, K)
+        h, _ = _batch_gains(seed, start, count, K)
         chunks.append(h[:, K - 1] / (h[:, n - 1] + inv))
         start += count
     t = np.concatenate(chunks)

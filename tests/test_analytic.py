@@ -499,6 +499,13 @@ class TestTdma:
         with pytest.raises(ValueError):
             esr_tdma_high_snr(2, "bogus")
 
+    def test_high_snr_refuses_more_than_max_users(self):
+        # past K = 20 the alternating binomial-log sum cancels: it read 0.229
+        # at K = 60, and math.comb overflowed the float at K = 2000
+        for K in (21, 2000):
+            with pytest.raises(CapabilityError):
+                esr_tdma_high_snr(K)
+
     def test_printed_variant_clamps_for_all_supported_K(self):
         for K in range(2, 21):
             assert esr_tdma_high_snr(K, "printed").unclamped < 0.0

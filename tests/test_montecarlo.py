@@ -1,12 +1,17 @@
 """Trial engine: reproducibility, distributional checks, estimator contracts."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dualsel import montecarlo
 from dualsel.analytic import SystemConfig, cdf_order_stat, cdf_T, esr_exact, exp_cb
 from dualsel.montecarlo import (
+    BATCH_TRIALS,
     ChannelRealization,
     draw_realization,
     empirical_cdf_T,
@@ -17,10 +22,17 @@ from dualsel.montecarlo import (
     _gains_from_uniforms,
     _uniform_block,
 )
+from dualsel.selection import select_served
 
 
 def cfg_of(K, n, rho):
     return SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
+
+
+def cold(fn, *args):
+    """fn(*args) with the batch memo emptied first, so it draws afresh."""
+    montecarlo._last_batch = None
+    return fn(*args)
 
 
 class TestDrawRealization:
@@ -220,3 +232,121 @@ class TestEmpiricalCdfT:
             ks_distance(np.array([]), np.array([]))
         with pytest.raises(ValueError):
             ks_distance(np.array([1.0]), np.array([0.5, 0.6]))
+
+
+class TestBatchMemo:
+    """Cells that share (seed, trials, K) reuse one drawn batch; no result
+    may tell a reused batch from a fresh one."""
+
+    @pytest.mark.parametrize("K", [3, 8])
+    def test_scan_equals_cold_cells(self, K):
+        rho = 100.0
+        scan = cold(select_served, K, rho, "montecarlo", 10_000, 7)
+        for n, est in scan.esr_by_n:
+            if n < K:
+                ref = cold(estimate_esr, cfg_of(K, n, rho), 10_000, 7)
+            else:
+                ref = cold(estimate_esr_tdma, K, rho, 10_000, 7)
+            assert est == ref
+
+    def test_scan_draws_once(self, monkeypatch):
+        draws = []
+
+        def counting_block(*args):
+            draws.append(args)
+            return _uniform_block(*args)
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", counting_block)
+        cold(select_served, 8, 100.0, "montecarlo", 10_000, 7)
+        assert draws == [(7, 0, 10_000, 8)]
+
+    def test_interleaved_calls_equal_cold_calls(self):
+        calls = [
+            (estimate_esr, cfg_of(5, 2, 10.0), 3_000, 11),
+            (estimate_esr, cfg_of(5, 2, 10.0), 3_000, 12),
+            (estimate_esr, cfg_of(5, 2, 10.0), 3_000, 11),
+            (estimate_esr, cfg_of(4, 3, 10.0), 3_000, 11),
+            (estimate_esr, cfg_of(6, 3, 10.0), 3_000, 11),
+            (estimate_esr_tdma, 4, 10.0, 3_000, 11),
+            (estimate_esr_tdma, 6, 10.0, 3_000, 11),
+        ]
+        warm = [fn(*args) for fn, *args in calls]
+        assert warm == [cold(fn, *args) for fn, *args in calls]
+
+    def test_multi_batch_run_ignores_a_warm_slot(self):
+        cfg = cfg_of(4, 2, 10.0)
+        trials = BATCH_TRIALS + 5
+        ref = cold(estimate_esr, cfg, trials, 3)
+        ref_tdma = cold(estimate_esr_tdma, 4, 10.0, trials, 3)
+        estimate_esr(cfg, BATCH_TRIALS, 3)  # the slot now holds the first batch
+        assert estimate_esr(cfg, trials, 3) == ref
+        assert estimate_esr_tdma(4, 10.0, trials, 3) == ref_tdma  # slot holds the tail
+        assert estimate_esr(cfg, trials, 3) == ref
+
+    def test_slot_holds_one_read_only_batch(self):
+        K = 4
+        cfg = cfg_of(K, 2, 10.0)
+        cold(estimate_esr, cfg, 10, 5)  # first-call allocations of numpy
+        tracemalloc.start()
+        try:
+            montecarlo._last_batch = None
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_esr(cfg, 3 * BATCH_TRIALS + 1, 5)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        key, (h, g) = montecarlo._last_batch
+        assert key == (5, 3 * BATCH_TRIALS, 1, K)
+        assert h.shape == g.shape == (1, K)
+        # less than the base-station half of one full batch stays behind
+        assert held < BATCH_TRIALS * K * 8
+        for arr in (h, g):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_a_miss_frees_the_old_batch_before_drawing(self):
+        # peak memory of a miss against a full slot equals a draw into an
+        # empty one: the old batch is released before the new one exists
+        cfg = cfg_of(8, 4, 10.0)
+        batch_bytes = 2 * 20_000 * 8 * 8
+        cold(estimate_esr, cfg, 10, 1)  # first-call allocations of numpy
+        tracemalloc.start()
+        try:
+            montecarlo._last_batch = None
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            estimate_esr(cfg, 20_000, 1)
+            peak_empty = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            estimate_esr(cfg, 20_000, 2)
+            peak_miss = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak_empty > batch_bytes
+        assert peak_miss < peak_empty + batch_bytes // 10
+
+    def test_threads_get_their_own_batches(self):
+        cfg = cfg_of(6, 3, 10.0)
+        seeds = (21, 22)
+        serial = {s: cold(estimate_esr, cfg, 500, s) for s in seeds}
+        results = {s: [] for s in seeds}
+        start = threading.Barrier(len(seeds), timeout=10)
+
+        def worker(seed):
+            start.wait()
+            for _ in range(20):
+                results[seed].append(estimate_esr(cfg, 500, seed))
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the memo's few bytecodes
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for s in seeds:
+            assert results[s] == [serial[s]] * 20
