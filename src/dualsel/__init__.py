@@ -17,90 +17,17 @@ Layout:
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    MAX_USERS,
-    CapabilityError,
-    EsrValue,
-    SystemConfig,
-    XiTable,
-    cdf_T,
-    cdf_T_high_snr,
-    cdf_order_stat,
-    esr_exact,
-    esr_high_snr,
-    esr_tdma_exact,
-    esr_tdma_high_snr,
-    exp_cb,
-    exp_ce,
-    psi,
-    theta,
-    theta_corrected,
-    upsilon,
-    upsilon_from_xi,
-    xi_table,
-)
-from .montecarlo import (
-    ChannelRealization,
-    EsrEstimate,
-    SlotRates,
-    draw_realization,
-    empirical_cdf_T,
-    estimate_esr,
-    estimate_esr_tdma,
-    ks_distance,
-    slot_rates,
-)
-from .selection import SelectionResult, select_served
-from .specfun import (
-    EULER_GAMMA,
-    QuadratureError,
-    QuadratureResult,
-    e1,
-    e1_scaled,
-    li2,
-    quad_interval,
-    quad_semi_infinite,
-)
+from . import analytic, montecarlo, selection, specfun
+from .analytic import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .selection import *  # noqa: F401,F403
+from .specfun import *  # noqa: F401,F403
 
+# Each submodule lists its public names once, in its own __all__.
 __all__ = [
     "__version__",
-    "MAX_USERS",
-    "CapabilityError",
-    "EsrValue",
-    "SystemConfig",
-    "XiTable",
-    "cdf_T",
-    "cdf_T_high_snr",
-    "cdf_order_stat",
-    "esr_exact",
-    "esr_high_snr",
-    "esr_tdma_exact",
-    "esr_tdma_high_snr",
-    "exp_cb",
-    "exp_ce",
-    "psi",
-    "theta",
-    "theta_corrected",
-    "upsilon",
-    "upsilon_from_xi",
-    "xi_table",
-    "ChannelRealization",
-    "EsrEstimate",
-    "SlotRates",
-    "draw_realization",
-    "empirical_cdf_T",
-    "estimate_esr",
-    "estimate_esr_tdma",
-    "ks_distance",
-    "slot_rates",
-    "SelectionResult",
-    "select_served",
-    "EULER_GAMMA",
-    "QuadratureError",
-    "QuadratureResult",
-    "e1",
-    "e1_scaled",
-    "li2",
-    "quad_interval",
-    "quad_semi_infinite",
+    *analytic.__all__,
+    *montecarlo.__all__,
+    *selection.__all__,
+    *specfun.__all__,
 ]

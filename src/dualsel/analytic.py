@@ -29,7 +29,6 @@ __all__ = [
     "xi_table",
     "cdf_T",
     "cdf_T_high_snr",
-    "cdf_order_stat",
     "exp_cb",
     "theta",
     "theta_corrected",
@@ -210,32 +209,6 @@ def cdf_T_high_snr(t, K, n):
             b = K - n + 1 + j
             acc += table.coefficients[i, j] / (i * (th - 1.0) + b if i else b)
     out[arr >= 1.0] = acc
-    return float(out[0]) if scalar else out
-
-
-def _check_order_stat_count(K):
-    # K = 1 is a legitimate order-statistic question even though the scheme
-    # itself needs two users.
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ValueError(f"number of users must be a positive integer, got {K!r}")
-    if K > MAX_USERS:
-        raise CapabilityError(
-            f"K={K} exceeds the supported maximum of {MAX_USERS} users"
-        )
-
-
-def cdf_order_stat(x, K, n):
-    """CDF of the n-th smallest of K i.i.d. unit-mean exponential gains."""
-    _check_order_stat_count(K)
-    if not (1 <= n <= K):
-        raise ValueError(f"order index must be in [1, {K}], got {n!r}")
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(_as_float_array(x, "x"))
-    q = np.exp(-arr)
-    p = -np.expm1(-arr)
-    out = np.zeros_like(arr)
-    for i in range(n, K + 1):
-        out += math.comb(K, i) * p**i * q ** (K - i)
     return float(out[0]) if scalar else out
 
 
@@ -465,6 +438,17 @@ def esr_high_snr(cfg):
         - math.fsum(tail)
     )
     return _clamped(unclamped)
+
+
+def _check_order_stat_count(K):
+    # K = 1 is a legitimate TDMA question (the strongest of one user) even
+    # though the dual-selection scheme itself needs two users.
+    if not isinstance(K, (int, np.integer)) or K < 1:
+        raise ValueError(f"number of users must be a positive integer, got {K!r}")
+    if K > MAX_USERS:
+        raise CapabilityError(
+            f"K={K} exceeds the supported maximum of {MAX_USERS} users"
+        )
 
 
 def esr_tdma_exact(K, rho):

@@ -117,7 +117,10 @@ def _build_parser():
     p.add_argument(
         "--rho-db",
         default="20",
-        help="transmit SNR in dB: a single value or an inclusive range a:b:c",
+        help=(
+            "transmit SNR in dB: a single value or an inclusive range a:b:c; "
+            "write a range with a negative start as --rho-db=-10:0:5"
+        ),
     )
     p.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials")
     p.add_argument("--seed", type=int, default=0, help="unsigned 64-bit RNG seed")

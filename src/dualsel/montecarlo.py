@@ -12,22 +12,13 @@ Cells that share (seed, trials, K) reuse the last drawn batch of sorted
 gains instead of drawing it again; its content is determined by its key.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ChannelRealization",
-    "SlotRates",
-    "EsrEstimate",
-    "draw_realization",
-    "slot_rates",
-    "estimate_esr",
-    "estimate_esr_tdma",
-    "empirical_cdf_T",
-    "ks_distance",
-]
+__all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
 #: Trials per vectorized batch. Fixed by the library, never by the caller or
 #: by worker topology, so batching cannot influence results.
@@ -37,25 +28,6 @@ _U64 = 1 << 64
 
 #: The last drawn batch, ((seed, start_trial, n_trials, K), (h, g)), or None.
 _last_batch = None
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One slot's gains: base-station side sorted ascending, eavesdropper
-    side carried along in the same user order (user i = i-th weakest)."""
-
-    gains_bs: np.ndarray
-    gains_eve: np.ndarray
-
-
-@dataclass(frozen=True)
-class SlotRates:
-    """Achievable rates of one slot in nats, plus whether the eavesdropper
-    managed to decode (and cancel) the jamming signal."""
-
-    rate_bs: float
-    rate_eve: float
-    eve_decoded_jamming: bool
 
 
 @dataclass(frozen=True)
@@ -75,6 +47,12 @@ def _check_seed(seed):
     if not isinstance(seed, (int, np.integer)) or not (0 <= seed < _U64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
+
+
+def _check_count(value, name):
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _uniform_block(seed, start_trial, n_trials, K):
@@ -125,48 +103,11 @@ def _batch_gains(seed, start_trial, n_trials, K):
     return h, g
 
 
-def draw_realization(seed, trial_index, K):
-    """Channel gains of one trial: 2K unit-mean exponentials, BS side sorted.
-
-    Bit-identical for the same (seed, trial_index, K) regardless of how
-    surrounding trials are evaluated.
-    """
-    seed = _check_seed(seed)
-    if not isinstance(trial_index, (int, np.integer)) or not (0 <= trial_index < _U64):
-        raise ValueError(f"trial_index must be an unsigned 64-bit integer, got {trial_index!r}")
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ValueError(f"K must be a positive integer, got {K!r}")
-    h, g = _batch_gains(seed, int(trial_index), 1, int(K))
-    return ChannelRealization(gains_bs=h[0], gains_eve=g[0])
-
-
-def slot_rates(real, n, rho):
-    """Per-slot achievable rates for served user n with the strongest user
-    jamming at half power.
-
-    The base station always cancels the jamming signal (its rate is chosen
-    to make that possible), so rate_bs = log(1 + (rho/2)|h_n|^2). The
-    eavesdropper decodes the jamming signal iff its jamming-decode SNR is at
-    least the base station's (equality counts as decoded); otherwise the
-    jamming remains as interference.
-    """
-    K = len(real.gains_bs)
-    if not (1 <= n <= K - 1):
-        raise ValueError(f"served index must be in [1, {K - 1}], got {n!r}")
-    inv = 2.0 / rho
-    hn = real.gains_bs[n - 1]
-    hK = real.gains_bs[K - 1]
-    gn = real.gains_eve[n - 1]
-    gK = real.gains_eve[K - 1]
-    gamma_b = hK / (hn + inv)
-    gamma_e = gK / (gn + inv)
-    decoded = bool(gamma_b <= gamma_e)
-    rate_bs = math.log1p(0.5 * rho * hn)
-    if decoded:
-        rate_eve = math.log1p(0.5 * rho * gn)
-    else:
-        rate_eve = math.log1p(gn / (gK + inv))
-    return SlotRates(rate_bs=rate_bs, rate_eve=rate_eve, eve_decoded_jamming=decoded)
+def _batches(seed, trials, K):
+    """Sorted gains of trials [0, trials), one fixed BATCH_TRIALS slice at a
+    time, so batch boundaries never depend on the caller."""
+    for start in range(0, trials, BATCH_TRIALS):
+        yield _batch_gains(seed, start, min(BATCH_TRIALS, trials - start), K)
 
 
 def _batch_slot_rates(h, g, K, n, rho):
@@ -179,30 +120,31 @@ def _batch_slot_rates(h, g, K, n, rho):
     return cb, ce
 
 
-def _reduce_rates(seed, trials, K, batch_fn):
-    # Batches are cut at fixed BATCH_TRIALS boundaries; per-batch pairwise
-    # sums are combined with fsum so the reduction is exact and order-fixed.
+def _estimate(seed, trials, K, batch_fn):
+    # Per-batch pairwise sums are combined with fsum so the reduction is
+    # exact and order-fixed. starmap drops each batch before drawing the
+    # next, so a multi-batch run holds one batch at a time.
     sums_cb, sums_ce, sums_d2 = [], [], []
-    start = 0
-    while start < trials:
-        count = min(BATCH_TRIALS, trials - start)
-        cb, ce = batch_fn(*_batch_gains(seed, start, count, K))
+    for cb, ce in itertools.starmap(batch_fn, _batches(seed, trials, K)):
         sums_cb.append(float(np.sum(cb)))
         sums_ce.append(float(np.sum(ce)))
         sums_d2.append(float(np.sum((cb - ce) ** 2)))
-        start += count
-    sum_cb = math.fsum(sums_cb)
-    sum_ce = math.fsum(sums_ce)
-    sum_d2 = math.fsum(sums_d2)
-    mean_cb = sum_cb / trials
-    mean_ce = sum_ce / trials
+    mean_cb = math.fsum(sums_cb) / trials
+    mean_ce = math.fsum(sums_ce) / trials
     diff = mean_cb - mean_ce
     if trials > 1:
-        var = max(0.0, (sum_d2 - trials * diff * diff) / (trials - 1))
+        var = max(0.0, (math.fsum(sums_d2) - trials * diff * diff) / (trials - 1))
         std_error = math.sqrt(var / trials)
     else:
         std_error = 0.0
-    return mean_cb, mean_ce, diff, std_error
+    return EsrEstimate(
+        esr=max(0.0, diff),
+        mean_cb=mean_cb,
+        mean_ce=mean_ce,
+        std_error=std_error,
+        trials=trials,
+        seed=seed,
+    )
 
 
 def estimate_esr(cfg, trials, seed):
@@ -212,22 +154,11 @@ def estimate_esr(cfg, trials, seed):
     difference of the sample means, mirroring the analytic definition.
     """
     seed = _check_seed(seed)
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    trials = _check_count(trials, "trials")
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
     if n > K - 1:
         raise ValueError("served_index = K is the TDMA-like slot; use estimate_esr_tdma")
-    mean_cb, mean_ce, diff, std_error = _reduce_rates(
-        seed, int(trials), K, lambda h, g: _batch_slot_rates(h, g, K, n, rho)
-    )
-    return EsrEstimate(
-        esr=max(0.0, diff),
-        mean_cb=mean_cb,
-        mean_ce=mean_ce,
-        std_error=std_error,
-        trials=int(trials),
-        seed=seed,
-    )
+    return _estimate(seed, trials, K, lambda h, g: _batch_slot_rates(h, g, K, n, rho))
 
 
 def _batch_tdma_rates(h, g, K, rho):
@@ -241,23 +172,11 @@ def estimate_esr_tdma(K, rho, trials, seed):
     transmits alone at full power, no jamming; the eavesdropper overhears
     that user's own eavesdropper-side gain."""
     seed = _check_seed(seed)
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise ValueError(f"K must be a positive integer, got {K!r}")
+    trials = _check_count(trials, "trials")
+    K = _check_count(K, "K")
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
-    mean_cb, mean_ce, diff, std_error = _reduce_rates(
-        seed, int(trials), int(K), lambda h, g: _batch_tdma_rates(h, g, int(K), rho)
-    )
-    return EsrEstimate(
-        esr=max(0.0, diff),
-        mean_cb=mean_cb,
-        mean_ce=mean_ce,
-        std_error=std_error,
-        trials=int(trials),
-        seed=seed,
-    )
+    return _estimate(seed, trials, K, lambda h, g: _batch_tdma_rates(h, g, K, rho))
 
 
 def empirical_cdf_T(cfg, samples, seed):
@@ -267,20 +186,17 @@ def empirical_cdf_T(cfg, samples, seed):
     sample i comes from the same fading state as trial i.
     """
     seed = _check_seed(seed)
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    samples = _check_count(samples, "samples")
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
     if n > K - 1:
         raise ValueError(f"served index must be in [1, {K - 1}], got {n}")
     inv = 2.0 / rho
-    chunks = []
-    start = 0
-    while start < samples:
-        count = min(BATCH_TRIALS, samples - start)
-        h, _ = _batch_gains(seed, start, count, K)
-        chunks.append(h[:, K - 1] / (h[:, n - 1] + inv))
-        start += count
-    t = np.concatenate(chunks)
+
+    def decode_snr(h, g):
+        return h[:, K - 1] / (h[:, n - 1] + inv)
+
+    # starmap, as in _estimate, so one batch is held at a time
+    t = np.concatenate(list(itertools.starmap(decode_snr, _batches(seed, samples, K))))
     t.sort()
     return t
 

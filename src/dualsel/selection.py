@@ -7,6 +7,7 @@ TDMA-like slot where the strongest user transmits alone at full power.
 maps a method and a cell to an engine function.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import analytic, montecarlo
@@ -46,12 +47,15 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
     "montecarlo" an EsrEstimate from `trials` trials at `seed`. The engine
     functions are looked up on their modules at call time, so rebinding
     them there (tracing, test doubles) reaches every caller. K outside
-    [2, MAX_USERS] raises, K > MAX_USERS as a CapabilityError.
+    [2, MAX_USERS] raises, K > MAX_USERS as a CapabilityError; a rho that
+    is not positive and finite raises ValueError at every n.
     """
-    analytic._check_user_count(K)  # for every n: the n = K engines accept K > MAX_USERS
+    analytic._check_user_count(K)  # for every n: estimate_esr_tdma accepts K > MAX_USERS
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if n == K:
+        if not (math.isfinite(rho) and rho > 0):  # esr_tdma_high_snr takes no rho
+            raise ValueError(f"rho must be positive and finite, got {rho!r}")
         if method == "analytic":
             return analytic.esr_tdma_exact(K, rho)
         if method == "high_snr":

@@ -12,7 +12,6 @@ from dualsel.analytic import (
     SystemConfig,
     cdf_T,
     cdf_T_high_snr,
-    cdf_order_stat,
     esr_exact,
     esr_high_snr,
     esr_tdma_exact,
@@ -27,6 +26,7 @@ from dualsel.analytic import (
     xi_table,
 )
 from dualsel.specfun import EULER_GAMMA, e1_scaled, quad_interval, quad_semi_infinite
+from oracles import cdf_order_stat
 
 
 def cfg_of(K, n, rho):

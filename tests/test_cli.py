@@ -59,6 +59,17 @@ class TestRhoParsing:
             _parse_rho_db(f"0:{MAX_RHO_VALUES}:1")
 
 
+def test_negative_range_is_written_with_an_equals_sign(tmp_path):
+    # "--rho-db -10:0:5" reads as a flag to argparse; "--rho-db=-10:0:5" does not
+    code, out, _ = run_inproc(
+        ["--mode", "sweep-rho", "--k", "4", "--served", "3", "--engine", "high-snr",
+         "--rho-db=-10:0:5"],
+        tmp_path / "m.txt",
+    )
+    assert code == 0
+    assert [row[3] for row in parse_rows(out)] == ["-10", "-5", "0"]
+
+
 class TestSweepN:
     def test_fig1_shape(self, tmp_path):
         code, out, _ = run_inproc(
@@ -274,6 +285,22 @@ class TestExitCodes:
         assert main(["--mode", "esr", "--k", "4", "--served", "3", "--rho-db", "4000",
                      "--manifest", str(tmp_path / "m.txt")]) == 2
         assert "4000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--served", "4", "--engine", "high-snr"],
+            ["--served", "3", "--engine", "high-snr"],
+            ["--served", "4", "--engine", "mc"],
+            ["--engine", "tdma"],
+        ],
+    )
+    def test_underflowing_rho_is_usage_error(self, args, tmp_path, capsys):
+        # -4000 dB is a linear SNR of 0.0, refused by every engine at every n
+        assert main(["--mode", "esr", "--k", "4", *args, "--rho-db", "-4000",
+                     "--manifest", str(tmp_path / "m.txt")]) == 2
+        assert "must be positive and finite, got 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_oversized_rho_range_is_usage_error(self, tmp_path, capsys):
         assert main(["--mode", "sweep-rho", "--k", "4", "--served", "3", "--engine", "high-snr",

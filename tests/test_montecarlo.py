@@ -9,20 +9,18 @@ import numpy as np
 import pytest
 
 from dualsel import montecarlo
-from dualsel.analytic import SystemConfig, cdf_order_stat, cdf_T, esr_exact, exp_cb
+from dualsel.analytic import SystemConfig, cdf_T, esr_exact, exp_cb
 from dualsel.montecarlo import (
     BATCH_TRIALS,
-    ChannelRealization,
-    draw_realization,
     empirical_cdf_T,
     estimate_esr,
     estimate_esr_tdma,
     ks_distance,
-    slot_rates,
     _gains_from_uniforms,
     _uniform_block,
 )
 from dualsel.selection import select_served
+from oracles import ChannelRealization, cdf_order_stat, draw_realization, slot_rates
 
 
 def cfg_of(K, n, rho):
@@ -78,16 +76,6 @@ class TestDrawRealization:
         hn = np.sort(h[:, 1])
         assert ks_distance(hn, cdf_order_stat(hn, 4, 2)) <= 0.005
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            draw_realization(-1, 0, 4)
-        with pytest.raises(ValueError):
-            draw_realization(1 << 64, 0, 4)
-        with pytest.raises(ValueError):
-            draw_realization(0, -1, 4)
-        with pytest.raises(ValueError):
-            draw_realization(0, 0, 0)
-
 
 class TestSlotRates:
     def test_hand_worked_example(self):
@@ -131,13 +119,6 @@ class TestSlotRates:
             assert sr.rate_bs >= 0.0 and sr.rate_eve >= 0.0
             if not sr.eve_decoded_jamming:
                 assert sr.rate_eve <= math.log1p(0.5 * rho * real.gains_eve[1])
-
-    def test_served_index_validation(self):
-        real = draw_realization(1, 0, 4)
-        with pytest.raises(ValueError):
-            slot_rates(real, 4, 10.0)
-        with pytest.raises(ValueError):
-            slot_rates(real, 0, 10.0)
 
 
 class TestEstimateEsr:
@@ -232,6 +213,56 @@ class TestEmpiricalCdfT:
             ks_distance(np.array([]), np.array([]))
         with pytest.raises(ValueError):
             ks_distance(np.array([1.0]), np.array([0.5, 0.6]))
+
+
+@pytest.mark.parametrize("fn", [estimate_esr, empirical_cdf_T])
+def test_multi_batch_run_holds_one_batch_at_a_time(fn):
+    # a batch is dropped before the next is drawn, so three batches peak
+    # no higher than one, up to the output; holding two would add a batch
+    cfg = cfg_of(8, 4, 10.0)
+    batch_bytes = 2 * BATCH_TRIALS * 8 * 8
+    cold(fn, cfg, 10, 1)  # first-call allocations of numpy
+    peaks = []
+    for trials in (BATCH_TRIALS, 3 * BATCH_TRIALS + 1):
+        montecarlo._last_batch = None
+        tracemalloc.start()
+        try:
+            fn(cfg, trials, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + batch_bytes // 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: estimate_esr(cfg_of(4, 2, 10.0), 100, seed),
+        lambda seed: estimate_esr_tdma(4, 10.0, 100, seed),
+        lambda seed: empirical_cdf_T(cfg_of(4, 2, 10.0), 100, seed),
+    ],
+    ids=["estimate_esr", "estimate_esr_tdma", "empirical_cdf_T"],
+)
+def test_seed_must_be_unsigned_64_bit(call):
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            call(seed)
+    call((1 << 64) - 1)
+
+
+def test_counts_must_be_positive_integers():
+    cfg = cfg_of(4, 2, 10.0)
+    for bad in (0, -3, 2.0):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            estimate_esr(cfg, bad, 0)
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            estimate_esr_tdma(4, 10.0, bad, 0)
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            empirical_cdf_T(cfg, bad, 0)
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            estimate_esr_tdma(bad, 10.0, 100, 0)
+    with pytest.raises(ValueError, match="served index"):
+        empirical_cdf_T(cfg_of(4, 4, 10.0), 100, 0)
 
 
 class TestBatchMemo:

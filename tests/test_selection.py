@@ -110,3 +110,11 @@ CELL = SystemConfig(num_users=4, served_index=2, transmit_snr=10.0)
 def test_evaluate_equals_the_direct_engine_call(method, n, direct):
     # n = K is the TDMA-like slot, answered by each engine's TDMA function
     assert evaluate(method, 4, n, 10.0, trials=3_000, seed=5, tol=1e-9) == direct()
+
+
+@pytest.mark.parametrize("method", ["analytic", "high_snr", "montecarlo"])
+@pytest.mark.parametrize("rho", [-1.0, 0.0, math.nan])
+def test_tdma_cell_checks_rho_under_every_method(method, rho):
+    # esr_tdma_high_snr takes no rho, so evaluate checks it for every engine
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        evaluate(method, 4, 4, rho, trials=100)
