@@ -54,8 +54,13 @@ class CapabilityError(ValueError):
     """Parameters outside the numerically certified envelope (e.g. K > 20)."""
 
 
+def _is_integer(x):
+    # bool subclasses int, but True is neither a count nor an index
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_user_count(K):
-    if not isinstance(K, (int, np.integer)):
+    if not _is_integer(K):
         raise ValueError(f"number of users must be an integer, got {K!r}")
     if K < 2:
         raise ValueError(f"need at least 2 users, got {K}")
@@ -82,12 +87,13 @@ class SystemConfig:
     def __post_init__(self):
         _check_user_count(self.num_users)
         n = self.served_index
-        if not isinstance(n, (int, np.integer)) or not (1 <= n <= self.num_users):
+        if not _is_integer(n) or not (1 <= n <= self.num_users):
             raise ValueError(
                 f"served_index must be an integer in [1, {self.num_users}], got {n!r}"
             )
         rho = self.transmit_snr
-        if not (isinstance(rho, (int, float, np.floating)) and math.isfinite(rho) and rho > 0):
+        real = _is_integer(rho) or isinstance(rho, (float, np.floating))
+        if not (real and math.isfinite(rho) and rho > 0):
             raise ValueError(f"transmit_snr must be positive and finite, got {rho!r}")
 
 
@@ -114,7 +120,7 @@ def _clamped(unclamped):
     return EsrValue(value=max(0.0, unclamped), unclamped=unclamped)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry for 1
 def xi_table(K, n):
     """Coefficient table Xi[i, j] = (-1)^(i+j) n C(K,n) C(K-n,i) C(n-1,j).
 
@@ -123,7 +129,7 @@ def xi_table(K, n):
     exists for the dual-selection slot, not for the TDMA case n = K.
     """
     _check_user_count(K)
-    if not isinstance(n, (int, np.integer)) or not (1 <= n <= K - 1):
+    if not _is_integer(n) or not (1 <= n <= K - 1):
         raise ValueError(f"served index must be in [1, {K - 1}], got {n!r}")
     lead = n * math.comb(K, n)
     coeff = np.empty((K - n + 1, n))
@@ -220,25 +226,31 @@ def _require_dual_slot(cfg):
         )
 
 
+def _order_stat_series(K, n, f):
+    """E[phi(h_n)] for h_n the n-th smallest of K iid unit-mean exponential
+    gains, given f(m) = E[phi(X/m)] with X ~ Exp(1): the order-statistic
+    density expanded into exponentials m e^(-m x) (David & Nagaraja, Order
+    Statistics, 3rd ed., sec. 2.1). f(m) = e^(am) E1(am) gives
+    E[log(1 + h_n/a)]; f = log gives -(E[log h_n] + gamma). n = K is the
+    TDMA slot (the strongest gain), where the second alternating sum is empty.
+    """
+    first = [(-1.0) ** (i + 1) * math.comb(K, i) * f(i) for i in range(1, K + 1)]
+    second = [
+        (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * f(K + j - i)
+        for i in range(n, K) for j in range(i + 1)
+    ]
+    return math.fsum(first) - math.fsum(second)
+
+
 def exp_cb(cfg):
     """Expected legitimate rate E[log(1 + (rho/2)|h_n|^2)] in nats.
 
-    Closed form: two alternating sums of e^x E1(x) terms, equal to the
-    defining integral of the order-statistic survival function against the
-    SNR kernel.
+    Closed form: the order-statistic series of e^x E1(x) at x = 2m/rho
+    (see _order_stat_series).
     """
     _require_dual_slot(cfg)
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
-    first = [
-        (-1.0) ** (i + 1) * math.comb(K, i) * e1_scaled(2.0 * i / rho)
-        for i in range(1, K + 1)
-    ]
-    second = [
-        (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * e1_scaled(2.0 * (K + j - i) / rho)
-        for i in range(n, K)
-        for j in range(0, i + 1)
-    ]
-    return math.fsum(first) - math.fsum(second)
+    return _order_stat_series(K, n, lambda x: e1_scaled(2.0 * x / rho))
 
 
 def _as_positive_array(u, name):
@@ -396,9 +408,9 @@ def upsilon_from_xi(xi, rho):
 def upsilon(i, j, K, n, rho):
     """Closed-form tail integral for table entry (i, j); i >= 1 only, the
     i = 0 row integrates to the constant absorbed in the leading term."""
-    if not (isinstance(i, (int, np.integer)) and i >= 1):
+    if not (_is_integer(i) and i >= 1):
         raise ValueError(f"i must be an integer >= 1, got {i!r}")
-    if not (isinstance(j, (int, np.integer)) and 0 <= j <= n - 1):
+    if not (_is_integer(j) and 0 <= j <= n - 1):
         raise ValueError(f"j must be an integer in [0, {n - 1}], got {j!r}")
     if i > K - n:
         raise ValueError(f"i must be <= K - n = {K - n}, got {i}")
@@ -406,23 +418,13 @@ def upsilon(i, j, K, n, rho):
     return upsilon_from_xi(xi, rho)
 
 
-def _varpi(K, n):
-    # Multiuser-diversity constant of the high-SNR legitimate rate.
-    first = [
-        (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * math.log(K + j - i)
-        for i in range(n, K)
-        for j in range(0, i + 1)
-    ]
-    second = [(-1.0) ** i * math.comb(K, i) * math.log(i) for i in range(1, K + 1)]
-    return math.fsum(first) + math.fsum(second)
-
-
 def esr_high_snr(cfg):
     """High-SNR closed-form ESR of the dual-selection slot, in nats.
 
     (log(rho/2) - 1 - gamma)/2 + varpi - sum_{i>=1, j} (Xi_ij / i) Upsilon_ij,
-    clamped at zero. Grows like c * log(rho/2) with c = 1/2 minus the
-    limiting decode probability weight carried by the Upsilon terms.
+    clamped at zero, with varpi = -_order_stat_series(K, n, log). Grows like
+    c * log(rho/2) with c = 1/2 minus the limiting decode probability weight
+    carried by the Upsilon terms.
     """
     _require_dual_slot(cfg)
     table = xi_table(cfg.num_users, cfg.served_index)
@@ -434,7 +436,7 @@ def esr_high_snr(cfg):
     ]
     unclamped = (
         (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0
-        + _varpi(K, n)
+        - _order_stat_series(K, n, math.log)
         - math.fsum(tail)
     )
     return _clamped(unclamped)
@@ -443,7 +445,7 @@ def esr_high_snr(cfg):
 def _check_order_stat_count(K):
     # K = 1 is a legitimate TDMA question (the strongest of one user) even
     # though the dual-selection scheme itself needs two users.
-    if not isinstance(K, (int, np.integer)) or K < 1:
+    if not _is_integer(K) or K < 1:
         raise ValueError(f"number of users must be a positive integer, got {K!r}")
     if K > MAX_USERS:
         raise CapabilityError(
@@ -458,10 +460,7 @@ def esr_tdma_exact(K, rho):
     _check_order_stat_count(K)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
-    best = math.fsum(
-        (-1.0) ** (i + 1) * math.comb(K, i) * e1_scaled(i / rho)
-        for i in range(1, K + 1)
-    )
+    best = _order_stat_series(K, K, lambda x: e1_scaled(x / rho))
     return _clamped(best - e1_scaled(1.0 / rho))
 
 
@@ -469,21 +468,15 @@ def esr_tdma_high_snr(K, variant="corrected"):
     """High-SNR limit of the TDMA-like ESR: an alternating binomial-log sum,
     independent of transmit power.
 
-    Two sign conventions of this series are in circulation. "corrected"
-    (default) evaluates sum_i (-1)^i C(K,i) log(i), which equals
+    Two sign conventions are in circulation: one series
+    s = _order_stat_series(K, K, log) with opposite signs. "corrected"
+    (default) is -s = sum_i (-1)^i C(K,i) log(i), which equals
     E[log max of K exponentials] - E[log exponential] and matches
-    simulation; "printed" evaluates the flipped-sign form, which is
-    negative for every K >= 2 and therefore clamps to zero.
+    simulation; "printed" is s, negative for every K >= 2 and so clamped.
     """
     _check_order_stat_count(K)
-    if variant == "corrected":
-        unclamped = math.fsum(
-            (-1.0) ** i * math.comb(K, i) * math.log(i) for i in range(1, K + 1)
-        )
-    elif variant == "printed":
-        unclamped = math.fsum(
-            (-1.0) ** (i + 1) * math.comb(K, i) * math.log(i) for i in range(1, K + 1)
-        )
-    else:
+    if variant not in ("corrected", "printed"):
         raise ValueError(f"variant must be 'corrected' or 'printed', got {variant!r}")
-    return _clamped(unclamped)
+    s = _order_stat_series(K, K, math.log)
+    # 0.0 - s rather than -s, so that K = 1 reads +0.0
+    return _clamped(0.0 - s if variant == "corrected" else s)

@@ -43,14 +43,19 @@ class EsrEstimate:
     seed: int
 
 
+def _is_integer(x):
+    # bool subclasses int, but True is neither a count nor a seed
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or not (0 <= seed < _U64):
+    if not _is_integer(seed) or not (0 <= seed < _U64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return int(seed)
 
 
 def _check_count(value, name):
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 

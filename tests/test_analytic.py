@@ -52,6 +52,43 @@ class TestSystemConfig:
         assert cfg_of(4, 4, 10.0).served_index == 4
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cfg_of(True, 1, 10.0),
+        lambda: cfg_of(4, True, 10.0),
+        lambda: cfg_of(4, 2, True),
+        lambda: (xi_table(4, 1), xi_table(4, True)),  # 1 cached first
+        lambda: upsilon(True, 0, 4, 2, 10.0),
+        lambda: upsilon(1, True, 4, 2, 10.0),
+        lambda: esr_tdma_exact(True, 10.0),
+        lambda: esr_tdma_high_snr(True),
+        lambda: montecarlo.estimate_esr(cfg_of(4, 2, 10.0), True, 0),
+        lambda: montecarlo.estimate_esr(cfg_of(4, 2, 10.0), 5, True),
+        lambda: montecarlo.estimate_esr_tdma(True, 10.0, 5, 0),
+        lambda: montecarlo.empirical_cdf_T(cfg_of(4, 2, 10.0), True, 0),
+    ],
+    ids=[
+        "SystemConfig.num_users",
+        "SystemConfig.served_index",
+        "SystemConfig.transmit_snr",
+        "xi_table.n",
+        "upsilon.i",
+        "upsilon.j",
+        "esr_tdma_exact.K",
+        "esr_tdma_high_snr.K",
+        "estimate_esr.trials",
+        "estimate_esr.seed",
+        "estimate_esr_tdma.K",
+        "empirical_cdf_T.samples",
+    ],
+)
+def test_integer_arguments_refuse_bool(call):
+    # bool subclasses int, so an isinstance(int) check alone lets True in as 1
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestXiTable:
     def test_direct_substitution_K2(self):
         t = xi_table(2, 1)
@@ -220,6 +257,45 @@ class TestExpCb:
     def test_increases_with_n(self):
         vals = [exp_cb(cfg_of(8, n, 100.0)) for n in range(1, 8)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def order_stat_density(K, n):
+    # density of the n-th smallest of K unit-mean exponentials, memoized per
+    # node: every quadrature of one (K, n) visits the same tanh-sinh nodes
+    c = mp.factorial(K) / (mp.factorial(n - 1) * mp.factorial(K - n))
+    memo = {}
+
+    def density(x):
+        if x not in memo:
+            memo[x] = c * (-mp.expm1(-x)) ** (n - 1) * mp.exp(-(K - n + 1) * x)
+        return memo[x]
+
+    return density
+
+
+def order_stat_expectation(density, phi):
+    # E[phi(h_n)] by quadrature at the caller's mp precision
+    return mp.quad(lambda x: phi(x) * density(x), [0, 1, 10, mp.inf])
+
+
+class TestOrderStatSeries:
+    """The series behind exp_cb, varpi and both TDMA engines, against a
+    30-digit quadrature of the expectation it expands."""
+
+    @pytest.mark.parametrize("K", [2, 5, 8, 12])
+    def test_matches_order_statistic_expectation(self, K):
+        series = analytic._order_stat_series
+        with mp.workdps(30):
+            for n in sorted({1, K // 2, K - 1, K}):
+                density = order_stat_density(K, n)
+                ref = -(order_stat_expectation(density, mp.log) + mp.euler)
+                assert series(K, n, math.log) == pytest.approx(float(ref), abs=1e-10)
+                for db in (0, 20, 40):
+                    rho = 10.0 ** (db / 10)
+                    a = 2 / mp.mpf(rho)
+                    ref = order_stat_expectation(density, lambda x: mp.log1p(x / a))
+                    got = series(K, n, lambda m: e1_scaled(2.0 * m / rho))
+                    assert got == pytest.approx(float(ref), abs=1e-10)
 
 
 def mc_eve_rate(K, n, rho, trials, seed):
