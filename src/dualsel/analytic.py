@@ -12,7 +12,9 @@ All rates are in nats. Linear transmit SNR throughout; dB conversions belong
 to the presentation layer.
 """
 
+import contextvars
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +61,12 @@ def _is_integer(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_positive_real(x):
+    # a real number (not a bool, not a string) that is finite and > 0
+    real = _is_integer(x) or isinstance(x, (float, np.floating))
+    return real and math.isfinite(x) and x > 0
+
+
 def _check_user_count(K):
     if not _is_integer(K):
         raise ValueError(f"number of users must be an integer, got {K!r}")
@@ -92,8 +100,7 @@ class SystemConfig:
                 f"served_index must be an integer in [1, {self.num_users}], got {n!r}"
             )
         rho = self.transmit_snr
-        real = _is_integer(rho) or isinstance(rho, (float, np.floating))
-        if not (real and math.isfinite(rho) and rho > 0):
+        if not _is_positive_real(rho):
             raise ValueError(f"transmit_snr must be positive and finite, got {rho!r}")
 
 
@@ -369,26 +376,18 @@ def esr_exact(cfg, tol=1e-9):
     return _clamped(unclamped)
 
 
-def upsilon_from_xi(xi, rho):
-    """High-SNR tail integral
-    int_1^inf [log(rho/2) + 1 - gamma + log(u/(u+1)^2)] / ((u+1)^2 (u+xi)) du
-    as a closed form in the partial-fraction parameter xi > 0.
+def _upsilon_lead(rho):
+    # the only place rho enters Upsilon: log(rho/2) + 1 - gamma
+    return math.log(0.5 * rho) + 1.0 - EULER_GAMMA
 
-    The xi = 1 case is a separate closed form; the xi != 1 branches are
-    continuous across it (the apparent 1/(1-xi)^2 poles cancel against the
-    dilogarithm combination).
-    """
-    if not (math.isfinite(xi) and xi > 0.0):
-        raise ValueError(f"xi must be positive and finite, got {xi!r}")
-    lead = math.log(0.5 * rho) + 1.0 - EULER_GAMMA
+
+def _upsilon_parts(xi):
+    """The rho-free parts (a, b, c, d, mu) of Upsilon at xi != 1, so that
+    Upsilon = lead*a/b + c - d + mu: every log and all three dilogarithms.
+    None at xi = 1, whose closed form is all in the rho step."""
     if xi == 1.0:
-        return lead / 8.0 + _LOG2 / 4.0 - 3.0 / 8.0
+        return None
     om = 1.0 - xi
-    nu = (
-        lead * (xi - 1.0 + 2.0 * math.log(2.0 / (1.0 + xi))) / (2.0 * om * om)
-        + 1.0 / om
-        - (math.pi**2 + 12.0 * _LOG2**2) / (12.0 * om * om)
-    )
     if xi < 1.0:
         zeta = 2.0 * _LOG2 * math.log((xi + 1.0) / xi) - _LOG2**2
     else:
@@ -402,7 +401,42 @@ def upsilon_from_xi(xi, rho):
         - li2(-xi)
         + zeta
     ) / (om * om)
-    return nu + mu
+    return (
+        xi - 1.0 + 2.0 * math.log(2.0 / (1.0 + xi)),
+        2.0 * om * om,
+        1.0 / om,
+        (math.pi**2 + 12.0 * _LOG2**2) / (12.0 * om * om),
+        mu,
+    )
+
+
+def _upsilon_step(lead, parts):
+    # Upsilon from its rho-free parts, summed left to right as upsilon_from_xi's
+    # docstring writes it; another order would change the last bits
+    if parts is None:
+        return lead / 8.0 + _LOG2 / 4.0 - 3.0 / 8.0
+    a, b, c, d, mu = parts
+    return lead * a / b + c - d + mu
+
+
+def upsilon_from_xi(xi, rho):
+    """High-SNR tail integral
+    int_1^inf [log(rho/2) + 1 - gamma + log(u/(u+1)^2)] / ((u+1)^2 (u+xi)) du
+    as a closed form in the partial-fraction parameter xi > 0.
+
+    With lead = log(rho/2) + 1 - gamma, the xi != 1 form is
+    Upsilon = lead*a/b + c - d + mu, where the rho-free parts are
+    a = xi - 1 + 2 log(2/(1+xi)), b = 2(1-xi)^2, c = 1/(1-xi),
+    d = (pi^2 + 12 log(2)^2)/(12(1-xi)^2), and mu, the dilogarithm
+    combination over (1-xi)^2. The xi = 1 case is a separate closed form;
+    the xi != 1 branches are continuous across it (the apparent 1/(1-xi)^2
+    poles cancel against the dilogarithm combination).
+    """
+    if not _is_positive_real(xi):
+        raise ValueError(f"xi must be positive and finite, got {xi!r}")
+    if not _is_positive_real(rho):
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    return _upsilon_step(_upsilon_lead(rho), _upsilon_parts(xi))
 
 
 def upsilon(i, j, K, n, rho):
@@ -418,25 +452,64 @@ def upsilon(i, j, K, n, rho):
     return upsilon_from_xi(xi, rho)
 
 
+#: The rho-free terms of the high-SNR closed form shared by the cells of one
+#: scan: a dict from xi (a float) to its Upsilon parts and from (K, n) to
+#: the order-statistic series behind varpi. It is set only inside
+#: _scan_scope, and None otherwise.
+_scan_terms = contextvars.ContextVar("dualsel_scan_terms", default=None)
+
+
+@contextmanager
+def _scan_scope():
+    """Share each xi's Upsilon parts and each (K, n)'s varpi among the
+    esr_high_snr calls inside the block. The values are the ones computed
+    without sharing; the memo goes when the block ends."""
+    token = _scan_terms.set({})
+    try:
+        yield
+    finally:
+        _scan_terms.reset(token)
+
+
+def _scan_term(memo, key, compute, *args):
+    # compute(*args), remembered under key while a scan runs (memo not None)
+    if memo is None:
+        return compute(*args)
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
+
+
 def esr_high_snr(cfg):
     """High-SNR closed-form ESR of the dual-selection slot, in nats.
 
     (log(rho/2) - 1 - gamma)/2 + varpi - sum_{i>=1, j} (Xi_ij / i) Upsilon_ij,
-    clamped at zero, with varpi = -_order_stat_series(K, n, log). Grows like
-    c * log(rho/2) with c = 1/2 minus the limiting decode probability weight
-    carried by the Upsilon terms.
+    clamped at zero, with varpi = -_order_stat_series(K, n, log) and
+    Upsilon_ij = upsilon(i, j, K, n, rho). Grows like c * log(rho/2) with
+    c = 1/2 minus the limiting decode probability weight carried by the
+    Upsilon terms.
+
+    Only lead = log(rho/2) + 1 - gamma depends on rho. Within a scan
+    (_scan_scope, opened by selection.evaluate_cells) each xi's
+    rho-free Upsilon parts and each (K, n)'s varpi are computed once;
+    outside one, every call computes them afresh. Either way the value is
+    the same to the bit.
     """
     _require_dual_slot(cfg)
     table = xi_table(cfg.num_users, cfg.served_index)
     K, n, rho = table.K, table.n, cfg.transmit_snr
-    tail = [
-        table.coefficients[i, j] / i * upsilon(i, j, K, n, rho)
-        for i in range(1, K - n + 1)
-        for j in range(n)
-    ]
+    memo = _scan_terms.get()
+    lead = _upsilon_lead(rho)
+    tail = []
+    for i in range(1, K - n + 1):
+        for j in range(n):
+            xi = (K - n + 1 + j) / i - 1.0  # built as upsilon builds it, to the bit
+            parts = _scan_term(memo, xi, _upsilon_parts, xi)
+            tail.append(table.coefficients[i, j] / i * _upsilon_step(lead, parts))
+    series = _scan_term(memo, (K, n), _order_stat_series, K, n, math.log)
     unclamped = (
         (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0
-        - _order_stat_series(K, n, math.log)
+        - series
         - math.fsum(tail)
     )
     return _clamped(unclamped)
@@ -458,7 +531,7 @@ def esr_tdma_exact(K, rho):
     alone at full power, the eavesdropper overhears through an independent
     unit-mean gain. In nats."""
     _check_order_stat_count(K)
-    if not (math.isfinite(rho) and rho > 0):
+    if not _is_positive_real(rho):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
     best = _order_stat_series(K, K, lambda x: e1_scaled(x / rho))
     return _clamped(best - e1_scaled(1.0 / rho))

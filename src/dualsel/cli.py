@@ -199,12 +199,11 @@ def run(ns, argv, out=None, err=None):
     rho_values = _parse_rho_db(ns.rho_db)
     _check_flags(ns, rho_values)
     engines = _engines_for(ns.mode, ns.engine)
-    rows = []
-    for engine, n, rho_db in _cells(ns, engines, rho_values):
-        res = selection.evaluate(
-            _METHOD_OF[engine], ns.k, n, _rho_linear(rho_db), ns.trials, ns.seed, ns.tol
-        )
-        rows.append(((engine, n, rho_db), res))
+    cells = _cells(ns, engines, rho_values)
+    results = selection.evaluate_cells(
+        ns.k, [(_METHOD_OF[e], n, _rho_linear(r)) for e, n, r in cells], ns.trials, ns.seed, ns.tol
+    )
+    rows = list(zip(cells, results))
 
     if ns.mode == "select":
         for engine in engines:

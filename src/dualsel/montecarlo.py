@@ -48,6 +48,12 @@ def _is_integer(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_positive_real(x):
+    # a real number (not a bool, not a string) that is finite and > 0
+    real = _is_integer(x) or isinstance(x, (float, np.floating))
+    return real and math.isfinite(x) and x > 0
+
+
 def _check_seed(seed):
     if not _is_integer(seed) or not (0 <= seed < _U64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
@@ -179,7 +185,7 @@ def estimate_esr_tdma(K, rho, trials, seed):
     seed = _check_seed(seed)
     trials = _check_count(trials, "trials")
     K = _check_count(K, "K")
-    if not (math.isfinite(rho) and rho > 0):
+    if not _is_positive_real(rho):
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
     return _estimate(seed, trials, K, lambda h, g: _batch_tdma_rates(h, g, K, rho))
 

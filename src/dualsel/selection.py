@@ -4,16 +4,20 @@ The jammer is pinned to the strongest user, so picking the served user is a
 scan over n = 1..K-1 (dual-selection slots) plus n = K, the degenerate
 TDMA-like slot where the strongest user transmits alone at full power.
 `evaluate` answers one such cell with any method; it is the only place that
-maps a method and a cell to an engine function.
+maps a method and a cell to an engine function. `evaluate_cells` answers a
+list of cells (a scan: every CLI mode and `select_served`); it is the only
+loop over cells. While it runs, the high-SNR cells share their rho-free
+terms (each xi's dilogarithm parts and each (K, n)'s varpi); the memo lives
+in a context variable, so it belongs to one scan in one thread and is gone
+when the scan returns.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import analytic, montecarlo
 from .analytic import SystemConfig
 
-__all__ = ["SelectionResult", "best_served", "evaluate", "select_served"]
+__all__ = ["SelectionResult", "best_served", "evaluate", "evaluate_cells", "select_served"]
 
 _METHODS = ("analytic", "montecarlo", "high_snr")
 
@@ -54,7 +58,7 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if n == K:
-        if not (math.isfinite(rho) and rho > 0):  # esr_tdma_high_snr takes no rho
+        if not analytic._is_positive_real(rho):  # esr_tdma_high_snr takes no rho
             raise ValueError(f"rho must be positive and finite, got {rho!r}")
         if method == "analytic":
             return analytic.esr_tdma_exact(K, rho)
@@ -67,6 +71,18 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
     if method == "high_snr":
         return analytic.esr_high_snr(cfg)
     return montecarlo.estimate_esr(cfg, trials, seed)
+
+
+def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
+    """The result of `evaluate` for each (method, n, rho) cell at K users,
+    as a list in cell order.
+
+    Cells are answered one by one through `evaluate`, and each result is
+    the one a lone call returns. The high-SNR cells share their rho-free
+    terms while the list is evaluated, and only then.
+    """
+    with analytic._scan_scope():
+        return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]
 
 
 def best_served(esr_by_n):
@@ -85,5 +101,7 @@ def select_served(K, rho, method="analytic", trials=10_000, seed=0, tol=1e-9):
     estimator; every candidate reuses the same seed, so candidates are
     compared on common random numbers). Ties break toward the smallest n.
     """
-    results = tuple((n, evaluate(method, K, n, rho, trials, seed, tol)) for n in range(1, K + 1))
+    served = range(1, K + 1)
+    values = evaluate_cells(K, [(method, n, rho) for n in served], trials, seed, tol)
+    results = tuple(zip(served, values))
     return SelectionResult(best_n=best_served(results), esr_by_n=results, method=method)

@@ -527,6 +527,29 @@ class TestUpsilon:
         with pytest.raises(ValueError):
             upsilon_from_xi(-1.0, 10.0)
 
+    @pytest.mark.parametrize(
+        "xi, rho, name",
+        [
+            (True, 10.0, "xi"),
+            ("2", 10.0, "xi"),
+            (math.inf, 10.0, "xi"),
+            (2.0, math.nan, "rho"),
+            (2.0, math.inf, "rho"),
+            (2.0, -1.0, "rho"),
+            (2.0, 0.0, "rho"),
+            (2.0, True, "rho"),
+            (2.0, "10", "rho"),
+        ],
+    )
+    def test_bad_xi_or_rho_is_named(self, xi, rho, name):
+        # nan and inf used to come back as values, -1 as a math domain
+        # error, and True was taken as xi = 1
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            upsilon_from_xi(xi, rho)
+        if name == "rho":
+            with pytest.raises(ValueError, match="^rho must be positive and finite"):
+                upsilon(1, 0, 4, 2, rho)
+
 
 class TestEsrHighSnr:
     def test_affine_log_slope(self):

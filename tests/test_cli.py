@@ -398,6 +398,70 @@ class TestVerdictPins:
         assert (tmp_path / "m.txt").read_text().splitlines()[5:] == manifest_tail
 
 
+class TestClosedFormPins:
+    """The whole stdout of high-SNR and TDMA runs is pinned, so sharing
+    terms across the cells of a scan cannot move a digit."""
+
+    @pytest.mark.parametrize(
+        "args, csv",
+        [
+            (["--mode", "sweep-n", "--k", "20", "--engine", "high-snr", "--rho-db", "20"],
+             "high-snr,20,1,20,0,,,\n"
+             "high-snr,20,2,20,0.363446647478,,,\n"
+             "high-snr,20,3,20,0.874628356351,,,\n"
+             "high-snr,20,4,20,1.21501971226,,,\n"
+             "high-snr,20,5,20,1.46910900923,,,\n"
+             "high-snr,20,6,20,1.67118009905,,,\n"
+             "high-snr,20,7,20,1.83773927532,,,\n"
+             "high-snr,20,8,20,1.97996229254,,,\n"
+             "high-snr,20,9,20,2.1024063986,,,\n"
+             "high-snr,20,10,20,2.21068748118,,,\n"
+             "high-snr,20,11,20,2.30740027329,,,\n"
+             "high-snr,20,12,20,2.39425424776,,,\n"
+             "high-snr,20,13,20,2.47390514033,,,\n"
+             "high-snr,20,14,20,2.54722360197,,,\n"
+             "high-snr,20,15,20,2.61577929419,,,\n"
+             "high-snr,20,16,20,2.68087875669,,,\n"
+             "high-snr,20,17,20,2.74412669776,,,\n"
+             "high-snr,20,18,20,2.80792191316,,,\n"
+             "high-snr,20,19,20,2.87713119544,,,\n"
+             "high-snr,20,20,20,1.80042608789,,,\n"),
+            (["--mode", "sweep-rho", "--k", "12", "--served", "6", "--engine", "high-snr",
+              "--rho-db", "10:60:5"],
+             "high-snr,12,6,10,0.224595823668,,,\n"
+             "high-snr,12,6,15,1.16464897656,,,\n"
+             "high-snr,12,6,20,2.10470212962,,,\n"
+             "high-snr,12,6,25,3.04475528372,,,\n"
+             "high-snr,12,6,30,3.9848084364,,,\n"
+             "high-snr,12,6,35,4.92486158972,,,\n"
+             "high-snr,12,6,40,5.86491474277,,,\n"
+             "high-snr,12,6,45,6.80496789594,,,\n"
+             "high-snr,12,6,50,7.74502104918,,,\n"
+             "high-snr,12,6,55,8.68507420294,,,\n"
+             "high-snr,12,6,60,9.62512735585,,,\n"),
+            (["--mode", "sweep-rho", "--k", "20", "--engine", "tdma", "--rho-db", "0:60:5"],
+             "tdma,20,20,0,0.89469421061,,,\n"
+             "tdma,20,20,5,1.27850069137,,,\n"
+             "tdma,20,20,10,1.54175133767,,,\n"
+             "tdma,20,20,15,1.68541108281,,,\n"
+             "tdma,20,20,20,1.75297634604,,,\n"
+             "tdma,20,20,25,1.78183590216,,,\n"
+             "tdma,20,20,30,1.79340283499,,,\n"
+             "tdma,20,20,35,1.79784187096,,,\n"
+             "tdma,20,20,40,1.79949384975,,,\n"
+             "tdma,20,20,45,1.80009489171,,,\n"
+             "tdma,20,20,50,1.80030984274,,,\n"
+             "tdma,20,20,55,1.80038568708,,,\n"
+             "tdma,20,20,60,1.80041216121,,,\n"),
+        ],
+        ids=["high-snr-sweep-n", "high-snr-sweep-rho", "tdma-sweep-rho"],
+    )
+    def test_stdout_is_pinned(self, args, csv, tmp_path):
+        code, out, err = run_inproc(args, tmp_path / "m.txt")
+        assert (code, err) == (0, "")
+        assert out == CSV_HEADER + "\n" + csv
+
+
 class TestDeterminism:
     def test_byte_identical_csv(self, tmp_path):
         args = ["--mode", "esr", "--k", "4", "--served", "3", "--rho-db", "20",

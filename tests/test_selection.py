@@ -1,12 +1,14 @@
 """Served-user search: argmax reproduction, cross-engine agreement, tie rules."""
 
 import math
+import sys
+import threading
 
 import pytest
 
-from dualsel import analytic, montecarlo
+from dualsel import analytic, cli, montecarlo
 from dualsel.analytic import CapabilityError, EsrValue, SystemConfig
-from dualsel.selection import SelectionResult, evaluate, select_served
+from dualsel.selection import SelectionResult, evaluate, evaluate_cells, select_served
 
 
 def scalar(res):
@@ -113,8 +115,146 @@ def test_evaluate_equals_the_direct_engine_call(method, n, direct):
 
 
 @pytest.mark.parametrize("method", ["analytic", "high_snr", "montecarlo"])
-@pytest.mark.parametrize("rho", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("rho", [-1.0, 0.0, math.nan, True, "10"])
 def test_tdma_cell_checks_rho_under_every_method(method, rho):
     # esr_tdma_high_snr takes no rho, so evaluate checks it for every engine
     with pytest.raises(ValueError, match="rho must be positive and finite"):
         evaluate(method, 4, 4, rho, trials=100)
+
+
+@pytest.mark.parametrize("rho", [True, "10", math.nan, 0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: analytic.esr_tdma_exact(4, rho),
+        lambda rho: montecarlo.estimate_esr_tdma(4, rho, 10, 0),
+    ],
+    ids=["esr_tdma_exact", "estimate_esr_tdma"],
+)
+def test_tdma_engines_refuse_a_rho_that_is_not_a_positive_real(call, rho):
+    # True would run at rho = 1, and "10" used to escape as a TypeError;
+    # evaluate's own check is covered by the test above
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        call(rho)
+
+
+def cfg_of(K, n, rho):
+    return SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
+
+
+def cold_high_snr(K, n, rho):
+    # a lone call, outside any scan, so it computes every term afresh
+    assert analytic._scan_terms.get() is None
+    return analytic.esr_high_snr(cfg_of(K, n, rho))
+
+
+@pytest.fixture
+def li2_calls(monkeypatch):
+    calls = [0]
+    real = analytic.li2
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(analytic, "li2", counted)
+    return calls
+
+
+@pytest.fixture
+def high_snr_calls(monkeypatch):
+    """(cfg, result, inside a scan) of every esr_high_snr call."""
+    seen = []
+    real = analytic.esr_high_snr
+
+    def spy(cfg):
+        res = real(cfg)
+        seen.append((cfg, res, analytic._scan_terms.get() is not None))
+        return res
+
+    monkeypatch.setattr(analytic, "esr_high_snr", spy)
+    return seen
+
+
+def distinct_xi_not_one(K):
+    return {
+        (K - n + 1 + j) / i - 1.0
+        for n in range(1, K) for i in range(1, K - n + 1) for j in range(n)
+    } - {1.0}
+
+
+class TestScanSharing:
+    """A high-SNR scan computes each xi's dilogarithm parts and each (K, n)'s
+    varpi once. Its values are those of lone calls, bit for bit, and the
+    shared terms last exactly as long as the scan."""
+
+    @pytest.mark.parametrize("K", [3, 12, 20])
+    def test_select_served_cells_equal_cold_calls(self, K, high_snr_calls):
+        res = select_served(K, 100.0, method="high_snr")
+        assert len(high_snr_calls) == K - 1
+        assert all(inside for _, _, inside in high_snr_calls)
+        for n, value in res.esr_by_n[:-1]:
+            assert value == cold_high_snr(K, n, 100.0)
+
+    @pytest.mark.parametrize("K", [3, 12, 20])
+    def test_cli_sweep_rho_cells_equal_cold_calls(self, K, high_snr_calls, tmp_path, capsys):
+        n = K // 2
+        argv = ["--mode", "sweep-rho", "--k", str(K), "--served", str(n),
+                "--engine", "high-snr", "--rho-db", "10:60:5",
+                "--manifest", str(tmp_path / "m.txt")]
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(high_snr_calls) == len(rows) == 11
+        for (cfg, value, inside), row in zip(high_snr_calls, rows):
+            assert inside
+            cold = cold_high_snr(K, n, cfg.transmit_snr)
+            assert value == cold
+            assert row.split(",")[4] == f"{cold.value:.12g}"
+
+    def test_li2_runs_three_times_per_distinct_xi(self, li2_calls, tmp_path, capsys):
+        argv = ["--mode", "sweep-n", "--k", "20", "--engine", "high-snr", "--rho-db", "20",
+                "--manifest", str(tmp_path / "m.txt")]
+        counts = []
+        for _ in range(2):
+            li2_calls[0] = 0
+            assert cli.main(argv) == 0
+            assert analytic._scan_terms.get() is None
+            counts.append(li2_calls[0])
+        # the second scan recomputes everything: nothing outlived the first
+        assert counts[0] == counts[1] == 3 * len(distinct_xi_not_one(20)) <= 378
+        capsys.readouterr()
+
+    def test_lone_calls_share_nothing(self, li2_calls):
+        cold_high_snr(20, 10, 100.0)
+        once = li2_calls[0]
+        cold_high_snr(20, 10, 100.0)
+        assert li2_calls[0] == 2 * once > 0
+
+    def test_memo_is_dropped_when_a_scan_fails(self):
+        with pytest.raises(ValueError):
+            evaluate_cells(4, [("high_snr", 1, 100.0), ("bogus", 2, 100.0)])
+        assert analytic._scan_terms.get() is None
+
+    def test_threads_scan_independently(self):
+        # more threads than cores, switching often, each scanning at its own rho
+        rhos = (10.0, 100.0, 1e4, 1e6)
+        serial = [select_served(12, rho, method="high_snr") for rho in rhos]
+        threaded = [None] * len(rhos)
+        start = threading.Barrier(len(rhos))
+
+        def scan(k):
+            start.wait(timeout=30)
+            threaded[k] = select_served(12, rhos[k], method="high_snr")
+
+        workers = [threading.Thread(target=scan, args=(k,)) for k in range(len(rhos))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert threaded == serial
