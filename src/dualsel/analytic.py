@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
+from .specfun import EULER_GAMMA, _isfinite, e1_scaled, li2, quad_interval, quad_semi_infinite
 
 __all__ = [
     "MAX_USERS",
@@ -64,7 +64,7 @@ def _is_integer(x):
 def _is_positive_real(x):
     # a real number (not a bool, not a string) that is finite and > 0
     real = _is_integer(x) or isinstance(x, (float, np.floating))
-    return real and math.isfinite(x) and x > 0
+    return real and _isfinite(x) and x > 0
 
 
 def _check_user_count(K):
@@ -156,34 +156,38 @@ def _as_float_array(t, name):
     return arr
 
 
-def _cdf_T_upper(t, table, rho):
-    # Branch t >= 1, summed row by row over i with j as the column axis.
-    K, n = table.K, table.n
-    b = np.arange(K - n + 1, K + 1, dtype=float)  # K - n + 1 + j
-    t = t[:, None]
-    # the i = 0 row is written out: i*t would produce nan at t = inf
-    acc = np.full(t.shape[0], (table.coefficients[0] / b).sum())
-    with np.errstate(over="ignore"):
-        for i in range(1, K - n + 1):
-            e = np.exp(-2.0 * t * i / rho)
-            acc += (table.coefficients[i] * e / (i * (t - 1.0) + b)).sum(axis=1)
-    return acc
+#: Points per cdf_T broadcast, which bounds its (points, i, j) temporaries.
+_CDF_CHUNK = 2048
 
 
-def _cdf_T_lower(t, table, rho):
-    # Branch t < 1, summed row by row over i with j as the column axis.
+def _cdf_T_branch(t, table, rho, lower):
+    # One branch of cdf_T (t < 1 if lower, else t >= 1), each chunk of
+    # points in one broadcast over (point, i, j). Each row i is summed over
+    # j, then the rows are added in order of i by a cumsum, so every value
+    # has the bits of a loop that adds one row i at a time.
     K, n = table.K, table.n
+    c = table.coefficients
     b = np.arange(K - n + 1, K + 1, dtype=float)  # K - n + 1 + j
-    t = t[:, None]
+    i = np.arange(1, K - n + 1, dtype=float)[:, None]
+    out = np.empty_like(t)
     with np.errstate(over="ignore"):
-        # exponent -> -inf as t -> 1-, so exp() underflows to 0 exactly
-        # where the branches meet
-        tail = np.exp(-2.0 * t * b / (rho * (1.0 - t)))
-    acc = (table.coefficients[0] * (1.0 - tail) / b).sum(axis=1)
-    for i in range(1, K - n + 1):
-        e = np.exp(-2.0 * t * i / rho)
-        acc += (table.coefficients[i] * (e - tail) / (i * (t - 1.0) + b)).sum(axis=1)
-    return acc
+        for s in range(0, t.size, _CDF_CHUNK):
+            tc = t[s:s + _CDF_CHUNK, None]
+            e = np.exp(-2.0 * tc[:, None] * i / rho)
+            denom = i * (tc[:, None] - 1.0) + b
+            if lower:
+                # exponent -> -inf as t -> 1-, so exp() underflows to 0
+                # exactly where the branches meet
+                tail = np.exp(-2.0 * tc * b / (rho * (1.0 - tc)))
+                row0 = (c[0] * (1.0 - tail) / b).sum(axis=1)
+                terms = c[1:] * (e - tail[:, None]) / denom
+            else:
+                # the i = 0 row is written out: i*t would produce nan at t = inf
+                row0 = np.full(tc.shape[0], (c[0] / b).sum())
+                terms = c[1:] * e / denom
+            rows = np.concatenate((row0[:, None], terms.sum(axis=2)), axis=1)
+            out[s:s + _CDF_CHUNK] = np.cumsum(rows, axis=1)[:, -1]
+    return out
 
 
 def cdf_T(t, cfg):
@@ -192,8 +196,10 @@ def cdf_T(t, cfg):
 
     Accepts a scalar or array t >= 0. The formula has two branches glued at
     t = 1; the lower branch's extra exponential vanishes as t -> 1-, so the
-    CDF is continuous there. Each branch sums the Xi table one row i at a
-    time, with the column index j as a broadcast axis of shape (points, n).
+    CDF is continuous there. Each branch evaluates every (point, i, j)
+    term of the Xi table in one broadcast per fixed-size chunk of points
+    (which bounds its temporaries), sums each row i over j, and adds the
+    rows in order of i, so the bits are those of a loop over i.
     """
     table = xi_table(cfg.num_users, cfg.served_index)
     rho = cfg.transmit_snr
@@ -202,9 +208,9 @@ def cdf_T(t, cfg):
     hi = arr >= 1.0
     out = np.empty_like(arr)
     if hi.any():
-        out[hi] = _cdf_T_upper(arr[hi], table, rho)
+        out[hi] = _cdf_T_branch(arr[hi], table, rho, lower=False)
     if not hi.all():
-        out[~hi] = _cdf_T_lower(arr[~hi], table, rho)
+        out[~hi] = _cdf_T_branch(arr[~hi], table, rho, lower=True)
     return float(out[0]) if scalar else out
 
 
@@ -240,10 +246,12 @@ def _order_stat_series(K, n, f):
     Statistics, 3rd ed., sec. 2.1). f(m) = e^(am) E1(am) gives
     E[log(1 + h_n/a)]; f = log gives -(E[log h_n] + gamma). n = K is the
     TDMA slot (the strongest gain), where the second alternating sum is empty.
+    f is called once for each m in 1..K, the only arguments either sum takes.
     """
-    first = [(-1.0) ** (i + 1) * math.comb(K, i) * f(i) for i in range(1, K + 1)]
+    fm = [None] + [f(m) for m in range(1, K + 1)]
+    first = [(-1.0) ** (i + 1) * math.comb(K, i) * fm[i] for i in range(1, K + 1)]
     second = [
-        (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * f(K + j - i)
+        (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * fm[K + j - i]
         for i in range(n, K) for j in range(i + 1)
     ]
     return math.fsum(first) - math.fsum(second)
@@ -268,12 +276,6 @@ def _as_positive_array(u, name):
     return arr
 
 
-def _e1_scaled_each(x):
-    # e^x E1(x) node by node through the scalar kernel (looked up in this
-    # module, so a rebinding of analytic.e1_scaled sees every node).
-    return np.array([e1_scaled(v) for v in x.tolist()])
-
-
 def theta(u, rho):
     """Eavesdropper-rate kernel with the substituted inner integral taken
     over v in (0, inf).
@@ -291,7 +293,7 @@ def theta(u, rho):
     """
     scalar = np.ndim(u) == 0
     u = _as_positive_array(u, "u")
-    phi = _e1_scaled_each(2.0 * (u + 1.0) / (rho * u))
+    phi = e1_scaled(2.0 * (u + 1.0) / (rho * u))
     first = (phi + 1.0 - np.log1p(u)) / ((u + 1.0) * (u + 1.0))
     second = (2.0 / rho) * phi / (u * (u + 1.0))
     out = first - second
@@ -318,7 +320,7 @@ def theta_corrected(u, rho):
     scalar = np.ndim(u) == 0
     u = _as_positive_array(u, "u")
     up1 = u + 1.0
-    phi = _e1_scaled_each(2.0 * up1 * up1 / (rho * u))
+    phi = e1_scaled(2.0 * up1 * up1 / (rho * u))
     bracket = 1.0 / (up1 * up1) + phi * (1.0 / (up1 * up1) - 2.0 / (rho * u * up1))
     out = np.exp(-2.0 * up1 / rho) * bracket
     return float(out[0]) if scalar else out

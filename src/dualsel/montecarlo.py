@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import _isfinite
+
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
 #: Trials per vectorized batch. Fixed by the library, never by the caller or
@@ -51,7 +53,7 @@ def _is_integer(x):
 def _is_positive_real(x):
     # a real number (not a bool, not a string) that is finite and > 0
     real = _is_integer(x) or isinstance(x, (float, np.floating))
-    return real and math.isfinite(x) and x > 0
+    return real and _isfinite(x) and x > 0
 
 
 def _check_seed(seed):

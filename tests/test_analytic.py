@@ -1,6 +1,7 @@
 """Closed forms against their defining integrals, simulation, and each other."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from dualsel.analytic import (
     upsilon_from_xi,
     xi_table,
 )
-from dualsel.specfun import EULER_GAMMA, e1_scaled, quad_interval, quad_semi_infinite
+from dualsel.specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
 from oracles import cdf_order_stat
 
 
@@ -85,6 +86,37 @@ class TestSystemConfig:
 )
 def test_integer_arguments_refuse_bool(call):
     # bool subclasses int, so an isinstance(int) check alone lets True in as 1
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cfg_of(4, 2, 10**400),
+        lambda: esr_tdma_exact(4, 10**400),
+        lambda: montecarlo.estimate_esr_tdma(4, 10**400, 10, 0),
+        lambda: upsilon_from_xi(10**400, 10.0),
+        lambda: e1_scaled(10**400),
+        lambda: li2(10**400),
+        lambda: li2(-(10**400)),
+        lambda: quad_interval(np.exp, 0, 10**400),
+        lambda: quad_semi_infinite(np.exp, 10**400),
+    ],
+    ids=[
+        "SystemConfig.transmit_snr",
+        "esr_tdma_exact.rho",
+        "estimate_esr_tdma.rho",
+        "upsilon_from_xi.xi",
+        "e1_scaled",
+        "li2",
+        "li2.negative",
+        "quad_interval.b",
+        "quad_semi_infinite.a",
+    ],
+)
+def test_an_int_beyond_the_float_range_is_refused(call):
+    # math.isfinite raises OverflowError on such an int; it is not finite
     with pytest.raises(ValueError):
         call()
 
@@ -297,6 +329,29 @@ class TestOrderStatSeries:
                     got = series(K, n, lambda m: e1_scaled(2.0 * m / rho))
                     assert got == pytest.approx(float(ref), abs=1e-10)
 
+    def test_f_is_called_once_per_argument(self):
+        def two_comprehensions(K, n, f):
+            # the series with f called once per term
+            first = [(-1.0) ** (i + 1) * math.comb(K, i) * f(i) for i in range(1, K + 1)]
+            second = [
+                (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * f(K + j - i)
+                for i in range(n, K) for j in range(i + 1)
+            ]
+            return math.fsum(first) - math.fsum(second)
+
+        for K in (2, 5, 12, 20):
+            for n in range(1, K + 1):
+                for f in (math.log, lambda m: e1_scaled(2.0 * m / 100.0)):
+                    seen = []
+
+                    def counted(m):
+                        seen.append(m)
+                        return f(m)
+
+                    got = analytic._order_stat_series(K, n, counted)
+                    assert sorted(seen) == list(range(1, K + 1))
+                    assert got == two_comprehensions(K, n, f)
+
 
 def mc_eve_rate(K, n, rho, trials, seed):
     """Simulated E[C_e] and its standard error (independent generator)."""
@@ -398,6 +453,30 @@ class TestThetaKernels:
             for kernel in (theta, theta_corrected):
                 with pytest.raises(ValueError):
                     kernel(u, 10.0)
+
+
+def traced_peak_mib(call):
+    # peak of the memory allocated during call(), in MiB
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The broadcast kernels walk their points in fixed chunks, so a long
+    array costs a bounded amount of scratch memory beyond its own size."""
+
+    def test_cdf_T_on_a_million_points(self):
+        t = np.linspace(0.0, 5.0, 1_000_000)  # both branches
+        cfg = cfg_of(20, 10, 100.0)
+        assert traced_peak_mib(lambda: cdf_T(t, cfg)) < 100.0
+
+    def test_theta_corrected_on_two_hundred_thousand_points(self):
+        u = np.logspace(-6, 6, 200_000)  # both e1_scaled kernels
+        assert traced_peak_mib(lambda: theta_corrected(u, 100.0)) < 15.0
 
 
 class TestPsiAndExpCe:

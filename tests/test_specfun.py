@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from mpmath import mp
 
 from dualsel.specfun import (
     EULER_GAMMA,
@@ -16,7 +17,7 @@ from dualsel.specfun import (
     quad_interval,
     quad_semi_infinite,
 )
-from dualsel.specfun import _WG, _WGK, _XGK
+from dualsel.specfun import _E1_CHUNK, _WG, _WGK, _XGK, _e1_fraction_coefficients
 
 
 def e1_oracle_scaled(x, tol=1e-13):
@@ -91,6 +92,87 @@ class TestE1:
     def test_scaled_consistency(self):
         for x in (1e-6, 0.03, 0.9, 1.5, 30.0, 600.0):
             assert e1_scaled(x) == pytest.approx(math.exp(x) * e1(x), rel=1e-12)
+
+
+class TestE1Array:
+    def test_matches_fifty_digit_reference(self):
+        x = np.concatenate(
+            [np.logspace(-8, 12, 400), [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]]
+        )
+        got = e1_scaled(x)
+        with mp.workdps(50):
+            for xv, g in zip(x.tolist(), got.tolist()):
+                ref = mp.exp(mp.mpf(xv)) * mp.e1(mp.mpf(xv))
+                assert abs(g - ref) <= 2e-15 * ref, xv
+
+    def test_each_value_is_the_same_alone_as_in_a_long_array(self):
+        # longer than two chunks, with both kernels' ranges in every chunk
+        x = np.random.default_rng(7).permutation(np.logspace(-8, 12, 2 * _E1_CHUNK + 1))
+        got = e1_scaled(x)
+        assert got.tolist() == [float(e1_scaled(np.array([v]))[0]) for v in x.tolist()]
+
+    def test_shape_and_agreement_with_the_scalar_path(self):
+        x = np.array([[1e-6, 0.5, 1.0], [1.0001, 2.0, 1e6]])
+        got = e1_scaled(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        for xv, g in zip(x.ravel().tolist(), got.ravel().tolist()):
+            assert g == pytest.approx(e1_scaled(xv), rel=2e-14)
+
+    def test_one_bad_element_rejects_the_array(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                e1_scaled(np.array([0.5, bad, 2.0]))
+
+    def test_scalar_path_is_pinned(self):
+        # the series/Lentz path feeds alternating sums whose printed digits
+        # are pinned, so its bits must not move
+        pins = {
+            1e-6: "0x1.a7a03a78b1a08p+3",
+            0.5: "0x1.d887be0f4bedap-1",
+            1.0: "0x1.3154710477cc6p-1",
+            1.0001: "0x1.314f26af1a725p-1",
+            2.0: "0x1.7200210293478p-2",
+            30.0: "0x1.08847d7eeb232p-5",
+            1e6: "0x1.0c6f6873c7a5fp-20",
+        }
+        for x, bits in pins.items():
+            assert e1_scaled(x).hex() == bits
+
+    def test_fraction_coefficients(self):
+        # the table (coefficients of t = 1/x, numerator padded with a zero)
+        # against the convergents built by the fraction's own recurrence
+        for D in range(1, 91):
+            p, q = convergent_polynomials(D)
+            num, den = _e1_fraction_coefficients(D)
+            assert num.tolist() == [float(c) for c in reversed(p)] + [0.0]
+            assert den.tolist() == [float(c) for c in reversed(q)]
+        # and against the closed forms B_k = D! C(D, k) / k! and
+        # A_m = sum_k (-1)^k k! B_{m+1+k}, all positive
+        B = [math.comb(D, k) * math.factorial(D) // math.factorial(k) for k in range(D + 1)]
+        A = [sum((-1) ** k * math.factorial(k) * B[m + 1 + k] for k in range(D - m)) for m in range(D)]
+        assert (p, q) == (A, B)
+        assert min(A) > 0 and min(B) > 0
+
+
+def convergent_polynomials(depth):
+    """Numerator and denominator of the depth-th convergent of
+    1/(x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))) as exact integer coefficient
+    lists in x (constant first), by the three-term recurrence
+    y_j = (x + 2j + 1) y_(j-1) - j^2 y_(j-2)."""
+
+    def step(cur, prev, j):
+        out = [(2 * j + 1) * c for c in cur] + [0]
+        for m, c in enumerate(cur):
+            out[m + 1] += c
+        for m, c in enumerate(prev):
+            out[m] -= j * j * c
+        return out
+
+    p_prev, p, q_prev, q = [0], [1], [1], [1, 1]
+    for j in range(1, depth):
+        p_prev, p = p, step(p, p_prev, j)
+        q_prev, q = q, step(q, q_prev, j)
+    return p, q
 
 
 class TestLi2:
@@ -180,6 +262,24 @@ class TestQuadrature:
             except QuadratureError as err:
                 got = (err.value, err.abs_error_estimate, err.evaluations)
             assert got == node_by_node_quad(f, a, b, tol, budget)
+
+    def test_one_call_on_the_first_panel_then_one_per_split(self):
+        # 15 nodes on the first call, then the 30 nodes of both halves of
+        # each split, so 1 + (evaluations - 15) / 30 calls in all
+        for quad, args in (
+            (quad_interval, (0.0, 3.0)),
+            (quad_semi_infinite, (1.0,)),
+        ):
+            sizes = []
+
+            def f(u):
+                sizes.append(u.shape)
+                return np.log1p(u) / (1.0 + u) ** 3
+
+            r = quad(f, *args, tol=1e-12)
+            splits = (r.evaluations - 15) // 30
+            assert splits > 0
+            assert sizes == [(15,)] + [(30,)] * splits
 
     def test_exponential(self):
         r = quad_semi_infinite(lambda u: np.exp(-u), 0.0, tol=1e-10)
