@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, _isfinite, e1_scaled, li2, quad_interval, quad_semi_infinite
+from .specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
+from .specfun import _is_integer, _is_positive_real
 
 __all__ = [
     "MAX_USERS",
@@ -54,17 +55,6 @@ MAX_USERS = 20
 
 class CapabilityError(ValueError):
     """Parameters outside the numerically certified envelope (e.g. K > 20)."""
-
-
-def _is_integer(x):
-    # bool subclasses int, but True is neither a count nor an index
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_positive_real(x):
-    # a real number (not a bool, not a string) that is finite and > 0
-    real = _is_integer(x) or isinstance(x, (float, np.floating))
-    return real and _isfinite(x) and x > 0
 
 
 def _check_user_count(K):

@@ -10,6 +10,13 @@ matter how trials are batched, ordered, or distributed across workers.
 Reductions run in trial order with exact (fsum) accumulation across batches.
 Cells that share (seed, trials, K) reuse the last drawn batch of sorted
 gains instead of drawing it again; its content is determined by its key.
+
+A batch's sorted gains are (trials, K) views of rank-major buffers, so the
+column of each rank, the one a rate kernel reads, is contiguous. They are
+ordered by numpy's unstable argsort behind an exact tie guard: a trial with
+a tie sends its batch through a stable sort, so tied users stay in user
+order with their eavesdropper gains, and no bit depends on the host's sort
+implementation.
 """
 
 import itertools
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _isfinite
+from .specfun import _is_integer, _is_positive_real
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
@@ -43,17 +50,6 @@ class EsrEstimate:
     std_error: float
     trials: int
     seed: int
-
-
-def _is_integer(x):
-    # bool subclasses int, but True is neither a count nor a seed
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_positive_real(x):
-    # a real number (not a bool, not a string) that is finite and > 0
-    real = _is_integer(x) or isinstance(x, (float, np.floating))
-    return real and _isfinite(x) and x > 0
 
 
 def _check_seed(seed):
@@ -84,19 +80,45 @@ def _uniform_block(seed, start_trial, n_trials, K):
 
 
 def _gains_from_uniforms(u, K):
-    # Inverse-CDF exponentials; first K lanes feed the BS side, the rest the
-    # eavesdropper side. Users are relabelled by BS channel quality, and the
-    # eavesdropper gains follow their owners through the permutation.
+    """Inverse-CDF exponentials of a (trials, 2K) uniform block, users
+    relabelled by base-station gain: (h, g), each of shape (trials, K).
+
+    The first K lanes feed the base-station side, the rest the eavesdropper
+    side, and each eavesdropper gain follows its owner through the
+    permutation. Both arrays are (trials, K) views of rank-major buffers, so
+    the column of each rank, h[:, j] or g[:, j], is contiguous.
+
+    The sort is numpy's default (unstable) argsort. A trial whose K gains
+    are distinct has only one sorting permutation, so this equals the stable
+    sort bit for bit on any host and any sort implementation; if any trial
+    holds a tie, the batch is sorted again stably, so tied users keep their
+    user order and the eavesdropper gains still pair with their owners.
+    """
     h = -np.log1p(-u[:, :K])
     g = -np.log1p(-u[:, K:])
-    order = np.argsort(h, axis=1, kind="stable")
-    return np.take_along_axis(h, order, axis=1), np.take_along_axis(g, order, axis=1)
+    del u  # free the uniform block before the sort allocates
+    hT, gT = _rank_major(h, g, np.argsort(h, axis=1))
+    if np.any(hT[1:] == hT[:-1]):
+        hT, gT = _rank_major(h, g, np.argsort(h, axis=1, kind="stable"))
+    return hT.T, gT.T
+
+
+def _rank_major(h, g, order):
+    # Flat indices in (rank, trial) order, built C-contiguous: fancy indexing
+    # with a transposed index keeps its Fortran layout, so each gathered rank
+    # would be strided again.
+    idx = np.ascontiguousarray(order.T)
+    idx += np.arange(h.shape[0]) * h.shape[1]
+    del order  # before the gathers allocate
+    return h.ravel().take(idx), g.ravel().take(idx)
 
 
 def _batch_gains(seed, start_trial, n_trials, K):
     """Sorted base-station gains and the matching eavesdropper gains of
     trials [start_trial, start_trial + n_trials), shape (n_trials, K) each,
-    read-only.
+    read-only. Each is a view of a rank-major buffer, so h[:, j] and g[:, j]
+    are contiguous; the tie-guarded sort (see `_gains_from_uniforms`) makes
+    the content that of a stable sort, whatever sort the host runs.
 
     Philox is counter-based, so the key fixes the content and the one-slot
     memo can never be stale. The slot is read once, so concurrent callers
@@ -128,8 +150,11 @@ def _batch_slot_rates(h, g, K, n, rho):
     hn, hK = h[:, n - 1], h[:, K - 1]
     gn, gK = g[:, n - 1], g[:, K - 1]
     decoded = hK / (hn + inv) <= gK / (gn + inv)
+    # Select before the log1p, so each trial takes one. Each log1p argument
+    # is a fresh contiguous array: numpy's SIMD log1p serves only those, and
+    # its strided loop may round differently.
     cb = np.log1p(0.5 * rho * hn)
-    ce = np.where(decoded, np.log1p(0.5 * rho * gn), np.log1p(gn / (gK + inv)))
+    ce = np.log1p(np.where(decoded, 0.5 * rho * gn, gn / (gK + inv)))
     return cb, ce
 
 

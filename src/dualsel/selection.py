@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import analytic, montecarlo
 from .analytic import SystemConfig
+from .specfun import _is_positive_real
 
 __all__ = ["SelectionResult", "best_served", "evaluate", "evaluate_cells", "select_served"]
 
@@ -58,7 +59,7 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if n == K:
-        if not analytic._is_positive_real(rho):  # esr_tdma_high_snr takes no rho
+        if not _is_positive_real(rho):  # esr_tdma_high_snr takes no rho
             raise ValueError(f"rho must be positive and finite, got {rho!r}")
         if method == "analytic":
             return analytic.esr_tdma_exact(K, rho)

@@ -68,6 +68,17 @@ def _isfinite(x):
         return False
 
 
+def _is_integer(x):
+    # bool subclasses int, but True is neither a count, an index nor a seed
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_positive_real(x):
+    # a real number (not a bool, not a string) that is finite and > 0
+    real = _is_integer(x) or isinstance(x, (float, np.floating))
+    return real and _isfinite(x) and x > 0
+
+
 def _check_positive(x, name):
     if not _isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} must be positive and finite, got {x!r}")

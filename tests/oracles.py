@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dualsel.montecarlo import _gains_from_uniforms, _uniform_block
+from dualsel.montecarlo import _uniform_block
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,21 @@ class SlotRates:
     eve_decoded_jamming: bool
 
 
+def stable_sorted_gains(u, K):
+    """Gains of a (trials, 2K) uniform block, as the library draws them but
+    with a stable sort and a plain gather: base-station side sorted
+    ascending, tied users kept in user order, eavesdropper side carried
+    along with its owners."""
+    h = -np.log1p(-u[:, :K])
+    g = -np.log1p(-u[:, K:])
+    order = np.argsort(h, axis=1, kind="stable")
+    return np.take_along_axis(h, order, axis=1), np.take_along_axis(g, order, axis=1)
+
+
 def draw_realization(seed, trial_index, K):
     """Channel gains of trial `trial_index`: 2K unit-mean exponentials, BS
     side sorted."""
-    h, g = _gains_from_uniforms(_uniform_block(seed, trial_index, 1, K), K)
+    h, g = stable_sorted_gains(_uniform_block(seed, trial_index, 1, K), K)
     return ChannelRealization(gains_bs=h[0], gains_eve=g[0])
 
 

@@ -1,9 +1,12 @@
 """Trial engine: reproducibility, distributional checks, estimator contracts."""
 
+import hashlib
+import json
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,17 @@ from dualsel.montecarlo import (
     _uniform_block,
 )
 from dualsel.selection import select_served
-from oracles import ChannelRealization, cdf_order_stat, draw_realization, slot_rates
+from oracles import (
+    ChannelRealization,
+    cdf_order_stat,
+    draw_realization,
+    slot_rates,
+    stable_sorted_gains,
+)
+
+#: float.hex pins of Monte Carlo estimates, recorded from the stable-sort draw
+PINS = json.loads(Path(__file__).with_name("montecarlo_pins.json").read_text())
+PIN_SEED = 11
 
 
 def cfg_of(K, n, rho):
@@ -75,6 +88,54 @@ class TestDrawRealization:
         h, _ = _gains_from_uniforms(u, 4)
         hn = np.sort(h[:, 1])
         assert ks_distance(hn, cdf_order_stat(hn, 4, 2)) <= 0.005
+
+
+def same_bits(a, b):
+    # tobytes reads in C order whatever the layout, and tells -0.0 from 0.0
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def tied_block(K, trials=2_000, seed=5):
+    """A Philox block in which every trial copies one base-station uniform
+    onto one to three other users' lanes; the eavesdropper lanes stay
+    distinct, so a tie broken the wrong way shows in g."""
+    u = _uniform_block(seed, 0, trials, K).copy()
+    pick = np.random.Generator(np.random.Philox(key=seed + 1))
+    for t in range(trials):
+        lanes = pick.choice(K, size=min(K, 2 + t % 3), replace=False)
+        u[t, lanes[1:]] = u[t, lanes[0]]
+    assert np.all(np.diff(np.sort(u[:, K:], axis=1), axis=1) > 0.0)
+    return u
+
+
+class TestSortedGains:
+    """The vectorized draw equals the stable sort plus take_along_axis bit
+    for bit, ties included, and hands every rank's column out contiguous."""
+
+    @pytest.mark.parametrize("K", range(1, 21))
+    def test_equals_stable_sort(self, K):
+        u = _uniform_block(2, 0, 3_000, K)
+        h, g = _gains_from_uniforms(u, K)
+        h_ref, g_ref = stable_sorted_gains(u, K)
+        assert same_bits(h, h_ref) and same_bits(g, g_ref)
+
+    @pytest.mark.parametrize("K", [2, 8, 20])
+    def test_ties_keep_user_order(self, K):
+        u = tied_block(K)
+        h, g = _gains_from_uniforms(u, K)
+        h_ref, g_ref = stable_sorted_gains(u, K)
+        assert same_bits(h, h_ref) and same_bits(g, g_ref)
+
+    @pytest.mark.parametrize("K", [1, 2, 8, 20])
+    def test_rank_columns_are_contiguous(self, K):
+        drawn = (
+            cold(montecarlo._batch_gains, 3, 0, 2_000, K),
+            _gains_from_uniforms(tied_block(K), K),  # the stable path, for K > 1
+        )
+        for h, g in drawn:
+            assert h.shape == g.shape == (2_000, K)
+            for j in range(K):
+                assert h[:, j].flags.c_contiguous and g[:, j].flags.c_contiguous
 
 
 class TestSlotRates:
@@ -234,6 +295,20 @@ def test_multi_batch_run_holds_one_batch_at_a_time(fn):
     assert peaks[1] < peaks[0] + batch_bytes // 2
 
 
+def test_a_cold_scan_peaks_below_9_mib():
+    # the uniform block and the argsort result are freed before the gathers
+    # allocate; holding either one longer breaks this bound
+    cold(select_served, 20, 100.0, "montecarlo", 10, 7)  # first-call allocations of numpy
+    montecarlo._last_batch = None
+    tracemalloc.start()
+    try:
+        select_served(20, 100.0, "montecarlo", 10_000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -381,3 +456,30 @@ class TestBatchMemo:
         assert not any(t.is_alive() for t in threads)
         for s in seeds:
             assert results[s] == [serial[s]] * 20
+
+
+def hex_fields(est):
+    return [est.esr.hex(), est.mean_cb.hex(), est.mean_ce.hex(), est.std_error.hex()]
+
+
+class TestBitPins:
+    """Estimates up to K = 20 are pinned to the bit, so no change to the
+    draw, the rate kernels or the reduction can move a digit unseen."""
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 13, 20])
+    @pytest.mark.parametrize("db", [0, 20, 40])
+    def test_select_served(self, K, db):
+        scan = cold(select_served, K, 10.0 ** (db / 10.0), "montecarlo", 10_000, PIN_SEED)
+        assert [n for n, _ in scan.esr_by_n] == list(range(1, K + 1))
+        assert [hex_fields(est) for _, est in scan.esr_by_n] == PINS["select_served"][f"{K},{db}"]
+
+    def test_multi_batch_estimates(self):
+        trials = BATCH_TRIALS + 5
+        est = cold(estimate_esr, cfg_of(20, 10, 100.0), trials, PIN_SEED)
+        assert hex_fields(est) == PINS["estimate_esr"]
+        est = cold(estimate_esr_tdma, 20, 100.0, trials, PIN_SEED)
+        assert hex_fields(est) == PINS["estimate_esr_tdma"]
+
+    def test_empirical_cdf_T(self):
+        t = cold(empirical_cdf_T, cfg_of(20, 10, 10.0), 70_000, PIN_SEED)
+        assert hashlib.sha256(t.tobytes()).hexdigest() == PINS["empirical_cdf_T_sha256"]
