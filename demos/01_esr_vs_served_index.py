@@ -12,8 +12,7 @@ K = 8, and both beat the TDMA-like baseline by a wide margin.
 
 import numpy as np
 
-from dualsel import SystemConfig, analytic, montecarlo
-from dualsel.selection import select_served
+from dualsel.selection import evaluate_cells, select_served
 
 RHO_DB = 20.0
 RHO = 10.0 ** (RHO_DB / 10.0)
@@ -23,20 +22,17 @@ SEED = 1
 
 def esr_curves(K):
     ns = np.arange(1, K + 1)
-    exact, high, mc, mc_se = [], [], [], []
-    for n in ns:
-        if n < K:
-            cfg = SystemConfig(num_users=K, served_index=int(n), transmit_snr=RHO)
-            exact.append(analytic.esr_exact(cfg).value)
-            high.append(analytic.esr_high_snr(cfg).value)
-            est = montecarlo.estimate_esr(cfg, TRIALS, SEED)
-        else:
-            exact.append(analytic.esr_tdma_exact(K, RHO).value)
-            high.append(analytic.esr_tdma_high_snr(K).value)
-            est = montecarlo.estimate_esr_tdma(K, RHO, TRIALS, SEED)
-        mc.append(est.esr)
-        mc_se.append(est.std_error)
-    return ns, np.array(exact), np.array(high), np.array(mc), np.array(mc_se)
+
+    def scan(method):
+        # one scan per method, so the Monte Carlo cells share one draw of the gains
+        return evaluate_cells(K, [(method, int(n), RHO) for n in ns], TRIALS, SEED)
+
+    exact = np.array([r.value for r in scan("analytic")])
+    high = np.array([r.value for r in scan("high_snr")])
+    ests = scan("montecarlo")
+    mc = np.array([e.esr for e in ests])
+    mc_se = np.array([e.std_error for e in ests])
+    return ns, exact, high, mc, mc_se
 
 
 for K in (4, 8):

@@ -12,16 +12,15 @@ All rates are in nats. Linear transmit SNR throughout; dB conversions belong
 to the presentation layer.
 """
 
-import contextvars
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
-from .specfun import _is_integer, _is_positive_real
+from .specfun import _as_positive_array, _check_positive_real, _is_integer
+from .specfun import _scan_term, _scan_terms
 
 __all__ = [
     "MAX_USERS",
@@ -89,9 +88,7 @@ class SystemConfig:
             raise ValueError(
                 f"served_index must be an integer in [1, {self.num_users}], got {n!r}"
             )
-        rho = self.transmit_snr
-        if not _is_positive_real(rho):
-            raise ValueError(f"transmit_snr must be positive and finite, got {rho!r}")
+        _check_positive_real(self.transmit_snr, "transmit_snr")
 
 
 @dataclass(frozen=True)
@@ -258,14 +255,6 @@ def exp_cb(cfg):
     return _order_stat_series(K, n, lambda x: e1_scaled(2.0 * x / rho))
 
 
-def _as_positive_array(u, name):
-    # The whole array is checked once; one bad element rejects the call.
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
-        raise ValueError(f"{name} must be positive and finite, got {u!r}")
-    return arr
-
-
 def theta(u, rho):
     """Eavesdropper-rate kernel with the substituted inner integral taken
     over v in (0, inf).
@@ -281,6 +270,7 @@ def theta(u, rho):
 
     Accepts a scalar (returns a float) or an array of positive finite u.
     """
+    _check_positive_real(rho, "rho")
     scalar = np.ndim(u) == 0
     u = _as_positive_array(u, "u")
     phi = e1_scaled(2.0 * (u + 1.0) / (rho * u))
@@ -307,6 +297,7 @@ def theta_corrected(u, rho):
 
     Accepts a scalar (returns a float) or an array of positive finite u.
     """
+    _check_positive_real(rho, "rho")
     scalar = np.ndim(u) == 0
     u = _as_positive_array(u, "u")
     up1 = u + 1.0
@@ -424,10 +415,8 @@ def upsilon_from_xi(xi, rho):
     the xi != 1 branches are continuous across it (the apparent 1/(1-xi)^2
     poles cancel against the dilogarithm combination).
     """
-    if not _is_positive_real(xi):
-        raise ValueError(f"xi must be positive and finite, got {xi!r}")
-    if not _is_positive_real(rho):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    _check_positive_real(xi, "xi")
+    _check_positive_real(rho, "rho")
     return _upsilon_step(_upsilon_lead(rho), _upsilon_parts(xi))
 
 
@@ -444,34 +433,6 @@ def upsilon(i, j, K, n, rho):
     return upsilon_from_xi(xi, rho)
 
 
-#: The rho-free terms of the high-SNR closed form shared by the cells of one
-#: scan: a dict from xi (a float) to its Upsilon parts and from (K, n) to
-#: the order-statistic series behind varpi. It is set only inside
-#: _scan_scope, and None otherwise.
-_scan_terms = contextvars.ContextVar("dualsel_scan_terms", default=None)
-
-
-@contextmanager
-def _scan_scope():
-    """Share each xi's Upsilon parts and each (K, n)'s varpi among the
-    esr_high_snr calls inside the block. The values are the ones computed
-    without sharing; the memo goes when the block ends."""
-    token = _scan_terms.set({})
-    try:
-        yield
-    finally:
-        _scan_terms.reset(token)
-
-
-def _scan_term(memo, key, compute, *args):
-    # compute(*args), remembered under key while a scan runs (memo not None)
-    if memo is None:
-        return compute(*args)
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
-
-
 def esr_high_snr(cfg):
     """High-SNR closed-form ESR of the dual-selection slot, in nats.
 
@@ -481,11 +442,11 @@ def esr_high_snr(cfg):
     c = 1/2 minus the limiting decode probability weight carried by the
     Upsilon terms.
 
-    Only lead = log(rho/2) + 1 - gamma depends on rho. Within a scan
-    (_scan_scope, opened by selection.evaluate_cells) each xi's
-    rho-free Upsilon parts and each (K, n)'s varpi are computed once;
-    outside one, every call computes them afresh. Either way the value is
-    the same to the bit.
+    Only lead = log(rho/2) + 1 - gamma depends on rho. Within one scan
+    (specfun._scan_scope, opened by selection.evaluate_cells) each xi's
+    rho-free Upsilon parts and each (K, n)'s varpi are computed once and
+    dropped when the scan returns; outside one, every call computes them
+    afresh. Either way the value is the same to the bit.
     """
     _require_dual_slot(cfg)
     table = xi_table(cfg.num_users, cfg.served_index)
@@ -523,8 +484,7 @@ def esr_tdma_exact(K, rho):
     alone at full power, the eavesdropper overhears through an independent
     unit-mean gain. In nats."""
     _check_order_stat_count(K)
-    if not _is_positive_real(rho):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    _check_positive_real(rho, "rho")
     best = _order_stat_series(K, K, lambda x: e1_scaled(x / rho))
     return _clamped(best - e1_scaled(1.0 / rho))
 

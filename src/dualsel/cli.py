@@ -152,8 +152,8 @@ def _check_flags(ns, rho_values):
         raise _UsageError("--seed must be an unsigned 64-bit integer")
     if ns.trials < 1:
         raise _UsageError("--trials must be >= 1")
-    if ns.tol <= 0:
-        raise _UsageError("--tol must be > 0")
+    if not (math.isfinite(ns.tol) and ns.tol > 0):
+        raise _UsageError(f"--tol must be positive and finite, got {ns.tol:g}")
     needs_served = ns.mode in ("esr", "sweep-rho", "compare") and ns.engine != "tdma"
     if needs_served:
         if ns.served is None:

@@ -8,8 +8,9 @@ Reproducibility contract: every trial owns a fixed slice of a counter-based
 Philox stream keyed by the seed, so trial i yields bit-identical gains no
 matter how trials are batched, ordered, or distributed across workers.
 Reductions run in trial order with exact (fsum) accumulation across batches.
-Cells that share (seed, trials, K) reuse the last drawn batch of sorted
-gains instead of drawing it again; its content is determined by its key.
+Within one scan (selection.evaluate_cells), cells that share (seed, trials,
+K) reuse its last drawn batch of sorted gains, whose content is determined
+by its key; outside a scan every call draws, and no batch outlives either.
 
 A batch's sorted gains are (trials, K) views of rank-major buffers, so the
 column of each rank, the one a rate kernel reads, is contiguous. They are
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _is_integer, _is_positive_real
+from .specfun import _check_positive_real, _is_integer, _scan_terms
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
@@ -35,8 +36,9 @@ BATCH_TRIALS = 1 << 16
 
 _U64 = 1 << 64
 
-#: The last drawn batch, ((seed, start_trial, n_trials, K), (h, g)), or None.
-_last_batch = None
+#: The scan memo key of the one batch slot, which holds ((seed, start_trial,
+#: n_trials, K), (h, g)); a string, so no xi float or (K, n) tuple equals it.
+_BATCH = "montecarlo.batch"
 
 
 @dataclass(frozen=True)
@@ -120,22 +122,22 @@ def _batch_gains(seed, start_trial, n_trials, K):
     are contiguous; the tie-guarded sort (see `_gains_from_uniforms`) makes
     the content that of a stable sort, whatever sort the host runs.
 
-    Philox is counter-based, so the key fixes the content and the one-slot
-    memo can never be stale. The slot is read once, so concurrent callers
-    never see each other's batch, and it is emptied before a draw, so a miss
-    holds no more memory than drawing without the memo.
+    Within a scan the last batch stays in the scan memo, and a call with
+    its key returns it: Philox is counter-based, so the key fixes the
+    content. A miss empties the slot before drawing, so it holds no more
+    memory than a draw without the memo. Outside a scan every call draws.
     """
-    global _last_batch
+    memo = _scan_terms.get()
+    if memo is None:
+        memo = {}  # outside a scan the slot lasts for this call only
     key = (seed, start_trial, n_trials, K)
-    last = _last_batch
-    if last is not None and last[0] == key:
-        return last[1]
-    last = _last_batch = None  # the local too, or the old batch outlives the draw
-    h, g = _gains_from_uniforms(_uniform_block(seed, start_trial, n_trials, K), K)
-    h.setflags(write=False)
-    g.setflags(write=False)
-    _last_batch = (key, (h, g))
-    return h, g
+    if _BATCH not in memo or memo[_BATCH][0] != key:
+        memo.pop(_BATCH, None)  # the old batch goes before the draw
+        h, g = _gains_from_uniforms(_uniform_block(seed, start_trial, n_trials, K), K)
+        h.setflags(write=False)
+        g.setflags(write=False)
+        memo[_BATCH] = (key, (h, g))
+    return memo[_BATCH][1]
 
 
 def _batches(seed, trials, K):
@@ -212,8 +214,7 @@ def estimate_esr_tdma(K, rho, trials, seed):
     seed = _check_seed(seed)
     trials = _check_count(trials, "trials")
     K = _check_count(K, "K")
-    if not _is_positive_real(rho):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    _check_positive_real(rho, "rho")
     return _estimate(seed, trials, K, lambda h, g: _batch_tdma_rates(h, g, K, rho))
 
 

@@ -6,17 +6,17 @@ TDMA-like slot where the strongest user transmits alone at full power.
 `evaluate` answers one such cell with any method; it is the only place that
 maps a method and a cell to an engine function. `evaluate_cells` answers a
 list of cells (a scan: every CLI mode and `select_served`); it is the only
-loop over cells. While it runs, the high-SNR cells share their rho-free
-terms (each xi's dilogarithm parts and each (K, n)'s varpi); the memo lives
-in a context variable, so it belongs to one scan in one thread and is gone
-when the scan returns.
+loop over cells and the only place that opens a scan scope. While it runs,
+high-SNR cells share their rho-free terms (each xi's dilogarithm parts and
+each (K, n)'s varpi) and Monte Carlo cells their drawn batch; the memo is a
+context variable, so it belongs to one scan in one thread and goes with it.
 """
 
 from dataclasses import dataclass
 
 from . import analytic, montecarlo
 from .analytic import SystemConfig
-from .specfun import _is_positive_real
+from .specfun import _check_positive_real, _scan_scope
 
 __all__ = ["SelectionResult", "best_served", "evaluate", "evaluate_cells", "select_served"]
 
@@ -59,8 +59,7 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if n == K:
-        if not _is_positive_real(rho):  # esr_tdma_high_snr takes no rho
-            raise ValueError(f"rho must be positive and finite, got {rho!r}")
+        _check_positive_real(rho, "rho")  # esr_tdma_high_snr takes no rho
         if method == "analytic":
             return analytic.esr_tdma_exact(K, rho)
         if method == "high_snr":
@@ -79,10 +78,10 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     as a list in cell order.
 
     Cells are answered one by one through `evaluate`, and each result is
-    the one a lone call returns. The high-SNR cells share their rho-free
-    terms while the list is evaluated, and only then.
+    the one a lone call returns. High-SNR cells share their rho-free terms,
+    and Monte Carlo cells their drawn batches, during this call only.
     """
-    with analytic._scan_scope():
+    with _scan_scope():
         return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]
 
 

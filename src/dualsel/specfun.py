@@ -9,12 +9,15 @@ of both halves. Each call expects an array of the same shape back.
 
 Everything downstream (rate formulas, CDFs, the high-SNR corollary) reduces to
 these three primitives, so they are kept self-contained and individually
-testable against independent oracles.
+testable against independent oracles. The private input checks and the scan
+scope (`_scan_scope`) that both engines share live here too.
 """
 
+import contextvars
 import heapq
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +82,47 @@ def _is_positive_real(x):
     return real and _isfinite(x) and x > 0
 
 
+def _check_positive_real(x, name):
+    if not _is_positive_real(x):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
 def _check_positive(x, name):
     if not _isfinite(x) or x <= 0.0:
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _as_positive_array(x, name):
+    # The whole array is checked once; one bad element rejects the call.
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return arr
+
+
+#: The work the cells of one scan share: a dict inside _scan_scope, None
+#: outside. High-SNR terms are keyed by xi and by (K, n); MC keeps a batch.
+_scan_terms = contextvars.ContextVar("dualsel_scan_terms", default=None)
+
+
+@contextmanager
+def _scan_scope():
+    """Let the engine calls inside the block share work; each value is the
+    one computed alone. The memo belongs to this thread and ends with the block."""
+    token = _scan_terms.set({})
+    try:
+        yield
+    finally:
+        _scan_terms.reset(token)
+
+
+def _scan_term(memo, key, compute, *args):
+    # compute(*args), remembered under key while a scan runs (memo not None)
+    if memo is None:
+        return compute(*args)
+    if key not in memo:
+        memo[key] = compute(*args)
+    return memo[key]
 
 
 def _e1_series(x):
@@ -213,9 +254,7 @@ def e1_scaled(x):
         if x <= 1.0:
             return math.exp(x) * _e1_series(x)
         return _e1_cf_scaled(x)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
-        raise ValueError(f"x must be positive and finite, got {x!r}")
+    arr = _as_positive_array(x, "x")
     return _e1_scaled_array(arr.ravel()).reshape(arr.shape)
 
 

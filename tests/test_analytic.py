@@ -454,6 +454,14 @@ class TestThetaKernels:
                 with pytest.raises(ValueError):
                     kernel(u, 10.0)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, True, "10"])
+    @pytest.mark.parametrize("kernel", [theta, theta_corrected])
+    def test_rho_must_be_a_positive_real(self, kernel, rho):
+        # 0 used to divide by zero, and True ran at rho = 1
+        for u in (1.0, np.array([0.5, 2.0])):
+            with pytest.raises(ValueError, match="rho must be positive and finite, got"):
+                kernel(u, rho)
+
 
 def traced_peak_mib(call):
     # peak of the memory allocated during call(), in MiB

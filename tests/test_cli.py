@@ -258,6 +258,14 @@ class TestExitCodes:
                      "--engine", "analytic", "--tol", "1e-30",
                      "--manifest", str(tmp_path / "m.txt")]) == 4
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_is_usage_error(self, tol, tmp_path, capsys):
+        # the Monte Carlo engine never reads --tol, so only the flag check refuses it
+        assert main(["--mode", "esr", "--k", "4", "--served", "3", "--engine", "mc",
+                     "--tol", tol, "--manifest", str(tmp_path / "m.txt")]) == 2
+        assert f"--tol must be positive and finite, got {tol}" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["--mode", "esr", "--k", "4", "--frobnicate"]) == 2
 

@@ -1,17 +1,16 @@
 """Trial engine: reproducibility, distributional checks, estimator contracts."""
 
 import hashlib
+import contextlib
 import json
 import math
-import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualsel import montecarlo
+from dualsel import montecarlo, specfun
 from dualsel.analytic import SystemConfig, cdf_T, esr_exact, exp_cb
 from dualsel.montecarlo import (
     BATCH_TRIALS,
@@ -38,12 +37,6 @@ PIN_SEED = 11
 
 def cfg_of(K, n, rho):
     return SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
-
-
-def cold(fn, *args):
-    """fn(*args) with the batch memo emptied first, so it draws afresh."""
-    montecarlo._last_batch = None
-    return fn(*args)
 
 
 class TestDrawRealization:
@@ -129,7 +122,7 @@ class TestSortedGains:
     @pytest.mark.parametrize("K", [1, 2, 8, 20])
     def test_rank_columns_are_contiguous(self, K):
         drawn = (
-            cold(montecarlo._batch_gains, 3, 0, 2_000, K),
+            montecarlo._batch_gains(3, 0, 2_000, K),
             _gains_from_uniforms(tied_block(K), K),  # the stable path, for K > 1
         )
         for h, g in drawn:
@@ -279,27 +272,28 @@ class TestEmpiricalCdfT:
 @pytest.mark.parametrize("fn", [estimate_esr, empirical_cdf_T])
 def test_multi_batch_run_holds_one_batch_at_a_time(fn):
     # a batch is dropped before the next is drawn, so three batches peak
-    # no higher than one, up to the output; holding two would add a batch
+    # no higher than one, up to the output; holding two would add a batch.
+    # Inside a scan the memo's slot is emptied before each draw.
     cfg = cfg_of(8, 4, 10.0)
     batch_bytes = 2 * BATCH_TRIALS * 8 * 8
-    cold(fn, cfg, 10, 1)  # first-call allocations of numpy
-    peaks = []
-    for trials in (BATCH_TRIALS, 3 * BATCH_TRIALS + 1):
-        montecarlo._last_batch = None
-        tracemalloc.start()
-        try:
-            fn(cfg, trials, 1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < peaks[0] + batch_bytes // 2
+    fn(cfg, 10, 1)  # first-call allocations of numpy
+    for scope in (contextlib.nullcontext, specfun._scan_scope):
+        peaks = []
+        for trials in (BATCH_TRIALS, 3 * BATCH_TRIALS + 1):
+            tracemalloc.start()
+            try:
+                with scope():
+                    fn(cfg, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + batch_bytes // 2, scope
 
 
 def test_a_cold_scan_peaks_below_9_mib():
     # the uniform block and the argsort result are freed before the gathers
     # allocate; holding either one longer breaks this bound
-    cold(select_served, 20, 100.0, "montecarlo", 10, 7)  # first-call allocations of numpy
-    montecarlo._last_batch = None
+    select_served(20, 100.0, "montecarlo", 10, 7)  # first-call allocations of numpy
     tracemalloc.start()
     try:
         select_served(20, 100.0, "montecarlo", 10_000, 7)
@@ -341,30 +335,41 @@ def test_counts_must_be_positive_integers():
 
 
 class TestBatchMemo:
-    """Cells that share (seed, trials, K) reuse one drawn batch; no result
-    may tell a reused batch from a fresh one."""
+    """Within one scan, cells that share (seed, trials, K) reuse one drawn
+    batch; no result may tell a reused batch from a fresh one, and no batch
+    outlives the call or the scan that drew it."""
 
     @pytest.mark.parametrize("K", [3, 8])
     def test_scan_equals_cold_cells(self, K):
         rho = 100.0
-        scan = cold(select_served, K, rho, "montecarlo", 10_000, 7)
+        scan = select_served(K, rho, "montecarlo", 10_000, 7)
         for n, est in scan.esr_by_n:
             if n < K:
-                ref = cold(estimate_esr, cfg_of(K, n, rho), 10_000, 7)
+                ref = estimate_esr(cfg_of(K, n, rho), 10_000, 7)
             else:
-                ref = cold(estimate_esr_tdma, K, rho, 10_000, 7)
+                ref = estimate_esr_tdma(K, rho, 10_000, 7)
             assert est == ref
 
-    def test_scan_draws_once(self, monkeypatch):
-        draws = []
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The arguments of every _uniform_block call."""
+        seen = []
 
         def counting_block(*args):
-            draws.append(args)
+            seen.append(args)
             return _uniform_block(*args)
 
         monkeypatch.setattr(montecarlo, "_uniform_block", counting_block)
-        cold(select_served, 8, 100.0, "montecarlo", 10_000, 7)
+        return seen
+
+    def test_scan_draws_once(self, draws):
+        select_served(8, 100.0, "montecarlo", 10_000, 7)
         assert draws == [(7, 0, 10_000, 8)]
+
+    def test_lone_calls_draw_every_time(self, draws):
+        cfg = cfg_of(8, 4, 100.0)
+        assert estimate_esr(cfg, 10_000, 7) == estimate_esr(cfg, 10_000, 7)
+        assert draws == [(7, 0, 10_000, 8)] * 2
 
     def test_interleaved_calls_equal_cold_calls(self):
         calls = [
@@ -376,32 +381,35 @@ class TestBatchMemo:
             (estimate_esr_tdma, 4, 10.0, 3_000, 11),
             (estimate_esr_tdma, 6, 10.0, 3_000, 11),
         ]
-        warm = [fn(*args) for fn, *args in calls]
-        assert warm == [cold(fn, *args) for fn, *args in calls]
+        with specfun._scan_scope():
+            warm = [fn(*args) for fn, *args in calls]
+        assert warm == [fn(*args) for fn, *args in calls]
 
     def test_multi_batch_run_ignores_a_warm_slot(self):
-        cfg = cfg_of(4, 2, 10.0)
-        trials = BATCH_TRIALS + 5
-        ref = cold(estimate_esr, cfg, trials, 3)
-        ref_tdma = cold(estimate_esr_tdma, 4, 10.0, trials, 3)
-        estimate_esr(cfg, BATCH_TRIALS, 3)  # the slot now holds the first batch
-        assert estimate_esr(cfg, trials, 3) == ref
-        assert estimate_esr_tdma(4, 10.0, trials, 3) == ref_tdma  # slot holds the tail
-        assert estimate_esr(cfg, trials, 3) == ref
+        # each cell walks both batches, so it finds the slot holding the
+        # previous cell's tail when it asks for its first batch
+        scan = select_served(4, 10.0, "montecarlo", BATCH_TRIALS + 5, 3)
+        for n, est in scan.esr_by_n:
+            if n < 4:
+                assert est == estimate_esr(cfg_of(4, n, 10.0), BATCH_TRIALS + 5, 3)
+            else:
+                assert est == estimate_esr_tdma(4, 10.0, BATCH_TRIALS + 5, 3)
 
     def test_slot_holds_one_read_only_batch(self):
         K = 4
         cfg = cfg_of(K, 2, 10.0)
-        cold(estimate_esr, cfg, 10, 5)  # first-call allocations of numpy
+        estimate_esr(cfg, 10, 5)  # first-call allocations of numpy
         tracemalloc.start()
         try:
-            montecarlo._last_batch = None
-            before = tracemalloc.get_traced_memory()[0]
-            estimate_esr(cfg, 3 * BATCH_TRIALS + 1, 5)
-            held = tracemalloc.get_traced_memory()[0] - before
+            with specfun._scan_scope():
+                before = tracemalloc.get_traced_memory()[0]
+                estimate_esr(cfg, 3 * BATCH_TRIALS + 1, 5)
+                held = tracemalloc.get_traced_memory()[0] - before
+                memo = specfun._scan_terms.get()
         finally:
             tracemalloc.stop()
-        key, (h, g) = montecarlo._last_batch
+        assert list(memo) == [montecarlo._BATCH]
+        key, (h, g) = memo[montecarlo._BATCH]
         assert key == (5, 3 * BATCH_TRIALS, 1, K)
         assert h.shape == g.shape == (1, K)
         # less than the base-station half of one full batch stays behind
@@ -410,52 +418,46 @@ class TestBatchMemo:
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "call, trials",
+        [
+            (lambda t: estimate_esr(cfg_of(20, 10, 100.0), t, 3), BATCH_TRIALS),
+            (lambda t: select_served(20, 100.0, "montecarlo", t, 3), 10_000),
+        ],
+        ids=["lone_call", "scan"],
+    )
+    def test_no_batch_outlives_its_call(self, call, trials):
+        # a full K = 20 batch is 20 MiB, the 10 000-trial one 3 MiB
+        call(10)  # first-call allocations of numpy
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call(trials)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+
     def test_a_miss_frees_the_old_batch_before_drawing(self):
         # peak memory of a miss against a full slot equals a draw into an
         # empty one: the old batch is released before the new one exists
         cfg = cfg_of(8, 4, 10.0)
         batch_bytes = 2 * 20_000 * 8 * 8
-        cold(estimate_esr, cfg, 10, 1)  # first-call allocations of numpy
+        estimate_esr(cfg, 10, 1)  # first-call allocations of numpy
         tracemalloc.start()
         try:
-            montecarlo._last_batch = None
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            estimate_esr(cfg, 20_000, 1)
-            peak_empty = tracemalloc.get_traced_memory()[1] - base
-            tracemalloc.reset_peak()
-            estimate_esr(cfg, 20_000, 2)
-            peak_miss = tracemalloc.get_traced_memory()[1] - base
+            with specfun._scan_scope():
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                estimate_esr(cfg, 20_000, 1)
+                peak_empty = tracemalloc.get_traced_memory()[1] - base
+                tracemalloc.reset_peak()
+                estimate_esr(cfg, 20_000, 2)
+                peak_miss = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak_empty > batch_bytes
         assert peak_miss < peak_empty + batch_bytes // 10
-
-    def test_threads_get_their_own_batches(self):
-        cfg = cfg_of(6, 3, 10.0)
-        seeds = (21, 22)
-        serial = {s: cold(estimate_esr, cfg, 500, s) for s in seeds}
-        results = {s: [] for s in seeds}
-        start = threading.Barrier(len(seeds), timeout=10)
-
-        def worker(seed):
-            start.wait()
-            for _ in range(20):
-                results[seed].append(estimate_esr(cfg, 500, seed))
-
-        threads = [threading.Thread(target=worker, args=(s,)) for s in seeds]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads inside the memo's few bytecodes
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for s in seeds:
-            assert results[s] == [serial[s]] * 20
 
 
 def hex_fields(est):
@@ -469,17 +471,17 @@ class TestBitPins:
     @pytest.mark.parametrize("K", [2, 3, 8, 13, 20])
     @pytest.mark.parametrize("db", [0, 20, 40])
     def test_select_served(self, K, db):
-        scan = cold(select_served, K, 10.0 ** (db / 10.0), "montecarlo", 10_000, PIN_SEED)
+        scan = select_served(K, 10.0 ** (db / 10.0), "montecarlo", 10_000, PIN_SEED)
         assert [n for n, _ in scan.esr_by_n] == list(range(1, K + 1))
         assert [hex_fields(est) for _, est in scan.esr_by_n] == PINS["select_served"][f"{K},{db}"]
 
     def test_multi_batch_estimates(self):
         trials = BATCH_TRIALS + 5
-        est = cold(estimate_esr, cfg_of(20, 10, 100.0), trials, PIN_SEED)
+        est = estimate_esr(cfg_of(20, 10, 100.0), trials, PIN_SEED)
         assert hex_fields(est) == PINS["estimate_esr"]
-        est = cold(estimate_esr_tdma, 20, 100.0, trials, PIN_SEED)
+        est = estimate_esr_tdma(20, 100.0, trials, PIN_SEED)
         assert hex_fields(est) == PINS["estimate_esr_tdma"]
 
     def test_empirical_cdf_T(self):
-        t = cold(empirical_cdf_T, cfg_of(20, 10, 10.0), 70_000, PIN_SEED)
+        t = empirical_cdf_T(cfg_of(20, 10, 10.0), 70_000, PIN_SEED)
         assert hashlib.sha256(t.tobytes()).hexdigest() == PINS["empirical_cdf_T_sha256"]

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from dualsel import analytic, cli, montecarlo
+from dualsel import analytic, cli, montecarlo, specfun
 from dualsel.analytic import CapabilityError, EsrValue, SystemConfig
 from dualsel.selection import SelectionResult, evaluate, evaluate_cells, select_served
 
@@ -144,7 +144,7 @@ def cfg_of(K, n, rho):
 
 def cold_high_snr(K, n, rho):
     # a lone call, outside any scan, so it computes every term afresh
-    assert analytic._scan_terms.get() is None
+    assert specfun._scan_terms.get() is None
     return analytic.esr_high_snr(cfg_of(K, n, rho))
 
 
@@ -169,7 +169,7 @@ def high_snr_calls(monkeypatch):
 
     def spy(cfg):
         res = real(cfg)
-        seen.append((cfg, res, analytic._scan_terms.get() is not None))
+        seen.append((cfg, res, specfun._scan_terms.get() is not None))
         return res
 
     monkeypatch.setattr(analytic, "esr_high_snr", spy)
@@ -185,8 +185,9 @@ def distinct_xi_not_one(K):
 
 class TestScanSharing:
     """A high-SNR scan computes each xi's dilogarithm parts and each (K, n)'s
-    varpi once. Its values are those of lone calls, bit for bit, and the
-    shared terms last exactly as long as the scan."""
+    varpi once, and a Monte Carlo scan draws each batch once. Its values are
+    those of lone calls, bit for bit, and the shared work lasts exactly as
+    long as the scan."""
 
     @pytest.mark.parametrize("K", [3, 12, 20])
     def test_select_served_cells_equal_cold_calls(self, K, high_snr_calls):
@@ -218,7 +219,7 @@ class TestScanSharing:
         for _ in range(2):
             li2_calls[0] = 0
             assert cli.main(argv) == 0
-            assert analytic._scan_terms.get() is None
+            assert specfun._scan_terms.get() is None
             counts.append(li2_calls[0])
         # the second scan recomputes everything: nothing outlived the first
         assert counts[0] == counts[1] == 3 * len(distinct_xi_not_one(20)) <= 378
@@ -233,18 +234,24 @@ class TestScanSharing:
     def test_memo_is_dropped_when_a_scan_fails(self):
         with pytest.raises(ValueError):
             evaluate_cells(4, [("high_snr", 1, 100.0), ("bogus", 2, 100.0)])
-        assert analytic._scan_terms.get() is None
+        assert specfun._scan_terms.get() is None
 
-    def test_threads_scan_independently(self):
-        # more threads than cores, switching often, each scanning at its own rho
+    @pytest.mark.parametrize("method", ["high_snr", "montecarlo"])
+    def test_threads_scan_independently(self, method):
+        # more threads than cores, switching often, each scanning at its own
+        # rho and (for Monte Carlo) its own seed, so no two share a batch
         rhos = (10.0, 100.0, 1e4, 1e6)
-        serial = [select_served(12, rho, method="high_snr") for rho in rhos]
+
+        def select(k):
+            return select_served(12, rhos[k], method=method, trials=2_000, seed=k)
+
+        serial = [select(k) for k in range(len(rhos))]
         threaded = [None] * len(rhos)
         start = threading.Barrier(len(rhos))
 
         def scan(k):
             start.wait(timeout=30)
-            threaded[k] = select_served(12, rhos[k], method="high_snr")
+            threaded[k] = select(k)
 
         workers = [threading.Thread(target=scan, args=(k,)) for k in range(len(rhos))]
         interval = sys.getswitchinterval()
