@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
-from .specfun import _as_positive_array, _check_positive_real, _is_integer
-from .specfun import _scan_term, _scan_terms
+from .specfun import _as_float_array, _as_positive_array, _check_positive_real, _is_integer
+from .specfun import _scan_term
 
 __all__ = [
     "MAX_USERS",
@@ -136,13 +136,6 @@ def xi_table(K, n):
     return XiTable(K=int(K), n=int(n), coefficients=coeff)
 
 
-def _as_float_array(t, name):
-    arr = np.asarray(t, dtype=float)
-    if not (arr >= 0.0).all():  # also false for nan
-        raise ValueError(f"{name} must be >= 0, got {t!r}")
-    return arr
-
-
 #: Points per cdf_T broadcast, which bounds its (points, i, j) temporaries.
 _CDF_CHUNK = 2048
 
@@ -160,7 +153,9 @@ def _cdf_T_branch(t, table, rho, lower):
     with np.errstate(over="ignore"):
         for s in range(0, t.size, _CDF_CHUNK):
             tc = t[s:s + _CDF_CHUNK, None]
-            e = np.exp(-2.0 * tc[:, None] * i / rho)
+            # rho = inf is the high-SNR limit, where every exponential is 1;
+            # computed, it would be exp(nan) at t = inf
+            e = np.exp(-2.0 * tc[:, None] * i / rho) if rho < math.inf else 1.0
             denom = i * (tc[:, None] - 1.0) + b
             if lower:
                 # exponent -> -inf as t -> 1-, so exp() underflows to 0
@@ -191,7 +186,7 @@ def cdf_T(t, cfg):
     table = xi_table(cfg.num_users, cfg.served_index)
     rho = cfg.transmit_snr
     scalar = np.ndim(t) == 0
-    arr = np.atleast_1d(_as_float_array(t, "t"))
+    arr = _as_float_array(t, "t")
     hi = arr >= 1.0
     out = np.empty_like(arr)
     if hi.any():
@@ -203,18 +198,14 @@ def cdf_T(t, cfg):
 
 def cdf_T_high_snr(t, K, n):
     """Limiting CDF of the jamming-decode SNR as rho -> inf: zero below
-    t = 1 (the strongest gain can never trail the n-th), rational above."""
+    t = 1 (the strongest gain can never trail the n-th), rational above,
+    where it is cdf_T's upper branch with every exponential at 1."""
     table = xi_table(K, n)
     scalar = np.ndim(t) == 0
-    arr = np.atleast_1d(_as_float_array(t, "t"))
+    arr = _as_float_array(t, "t")
     out = np.zeros_like(arr)
-    th = arr[arr >= 1.0]
-    acc = np.zeros_like(th)
-    for i in range(K - n + 1):
-        for j in range(n):
-            b = K - n + 1 + j
-            acc += table.coefficients[i, j] / (i * (th - 1.0) + b if i else b)
-    out[arr >= 1.0] = acc
+    hi = arr >= 1.0
+    out[hi] = _cdf_T_branch(arr[hi], table, math.inf, lower=False)
     return float(out[0]) if scalar else out
 
 
@@ -443,23 +434,22 @@ def esr_high_snr(cfg):
     Upsilon terms.
 
     Only lead = log(rho/2) + 1 - gamma depends on rho. Within one scan
-    (specfun._scan_scope, opened by selection.evaluate_cells) each xi's
-    rho-free Upsilon parts and each (K, n)'s varpi are computed once and
-    dropped when the scan returns; outside one, every call computes them
+    (selection.evaluate_cells) each xi's rho-free Upsilon parts and each
+    (K, n)'s varpi are computed once, as a Monte Carlo one-batch run is (a
+    longer run shares nothing); outside one, every call computes them
     afresh. Either way the value is the same to the bit.
     """
     _require_dual_slot(cfg)
     table = xi_table(cfg.num_users, cfg.served_index)
     K, n, rho = table.K, table.n, cfg.transmit_snr
-    memo = _scan_terms.get()
     lead = _upsilon_lead(rho)
     tail = []
     for i in range(1, K - n + 1):
         for j in range(n):
             xi = (K - n + 1 + j) / i - 1.0  # built as upsilon builds it, to the bit
-            parts = _scan_term(memo, xi, _upsilon_parts, xi)
+            parts = _scan_term(xi, _upsilon_parts, xi)
             tail.append(table.coefficients[i, j] / i * _upsilon_step(lead, parts))
-    series = _scan_term(memo, (K, n), _order_stat_series, K, n, math.log)
+    series = _scan_term((K, n), _order_stat_series, K, n, math.log)
     unclamped = (
         (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0
         - series

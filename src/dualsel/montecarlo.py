@@ -9,8 +9,8 @@ Philox stream keyed by the seed, so trial i yields bit-identical gains no
 matter how trials are batched, ordered, or distributed across workers.
 Reductions run in trial order with exact (fsum) accumulation across batches.
 Within one scan (selection.evaluate_cells), cells that share (seed, trials,
-K) reuse its last drawn batch of sorted gains, whose content is determined
-by its key; outside a scan every call draws, and no batch outlives either.
+K) share the draw of a one-batch run, which that key determines, and nothing
+of a longer run. Outside a scan every call draws; no batch outlives either.
 
 A batch's sorted gains are (trials, K) views of rank-major buffers, so the
 column of each rank, the one a rate kernel reads, is contiguous. They are
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _check_positive_real, _is_integer, _scan_terms
+from .specfun import _check_positive_real, _is_integer, _scan_term
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
@@ -35,10 +35,6 @@ __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T"
 BATCH_TRIALS = 1 << 16
 
 _U64 = 1 << 64
-
-#: The scan memo key of the one batch slot, which holds ((seed, start_trial,
-#: n_trials, K), (h, g)); a string, so no xi float or (K, n) tuple equals it.
-_BATCH = "montecarlo.batch"
 
 
 @dataclass(frozen=True)
@@ -121,28 +117,21 @@ def _batch_gains(seed, start_trial, n_trials, K):
     read-only. Each is a view of a rank-major buffer, so h[:, j] and g[:, j]
     are contiguous; the tie-guarded sort (see `_gains_from_uniforms`) makes
     the content that of a stable sort, whatever sort the host runs.
-
-    Within a scan the last batch stays in the scan memo, and a call with
-    its key returns it: Philox is counter-based, so the key fixes the
-    content. A miss empties the slot before drawing, so it holds no more
-    memory than a draw without the memo. Outside a scan every call draws.
     """
-    memo = _scan_terms.get()
-    if memo is None:
-        memo = {}  # outside a scan the slot lasts for this call only
-    key = (seed, start_trial, n_trials, K)
-    if _BATCH not in memo or memo[_BATCH][0] != key:
-        memo.pop(_BATCH, None)  # the old batch goes before the draw
-        h, g = _gains_from_uniforms(_uniform_block(seed, start_trial, n_trials, K), K)
-        h.setflags(write=False)
-        g.setflags(write=False)
-        memo[_BATCH] = (key, (h, g))
-    return memo[_BATCH][1]
+    h, g = _gains_from_uniforms(_uniform_block(seed, start_trial, n_trials, K), K)
+    h.setflags(write=False)
+    g.setflags(write=False)
+    return h, g
 
 
 def _batches(seed, trials, K):
     """Sorted gains of trials [0, trials), one fixed BATCH_TRIALS slice at a
-    time, so batch boundaries never depend on the caller."""
+    time, so batch boundaries never depend on the caller. A one-batch run is
+    the scan term (seed, trials, K), which fixes its content (Philox is
+    counter-based); a longer run draws every batch, one at a time."""
+    if trials <= BATCH_TRIALS:
+        yield _scan_term((seed, trials, K), _batch_gains, seed, 0, trials, K)
+        return
     for start in range(0, trials, BATCH_TRIALS):
         yield _batch_gains(seed, start, min(BATCH_TRIALS, trials - start), K)
 

@@ -8,8 +8,9 @@ maps a method and a cell to an engine function. `evaluate_cells` answers a
 list of cells (a scan: every CLI mode and `select_served`); it is the only
 loop over cells and the only place that opens a scan scope. While it runs,
 high-SNR cells share their rho-free terms (each xi's dilogarithm parts and
-each (K, n)'s varpi) and Monte Carlo cells their drawn batch; the memo is a
-context variable, so it belongs to one scan in one thread and goes with it.
+each (K, n)'s varpi) and Monte Carlo cells a one-batch run, not a longer
+one; the memo is a context variable, so it belongs to one scan in one
+thread and goes with it.
 """
 
 from dataclasses import dataclass
@@ -79,7 +80,7 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
 
     Cells are answered one by one through `evaluate`, and each result is
     the one a lone call returns. High-SNR cells share their rho-free terms,
-    and Monte Carlo cells their drawn batches, during this call only.
+    and Monte Carlo cells a one-batch run's draw, during this call only.
     """
     with _scan_scope():
         return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]

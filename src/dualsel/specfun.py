@@ -87,21 +87,37 @@ def _check_positive_real(x, name):
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
-def _check_positive(x, name):
-    if not _isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+def _positive_scalar(x, name):
+    # x, or the element of a 0-d array x, checked as a positive real
+    x = x[()] if isinstance(x, np.ndarray) else x
+    _check_positive_real(x, name)
+    return x
+
+
+def _real_array(x):
+    # x as a float array, or None unless its dtype is integer or float:
+    # asarray(dtype=float) would parse strings and turn bools into 0 and 1
+    arr = np.asarray(x)
+    return np.asarray(arr, dtype=float) if arr.dtype.kind in "iuf" else None
+
+
+def _as_float_array(t, name):
+    arr = _real_array(t)
+    if arr is None or not (arr >= 0.0).all():  # also false for nan
+        raise ValueError(f"{name} must be >= 0, got {t!r}")
+    return np.atleast_1d(arr)
 
 
 def _as_positive_array(x, name):
     # The whole array is checked once; one bad element rejects the call.
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(arr) & (arr > 0.0)):
+    arr = _real_array(x)
+    if arr is None or not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
-    return arr
+    return np.atleast_1d(arr)
 
 
 #: The work the cells of one scan share: a dict inside _scan_scope, None
-#: outside. High-SNR terms are keyed by xi and by (K, n); MC keeps a batch.
+#: outside. Keys: xi floats, (K, n) pairs and MC (seed, trials, K) triples.
 _scan_terms = contextvars.ContextVar("dualsel_scan_terms", default=None)
 
 
@@ -116,8 +132,9 @@ def _scan_scope():
         _scan_terms.reset(token)
 
 
-def _scan_term(memo, key, compute, *args):
-    # compute(*args), remembered under key while a scan runs (memo not None)
+def _scan_term(key, compute, *args):
+    # compute(*args), kept under key while a scan runs: how engines share work
+    memo = _scan_terms.get()
     if memo is None:
         return compute(*args)
     if key not in memo:
@@ -172,7 +189,7 @@ def e1(x):
     Relative error <= 1e-12 on [1e-8, 700]; returns exactly 0.0 once the
     true value underflows double precision.
     """
-    _check_positive(x, "x")
+    x = _positive_scalar(x, "x")
     if x <= 1.0:
         return _e1_series(x)
     return math.exp(-x) * _e1_cf_scaled(x)
@@ -250,7 +267,7 @@ def e1_scaled(x):
     without cancellation.
     """
     if np.ndim(x) == 0:
-        _check_positive(x, "x")
+        x = _positive_scalar(x, "x")
         if x <= 1.0:
             return math.exp(x) * _e1_series(x)
         return _e1_cf_scaled(x)
@@ -421,7 +438,7 @@ def quad_interval(f, a, b, tol=1e-9, max_evals=200_000):
     """
     if not (_isfinite(a) and _isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
-    _check_positive(tol, "tol")
+    _check_positive_real(tol, "tol")
     return _adaptive_gk(f, a, b, tol, max_evals)
 
 
@@ -450,7 +467,7 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
     """
     if not _isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
-    _check_positive(tol, "tol")
+    _check_positive_real(tol, "tol")
 
     def g(v):
         # v is the panel's node array; the map and its Jacobian act on it whole

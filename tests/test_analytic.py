@@ -221,6 +221,12 @@ class TestCdfT:
             cdf_T(-0.1, cfg_of(4, 2, 10.0))
         with pytest.raises(ValueError):
             cdf_T(np.array([0.5, -0.5]), cfg_of(4, 2, 10.0))
+        # numbers only: neither strings nor bools are converted
+        for bad in ("2", ["1", "2"], np.array([True, False])):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                cdf_T(bad, cfg_of(4, 2, 10.0))
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                cdf_T_high_snr(bad, 4, 2)
 
     def test_matches_empirical(self):
         cfg = cfg_of(4, 2, 10.0)
@@ -239,6 +245,7 @@ class TestCdfT:
         assert cdf_T_high_snr(0.5, 4, 2) == 0.0
         assert cdf_T_high_snr(0.0, 8, 4) == 0.0
         assert cdf_T_high_snr(1e15, 8, 4) == pytest.approx(1.0, abs=1e-9)
+        assert cdf_T_high_snr(math.inf, 8, 4) == 1.0
 
 
 class TestCdfOrderStat:
@@ -452,6 +459,11 @@ class TestThetaKernels:
             u = np.array([0.5, bad, 2.0])
             for kernel in (theta, theta_corrected):
                 with pytest.raises(ValueError):
+                    kernel(u, 10.0)
+        # numbers only: neither strings nor bools are converted
+        for u in ("1", ["1", "2"], np.array([True, True])):
+            for kernel in (theta, theta_corrected):
+                with pytest.raises(ValueError, match="u must be positive and finite"):
                     kernel(u, 10.0)
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, True, "10"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualsel import montecarlo, specfun
+from dualsel import cli, montecarlo, specfun
 from dualsel.analytic import SystemConfig, cdf_T, esr_exact, exp_cb
 from dualsel.montecarlo import (
     BATCH_TRIALS,
@@ -273,7 +273,7 @@ class TestEmpiricalCdfT:
 def test_multi_batch_run_holds_one_batch_at_a_time(fn):
     # a batch is dropped before the next is drawn, so three batches peak
     # no higher than one, up to the output; holding two would add a batch.
-    # Inside a scan the memo's slot is emptied before each draw.
+    # Inside a scan a multi-batch run keeps nothing in the memo.
     cfg = cfg_of(8, 4, 10.0)
     batch_bytes = 2 * BATCH_TRIALS * 8 * 8
     fn(cfg, 10, 1)  # first-call allocations of numpy
@@ -335,9 +335,9 @@ def test_counts_must_be_positive_integers():
 
 
 class TestBatchMemo:
-    """Within one scan, cells that share (seed, trials, K) reuse one drawn
-    batch; no result may tell a reused batch from a fresh one, and no batch
-    outlives the call or the scan that drew it."""
+    """Within one scan, cells that share (seed, trials, K) reuse the draw of
+    a one-batch run; no result may tell a reused batch from a fresh one, and
+    no batch outlives the call or the scan that drew it."""
 
     @pytest.mark.parametrize("K", [3, 8])
     def test_scan_equals_cold_cells(self, K):
@@ -385,9 +385,8 @@ class TestBatchMemo:
             warm = [fn(*args) for fn, *args in calls]
         assert warm == [fn(*args) for fn, *args in calls]
 
-    def test_multi_batch_run_ignores_a_warm_slot(self):
-        # each cell walks both batches, so it finds the slot holding the
-        # previous cell's tail when it asks for its first batch
+    def test_multi_batch_run_equals_cold_cells(self):
+        # each cell walks both batches and shares neither with the others
         scan = select_served(4, 10.0, "montecarlo", BATCH_TRIALS + 5, 3)
         for n, est in scan.esr_by_n:
             if n < 4:
@@ -395,28 +394,42 @@ class TestBatchMemo:
             else:
                 assert est == estimate_esr_tdma(4, 10.0, BATCH_TRIALS + 5, 3)
 
-    def test_slot_holds_one_read_only_batch(self):
+    def test_multi_batch_scan_draws_every_batch_for_every_cell(self, draws):
+        select_served(4, 10.0, "montecarlo", BATCH_TRIALS + 5, 3)
+        assert draws == [(3, 0, BATCH_TRIALS, 4), (3, BATCH_TRIALS, 5, 4)] * 4
+
+    def test_compare_run_draws_once(self, draws, tmp_path, capsys):
+        # the analytic and mc cells alternate over the three rho values
+        argv = ["--mode", "compare", "--k", "4", "--served", "2", "--rho-db", "0:20:10",
+                "--trials", "10000", "--seed", "5", "--manifest", str(tmp_path / "m.txt")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("\nmc,") == 3
+        assert draws == [(5, 0, 10_000, 4)]
+
+    def test_memo_holds_a_one_batch_run_only(self):
         K = 4
         cfg = cfg_of(K, 2, 10.0)
         estimate_esr(cfg, 10, 5)  # first-call allocations of numpy
+        with specfun._scan_scope():
+            estimate_esr(cfg, 1_000, 5)
+            memo = dict(specfun._scan_terms.get())
+        assert list(memo) == [(5, 1_000, K)]
+        for arr in memo[(5, 1_000, K)]:
+            assert arr.shape == (1_000, K)
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
         tracemalloc.start()
         try:
             with specfun._scan_scope():
                 before = tracemalloc.get_traced_memory()[0]
                 estimate_esr(cfg, 3 * BATCH_TRIALS + 1, 5)
                 held = tracemalloc.get_traced_memory()[0] - before
-                memo = specfun._scan_terms.get()
+                memo = dict(specfun._scan_terms.get())
         finally:
             tracemalloc.stop()
-        assert list(memo) == [montecarlo._BATCH]
-        key, (h, g) = memo[montecarlo._BATCH]
-        assert key == (5, 3 * BATCH_TRIALS, 1, K)
-        assert h.shape == g.shape == (1, K)
+        assert memo == {}
         # less than the base-station half of one full batch stays behind
         assert held < BATCH_TRIALS * K * 8
-        for arr in (h, g):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
 
     @pytest.mark.parametrize(
         "call, trials",
@@ -437,27 +450,6 @@ class TestBatchMemo:
         finally:
             tracemalloc.stop()
         assert held < 2**20
-
-    def test_a_miss_frees_the_old_batch_before_drawing(self):
-        # peak memory of a miss against a full slot equals a draw into an
-        # empty one: the old batch is released before the new one exists
-        cfg = cfg_of(8, 4, 10.0)
-        batch_bytes = 2 * 20_000 * 8 * 8
-        estimate_esr(cfg, 10, 1)  # first-call allocations of numpy
-        tracemalloc.start()
-        try:
-            with specfun._scan_scope():
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                estimate_esr(cfg, 20_000, 1)
-                peak_empty = tracemalloc.get_traced_memory()[1] - base
-                tracemalloc.reset_peak()
-                estimate_esr(cfg, 20_000, 2)
-                peak_miss = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak_empty > batch_bytes
-        assert peak_miss < peak_empty + batch_bytes // 10
 
 
 def hex_fields(est):

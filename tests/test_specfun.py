@@ -38,11 +38,17 @@ class TestE1:
         assert e1(1.0) == pytest.approx(0.21938393439552026, rel=1e-14)
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, True, "1"):
             with pytest.raises(ValueError):
                 e1(bad)
             with pytest.raises(ValueError):
                 e1_scaled(bad)
+
+    @pytest.mark.parametrize("x", [0.5, 2.0])
+    def test_numpy_scalars_take_the_scalar_path(self, x):
+        for fn in (e1, e1_scaled):
+            for arg in (np.float64(x), np.array(x)):
+                assert fn(arg) == fn(x)
 
     def test_underflow_returns_zero(self):
         assert e1(800.0) == 0.0
@@ -122,6 +128,10 @@ class TestE1Array:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 e1_scaled(np.array([0.5, bad, 2.0]))
+        # numbers only: neither strings nor bools are converted
+        for bad in (["1", "2"], [0.5, "2"], np.array([True, False])):
+            with pytest.raises(ValueError, match="x must be positive and finite"):
+                e1_scaled(bad)
 
     def test_scalar_path_is_pinned(self):
         # the series/Lentz path feeds alternating sums whose printed digits
@@ -327,7 +337,10 @@ class TestQuadrature:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             quad_semi_infinite(np.exp, math.inf, tol=1e-9)
-        with pytest.raises(ValueError):
-            quad_semi_infinite(np.exp, 0.0, tol=-1.0)
+        for tol in (-1.0, True, "1"):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                quad_semi_infinite(np.exp, 0.0, tol=tol)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                quad_interval(np.exp, 0.0, 1.0, tol=tol)
         with pytest.raises(ValueError):
             quad_interval(np.exp, 1.0, 0.0, tol=1e-9)
