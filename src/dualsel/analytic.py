@@ -225,14 +225,28 @@ def _order_stat_series(K, n, f):
     E[log(1 + h_n/a)]; f = log gives -(E[log h_n] + gamma). n = K is the
     TDMA slot (the strongest gain), where the second alternating sum is empty.
     f is called once for each m in 1..K, the only arguments either sum takes.
+    Each term is one rounded product of an exact signed binomial weight and
+    f(m), and each sum is an exact fsum, so the order of the terms is free.
     """
-    fm = [None] + [f(m) for m in range(1, K + 1)]
-    first = [(-1.0) ** (i + 1) * math.comb(K, i) * fm[i] for i in range(1, K + 1)]
-    second = [
-        (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * fm[K + j - i]
-        for i in range(n, K) for j in range(i + 1)
-    ]
-    return math.fsum(first) - math.fsum(second)
+    first, second, index = _ORDER_STAT_WEIGHTS[K]
+    fm = np.array([f(m) for m in range(1, K + 1)])  # fm[m - 1] = f(m)
+    pairs = slice(n * (n + 1) // 2, None)  # the pairs with i >= n
+    second = second[pairs] * fm[index[pairs]]
+    return math.fsum((first * fm).tolist()) - math.fsum(second.tolist())
+
+
+def _order_stat_weights(K):
+    # The exact signed binomial weights of _order_stat_series at K users:
+    # those of the first sum; those of the second, for every pair (i, j) with
+    # 0 <= j <= i < K in order of i; and the index m - 1 of the f(m) that
+    # each pair's term takes.
+    first = np.array([(-1.0) ** (i + 1) * math.comb(K, i) for i in range(1, K + 1)])
+    pairs = [(i, j) for i in range(K) for j in range(i + 1)]
+    second = np.array([(-1.0) ** j * math.comb(K, i) * math.comb(i, j) for i, j in pairs])
+    return first, second, np.array([K - 1 + j - i for i, j in pairs])
+
+
+_ORDER_STAT_WEIGHTS = [None] + [_order_stat_weights(K) for K in range(1, MAX_USERS + 1)]
 
 
 def exp_cb(cfg):
@@ -355,42 +369,63 @@ def _upsilon_lead(rho):
     return math.log(0.5 * rho) + 1.0 - EULER_GAMMA
 
 
-def _upsilon_parts(xi):
-    """The rho-free parts (a, b, c, d, mu) of Upsilon at xi != 1, so that
-    Upsilon = lead*a/b + c - d + mu: every log and all three dilogarithms.
-    None at xi = 1, whose closed form is all in the rho step."""
-    if xi == 1.0:
-        return None
-    om = 1.0 - xi
-    if xi < 1.0:
-        zeta = 2.0 * _LOG2 * math.log((xi + 1.0) / xi) - _LOG2**2
-    else:
-        zeta = (
-            2.0 * _LOG2 * math.log((xi + 1.0) / (xi - 1.0))
-            + math.log((xi - 1.0) / xi) ** 2
-            - math.log((xi - 1.0) / (2.0 * xi)) ** 2
-        )
-    mu = (
-        2.0 * (li2((xi - 1.0) / xi) - li2((xi - 1.0) / (2.0 * xi)))
-        - li2(-xi)
-        + zeta
-    ) / (om * om)
-    return (
-        xi - 1.0 + 2.0 * math.log(2.0 / (1.0 + xi)),
-        2.0 * om * om,
-        1.0 / om,
-        (math.pi**2 + 12.0 * _LOG2**2) / (12.0 * om * om),
-        mu,
-    )
+#: The parts of Upsilon at xi = 1, whose closed form lead/8 + log(2)/4 - 3/8
+#: is lead*a/b + c - d + mu at these values, to the bit.
+_UPSILON_PARTS_AT_ONE = (1.0, 8.0, _LOG2 / 4.0, 3.0 / 8.0, 0.0)
+
+
+def _upsilon_parts(xis):
+    """Rows (a, b, c, d, mu) of the rho-free parts of Upsilon at each xi of
+    the list xis, so that Upsilon = lead*a/b + c - d + mu. The logs are
+    math's, one xi at a time; the three dilogarithms of every xi != 1 come
+    from one li2 call."""
+    args = [v for xi in xis if xi != 1.0 for v in ((xi - 1.0) / xi, (xi - 1.0) / (2.0 * xi), -xi)]
+    dilogs = iter(li2(args).tolist() if args else [])
+    rows = []
+    for xi in xis:
+        if xi == 1.0:
+            rows.append(_UPSILON_PARTS_AT_ONE)
+            continue
+        om = 1.0 - xi
+        if xi < 1.0:
+            zeta = 2.0 * _LOG2 * math.log((xi + 1.0) / xi) - _LOG2**2
+        else:
+            zeta = (
+                2.0 * _LOG2 * math.log((xi + 1.0) / (xi - 1.0))
+                + math.log((xi - 1.0) / xi) ** 2
+                - math.log((xi - 1.0) / (2.0 * xi)) ** 2
+            )
+        l1, l2, l3 = next(dilogs), next(dilogs), next(dilogs)
+        rows.append((
+            xi - 1.0 + 2.0 * math.log(2.0 / (1.0 + xi)),
+            2.0 * om * om,
+            1.0 / om,
+            (math.pi**2 + 12.0 * _LOG2**2) / (12.0 * om * om),
+            (2.0 * (l1 - l2) - l3 + zeta) / (om * om),
+        ))
+    return rows
 
 
 def _upsilon_step(lead, parts):
-    # Upsilon from its rho-free parts, summed left to right as upsilon_from_xi's
-    # docstring writes it; another order would change the last bits
-    if parts is None:
-        return lead / 8.0 + _LOG2 / 4.0 - 3.0 / 8.0
+    # Upsilon from parts (a, b, c, d, mu), floats or columns, summed left to
+    # right as upsilon_from_xi's docstring writes it; another order would
+    # change the last bits
     a, b, c, d, mu = parts
     return lead * a / b + c - d + mu
+
+
+#: Within this distance of xi = 1 (but not at it), upsilon_from_xi
+#: integrates instead: there the closed form's 1/(1-xi)^2 poles cancel
+#: against the dilogarithms and take its digits with them.
+_UPSILON_NEAR_ONE = 0.05
+
+
+def _upsilon_integral(xi, lead):
+    def f(u):  # u is a panel's node array
+        up1 = u + 1.0
+        return (lead + np.log(u / (up1 * up1))) / (up1 * up1 * (u + xi))
+
+    return quad_semi_infinite(f, 1.0, tol=1e-13).value
 
 
 def upsilon_from_xi(xi, rho):
@@ -404,11 +439,19 @@ def upsilon_from_xi(xi, rho):
     d = (pi^2 + 12 log(2)^2)/(12(1-xi)^2), and mu, the dilogarithm
     combination over (1-xi)^2. The xi = 1 case is a separate closed form;
     the xi != 1 branches are continuous across it (the apparent 1/(1-xi)^2
-    poles cancel against the dilogarithm combination).
+    poles cancel against the dilogarithm combination). That cancellation
+    costs digits as xi nears 1 (2e-2 absolute at 1 + 1e-6), so for
+    0 < |xi - 1| < 0.05 the integral is taken by quadrature to 1e-13
+    instead. The engine's xi are ratios of integers up to 20 minus one, so
+    each is 1 or at least 1/19 away from it and always takes a closed form.
     """
     _check_positive_real(xi, "xi")
     _check_positive_real(rho, "rho")
-    return _upsilon_step(_upsilon_lead(rho), _upsilon_parts(xi))
+    lead = _upsilon_lead(rho)
+    if 0.0 < abs(xi - 1.0) < _UPSILON_NEAR_ONE:
+        return _upsilon_integral(float(xi), lead)
+    (parts,) = _upsilon_parts([float(xi)])
+    return _upsilon_step(lead, parts)
 
 
 def upsilon(i, j, K, n, rho):
@@ -435,27 +478,32 @@ def esr_high_snr(cfg):
 
     Only lead = log(rho/2) + 1 - gamma depends on rho. Within one scan
     (selection.evaluate_cells) each xi's rho-free Upsilon parts and each
-    (K, n)'s varpi are computed once, as a Monte Carlo one-batch run is (a
-    longer run shares nothing); outside one, every call computes them
+    (K, n)'s rho-free cell are computed once, as a Monte Carlo one-batch run
+    is (a longer run shares nothing); outside one, every call computes them
     afresh. Either way the value is the same to the bit.
     """
     _require_dual_slot(cfg)
-    table = xi_table(cfg.num_users, cfg.served_index)
-    K, n, rho = table.K, table.n, cfg.transmit_snr
-    lead = _upsilon_lead(rho)
-    tail = []
-    for i in range(1, K - n + 1):
-        for j in range(n):
-            xi = (K - n + 1 + j) / i - 1.0  # built as upsilon builds it, to the bit
-            parts = _scan_term(xi, _upsilon_parts, xi)
-            tail.append(table.coefficients[i, j] / i * _upsilon_step(lead, parts))
-    series = _scan_term((K, n), _order_stat_series, K, n, math.log)
+    K, n, rho = int(cfg.num_users), int(cfg.served_index), cfg.transmit_snr
+    series, weights, parts = _scan_term([(K, n)], lambda _: [_high_snr_cell(K, n)])[0]
+    tail = weights * _upsilon_step(_upsilon_lead(rho), parts)
     unclamped = (
         (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0
         - series
-        - math.fsum(tail)
+        - math.fsum(tail.tolist())
     )
     return _clamped(unclamped)
+
+
+def _high_snr_cell(K, n):
+    """The rho-free part of esr_high_snr's (K, n) cell: varpi's series, the
+    weights Xi_ij / i, and the columns (a, b, c, d, mu) of the Upsilon parts
+    at each xi_ij, (i, j) in row order. The parts of every xi that this scan
+    has not met come from one _upsilon_parts call."""
+    # xi_ij = (K - n + 1 + j)/i - 1, built as upsilon builds it, to the bit
+    xi = [(K - n + 1 + j) / i - 1.0 for i in range(1, K - n + 1) for j in range(n)]
+    parts = np.array(_scan_term(xi, _upsilon_parts)).T
+    weights = (xi_table(K, n).coefficients[1:] / np.arange(1, K - n + 1)[:, None]).ravel()
+    return _order_stat_series(K, n, math.log), weights, parts
 
 
 def _check_order_stat_count(K):

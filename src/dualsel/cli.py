@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage, 3 capability (unsupported problem size),
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -102,6 +103,7 @@ def _rho_linear(rho_db):
         raise _UsageError(f"--rho-db {rho_db:g} is too large for a linear SNR") from None
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="dualsel",

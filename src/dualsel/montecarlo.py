@@ -130,7 +130,8 @@ def _batches(seed, trials, K):
     the scan term (seed, trials, K), which fixes its content (Philox is
     counter-based); a longer run draws every batch, one at a time."""
     if trials <= BATCH_TRIALS:
-        yield _scan_term((seed, trials, K), _batch_gains, seed, 0, trials, K)
+        (batch,) = _scan_term([(seed, trials, K)], lambda _: [_batch_gains(seed, 0, trials, K)])
+        yield batch
         return
     for start in range(0, trials, BATCH_TRIALS):
         yield _batch_gains(seed, start, min(BATCH_TRIALS, trials - start), K)

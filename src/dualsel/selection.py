@@ -8,9 +8,9 @@ maps a method and a cell to an engine function. `evaluate_cells` answers a
 list of cells (a scan: every CLI mode and `select_served`); it is the only
 loop over cells and the only place that opens a scan scope. While it runs,
 high-SNR cells share their rho-free terms (each xi's dilogarithm parts and
-each (K, n)'s varpi) and Monte Carlo cells a one-batch run, not a longer
-one; the memo is a context variable, so it belongs to one scan in one
-thread and goes with it.
+each (K, n)'s varpi and weights) and Monte Carlo cells a one-batch run, not
+a longer one; the memo is a context variable, so it belongs to one scan in
+one thread and goes with it.
 """
 
 from dataclasses import dataclass

@@ -1,7 +1,7 @@
 """Special-function kernels: exponential integral E1, real dilogarithm, and
 adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals.
 
-E1 (as e^x E1(x)) takes a scalar or an array; the dilogarithm is scalar.
+E1 (as e^x E1(x)) and the dilogarithm take a scalar or an array.
 The quadrature integrand contract is "array of nodes in, array of values
 out": the first Gauss-Kronrod panel calls the integrand on a 1-D float
 array of its 15 nodes, and every later split calls it once on the 30 nodes
@@ -76,10 +76,14 @@ def _is_integer(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _is_positive_real(x):
-    # a real number (not a bool, not a string) that is finite and > 0
+def _is_finite_real(x):
+    # a real number (not a bool, not a string) that is finite
     real = _is_integer(x) or isinstance(x, (float, np.floating))
-    return real and _isfinite(x) and x > 0
+    return real and _isfinite(x)
+
+
+def _is_positive_real(x):
+    return _is_finite_real(x) and x > 0
 
 
 def _check_positive_real(x, name):
@@ -117,7 +121,8 @@ def _as_positive_array(x, name):
 
 
 #: The work the cells of one scan share: a dict inside _scan_scope, None
-#: outside. Keys: xi floats, (K, n) pairs and MC (seed, trials, K) triples.
+#: outside. Keys: xi floats (Upsilon parts), (K, n) pairs (high-SNR cells)
+#: and MC (seed, trials, K) triples (one-batch draws).
 _scan_terms = contextvars.ContextVar("dualsel_scan_terms", default=None)
 
 
@@ -132,14 +137,17 @@ def _scan_scope():
         _scan_terms.reset(token)
 
 
-def _scan_term(key, compute, *args):
-    # compute(*args), kept under key while a scan runs: how engines share work
+def _scan_term(keys, compute):
+    # The values of keys, in order: how engines share work. compute(missing)
+    # returns the values of a list of distinct keys, and is called once, for
+    # every key that this scan (or, outside one, this call) has not computed.
     memo = _scan_terms.get()
     if memo is None:
-        return compute(*args)
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
+        memo = {}
+    missing = [k for k in dict.fromkeys(keys) if k not in memo]
+    if missing:
+        memo.update(zip(missing, compute(missing)))
+    return [memo[k] for k in keys]
 
 
 def _e1_series(x):
@@ -275,39 +283,74 @@ def e1_scaled(x):
     return _e1_scaled_array(arr.ravel()).reshape(arr.shape)
 
 
-def _li2_series(x):
-    # sum_{k>=1} x^k / k^2 for |x| <= 1/2.
-    total = 0.0
-    p = 1.0
-    for k in range(1, 200):
-        p *= x
-        term = p / (k * k)
-        total += term
-        if abs(term) < 1e-17 * abs(total) + 1e-300:
-            break
-    return total
+# The dilogarithm's series sum_{k>=1} x^k / k^2 for |x| <= 1/2, summed to a
+# fixed depth as x^k = x * x^(k-1) and added in order of k. At |x| = 1/2 a
+# term falls below 1e-17 of the total by k = 47; every later term is below
+# half an ulp of the total and cannot change it, so the depth-64 total is the
+# one a loop that stops there would reach.
+_LI2_DEPTH = 64
+_LI2_SQUARES = np.arange(1, _LI2_DEPTH + 1, dtype=float) ** 2
+_LI2_CHUNK = 128  # arguments per broadcast: 64 KiB temporaries
+
+
+def _li2_series(y):
+    # the series at each element of a 1-D array y, |y| <= 1/2
+    out = np.empty_like(y)
+    for s in range(0, y.size, _LI2_CHUNK):
+        powers = y[s:s + _LI2_CHUNK, None].repeat(_LI2_DEPTH, axis=1)
+        terms = np.multiply.accumulate(powers, axis=1) / _LI2_SQUARES
+        out[s:s + _LI2_CHUNK] = np.add.accumulate(terms, axis=1)[:, -1]
+    return out
+
+
+def _li2_reduce(x):
+    # (y, outer, sign, inner) with Li2(x) = outer + sign * (S(y) + inner),
+    # S the series and |y| <= 1/2, from the reflection, Landen and inversion
+    # identities. The logs are math's, one element at a time.
+    if x == 1.0:
+        return 0.0, _PI2_6, 1.0, 0.0
+    if x > 0.5:
+        # Li2(x) + Li2(1-x) = pi^2/6 - log(x) log(1-x)
+        return 1.0 - x, _PI2_6 - math.log(x) * math.log1p(-x), -1.0, 0.0
+    if x >= -0.5:
+        return x, 0.0, 1.0, 0.0
+    if x >= -1.0:
+        # Landen: Li2(x) = -Li2(x/(x-1)) - log^2(1-x)/2; x/(x-1) in [1/3, 1/2]
+        return x / (x - 1.0), 0.0, -1.0, 0.5 * math.log1p(-x) ** 2
+    # Inversion: Li2(x) = -pi^2/6 - log^2(-x)/2 - Li2(1/x); 1/x in (-1, 0)
+    outer = -_PI2_6 - 0.5 * math.log(-x) ** 2
+    y, _, sign, inner = _li2_reduce(1.0 / x)
+    return y, outer, -sign, inner
+
+
+def _li2_array(x):
+    # Li2 at each element of a list x of finite floats <= 1, as an array
+    y, outer, sign, inner = np.array([_li2_reduce(v) for v in x]).reshape(-1, 4).T
+    # + inner also turns a -0.0 series total into 0.0, as a sum from 0.0 does
+    return outer + sign * (_li2_series(y) + inner)
 
 
 def li2(x):
     """Real dilogarithm Li2(x) = -int_0^x log(1-t)/t dt for x <= 1.
 
     Arguments are reduced to |x| <= 1/2 with the reflection, Landen and
-    inversion identities, then summed by series. Absolute error <= 1e-12.
+    inversion identities (one element at a time, with math's logs), then the
+    series of every argument is summed to a fixed depth in a few numpy calls.
+    Absolute error <= 1e-12. A scalar returns a float; an array returns an
+    array of its shape, and one element that is not finite or is > 1
+    rejects it whole. A scalar is the one-element array, so both agree to
+    the bit.
     """
-    if not _isfinite(x) or x > 1.0:
-        raise ValueError(f"li2 requires a finite argument <= 1, got {x!r}")
-    if x == 1.0:
-        return _PI2_6
-    if x > 0.5:
-        # Li2(x) + Li2(1-x) = pi^2/6 - log(x) log(1-x)
-        return _PI2_6 - math.log(x) * math.log1p(-x) - li2(1.0 - x)
-    if x >= -0.5:
-        return _li2_series(x)
-    if x >= -1.0:
-        # Landen: Li2(x) = -Li2(x/(x-1)) - log^2(1-x)/2; x/(x-1) in [1/3, 1/2]
-        return -_li2_series(x / (x - 1.0)) - 0.5 * math.log1p(-x) ** 2
-    # Inversion: Li2(x) = -pi^2/6 - log^2(-x)/2 - Li2(1/x); 1/x in (-1, 0)
-    return -_PI2_6 - 0.5 * math.log(-x) ** 2 - li2(1.0 / x)
+    if np.ndim(x) == 0:
+        x = x[()] if isinstance(x, np.ndarray) else x
+        if not (_is_finite_real(x) and x <= 1.0):
+            raise ValueError(f"li2 requires a finite argument <= 1, got {x!r}")
+        return float(_li2_array([float(x)])[0])
+    arr = _real_array(x)
+    values = [] if arr is None else arr.ravel().tolist()
+    if arr is None or not all(-math.inf < v <= 1.0 for v in values):  # also false for nan
+        raise ValueError(f"li2 requires finite arguments <= 1, got {x!r}")
+    return _li2_array(values).reshape(arr.shape)
 
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule (QUADPACK dqk15).
@@ -436,7 +479,7 @@ def quad_interval(f, a, b, tol=1e-9, max_evals=200_000):
     nodes are interior), so removable endpoint limits are fine.
     The value and error estimate are exact fsums over the final panels.
     """
-    if not (_isfinite(a) and _isfinite(b) and a < b):
+    if not (_is_finite_real(a) and _is_finite_real(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
     _check_positive_real(tol, "tol")
     return _adaptive_gk(f, a, b, tol, max_evals)
@@ -465,7 +508,7 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
         If the evaluation budget is exhausted first; the exception carries
         the best estimate and its error bound.
     """
-    if not _isfinite(a):
+    if not _is_finite_real(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
     _check_positive_real(tol, "tol")
 

@@ -1,8 +1,10 @@
-"""Scalar per-slot oracles that the vectorized engines are checked against.
+"""Scalar oracles that the vectorized engines are checked against.
 
-They restate the model one slot at a time, with no validation, and draw
-their gains from the same per-trial Philox slices as the library but
-without its batch memo.
+The per-slot ones restate the model one slot at a time, with no
+validation, and draw their gains from the same per-trial Philox slices as
+the library but without its batch memo. The closed-form ones are the
+library's earlier one-term-at-a-time loops, kept as bit oracles: the array
+code must reproduce them to the last bit.
 """
 
 import math
@@ -10,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dualsel.analytic import _LOG2, _upsilon_lead, xi_table
 from dualsel.montecarlo import _uniform_block
+from dualsel.specfun import EULER_GAMMA
+
+_PI2_6 = math.pi**2 / 6.0
 
 
 @dataclass(frozen=True)
@@ -83,3 +89,81 @@ def cdf_order_stat(x, K, n):
     for i in range(n, K + 1):
         out += math.comb(K, i) * p**i * q ** (K - i)
     return float(out[0]) if scalar else out
+
+
+def li2_series(x):
+    """sum_{k>=1} x^k / k^2 for |x| <= 1/2, one term at a time until a term
+    falls below 1e-17 of the total."""
+    total = 0.0
+    p = 1.0
+    for k in range(1, 200):
+        p *= x
+        term = p / (k * k)
+        total += term
+        if abs(term) < 1e-17 * abs(total) + 1e-300:
+            break
+    return total
+
+
+def li2_loop(x):
+    """Li2(x) for a float x <= 1 by the same identities as specfun.li2,
+    with li2_series for the series."""
+    if x == 1.0:
+        return _PI2_6
+    if x > 0.5:
+        return _PI2_6 - math.log(x) * math.log1p(-x) - li2_loop(1.0 - x)
+    if x >= -0.5:
+        return li2_series(x)
+    if x >= -1.0:
+        return -li2_series(x / (x - 1.0)) - 0.5 * math.log1p(-x) ** 2
+    return -_PI2_6 - 0.5 * math.log(-x) ** 2 - li2_loop(1.0 / x)
+
+
+def order_stat_series_terms(K, n, f):
+    """The order-statistic series of analytic._order_stat_series, f called
+    once per term and each term built in Python floats."""
+    first = [(-1.0) ** (i + 1) * math.comb(K, i) * f(i) for i in range(1, K + 1)]
+    second = [
+        (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * f(K + j - i)
+        for i in range(n, K) for j in range(i + 1)
+    ]
+    return math.fsum(first) - math.fsum(second)
+
+
+def upsilon_terms(xi, rho):
+    """Upsilon at one xi > 0 by the closed form, one scalar at a time, with
+    li2_loop for the dilogarithms."""
+    lead = _upsilon_lead(rho)
+    if xi == 1.0:
+        return lead / 8.0 + _LOG2 / 4.0 - 3.0 / 8.0
+    om = 1.0 - xi
+    if xi < 1.0:
+        zeta = 2.0 * _LOG2 * math.log((xi + 1.0) / xi) - _LOG2**2
+    else:
+        zeta = (
+            2.0 * _LOG2 * math.log((xi + 1.0) / (xi - 1.0))
+            + math.log((xi - 1.0) / xi) ** 2
+            - math.log((xi - 1.0) / (2.0 * xi)) ** 2
+        )
+    mu = (
+        2.0 * (li2_loop((xi - 1.0) / xi) - li2_loop((xi - 1.0) / (2.0 * xi)))
+        - li2_loop(-xi)
+        + zeta
+    ) / (om * om)
+    a = xi - 1.0 + 2.0 * math.log(2.0 / (1.0 + xi))
+    b = 2.0 * om * om
+    d = (math.pi**2 + 12.0 * _LOG2**2) / (12.0 * om * om)
+    return lead * a / b + 1.0 / om - d + mu
+
+
+def esr_high_snr_terms(K, n, rho):
+    """The unclamped high-SNR ESR of analytic.esr_high_snr, its tail built one
+    (i, j) term at a time."""
+    table = xi_table(K, n)
+    tail = []
+    for i in range(1, K - n + 1):
+        for j in range(n):
+            xi = (K - n + 1 + j) / i - 1.0
+            tail.append(table.coefficients[i, j] / i * upsilon_terms(xi, rho))
+    series = order_stat_series_terms(K, n, math.log)
+    return (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0 - series - math.fsum(tail)

@@ -27,7 +27,7 @@ from dualsel.analytic import (
     xi_table,
 )
 from dualsel.specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
-from oracles import cdf_order_stat
+from oracles import cdf_order_stat, esr_high_snr_terms, order_stat_series_terms
 
 
 def cfg_of(K, n, rho):
@@ -337,16 +337,8 @@ class TestOrderStatSeries:
                     assert got == pytest.approx(float(ref), abs=1e-10)
 
     def test_f_is_called_once_per_argument(self):
-        def two_comprehensions(K, n, f):
-            # the series with f called once per term
-            first = [(-1.0) ** (i + 1) * math.comb(K, i) * f(i) for i in range(1, K + 1)]
-            second = [
-                (-1.0) ** j * math.comb(K, i) * math.comb(i, j) * f(K + j - i)
-                for i in range(n, K) for j in range(i + 1)
-            ]
-            return math.fsum(first) - math.fsum(second)
-
-        for K in (2, 5, 12, 20):
+        # and the value is the one-term-at-a-time series' to the bit
+        for K in range(1, 21):
             for n in range(1, K + 1):
                 for f in (math.log, lambda m: e1_scaled(2.0 * m / 100.0)):
                     seen = []
@@ -357,7 +349,7 @@ class TestOrderStatSeries:
 
                     got = analytic._order_stat_series(K, n, counted)
                     assert sorted(seen) == list(range(1, K + 1))
-                    assert got == two_comprehensions(K, n, f)
+                    assert got == order_stat_series_terms(K, n, f)
 
 
 def mc_eve_rate(K, n, rho, trials, seed):
@@ -616,6 +608,21 @@ class TestUpsilon:
             ).value
             assert upsilon_from_xi(xi, rho) == pytest.approx(oracle, abs=1e-7)
 
+    @pytest.mark.parametrize("rho", [10.0, 100.0, 1e6])
+    def test_near_one_matches_a_40_digit_integral(self, rho):
+        # the closed form's poles at xi = 1 cancel and took its digits with
+        # them (2e-2 absolute at 1 + 1e-6); near 1 it integrates instead
+        xis = [1 - 1e-12, 1 + 1e-12, 1 - 1e-6, 1 + 1e-6, 1 - 1e-4, 1 + 1e-4, 0.99, 1.01]
+        with mp.workdps(40):
+            lead = mp.log(mp.mpf(rho) / 2) + 1 - mp.euler
+            for xi in xis:
+                x = mp.mpf(xi)
+                ref = mp.quad(
+                    lambda u: (lead + mp.log(u / (u + 1) ** 2)) / ((u + 1) ** 2 * (u + x)),
+                    [1, 2, 10, mp.inf],
+                )
+                assert upsilon_from_xi(xi, rho) == pytest.approx(float(ref), abs=1e-11)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             upsilon(0, 0, 4, 2, 10.0)
@@ -651,6 +658,16 @@ class TestUpsilon:
 
 
 class TestEsrHighSnr:
+    def test_tail_equals_the_term_by_term_loop(self):
+        # the tail is one array expression over (i, j); its value must be
+        # the one-term-at-a-time loop's to the last bit
+        for K in range(2, 21):
+            for n in range(1, K):
+                for db in (10, 20, 40, 60):
+                    rho = 10.0 ** (db / 10.0)
+                    got = esr_high_snr(cfg_of(K, n, rho)).unclamped
+                    assert got == esr_high_snr_terms(K, n, rho), (K, n, db)
+
     def test_affine_log_slope(self):
         # the closed form is affine in log(rho/2); its slope must match the
         # finite difference of the exact rate at high SNR

@@ -266,6 +266,29 @@ class TestExitCodes:
         assert f"--tol must be positive and finite, got {tol}" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    def test_one_process_reuses_its_parser(self, tmp_path, capsys):
+        # cli.main builds its parser once per process; no call may leave a
+        # trace on it that changes a later call's CSV or exit code
+        first = ["--mode", "sweep-n", "--k", "5", "--engine", "high-snr", "--rho-db", "30"]
+        runs = [
+            (first, 0),
+            (["--mode", "sweep-rho", "--k", "4", "--engine", "tdma", "--rho-db", "0:20:10",
+              "--units", "bits"], 0),
+            (["--mode", "esr", "--k", "4", "--served", "2", "--engine", "mc",
+              "--trials", "500", "--seed", "7"], 0),
+            (["--mode", "esr", "--k", "4", "--frobnicate"], 2),
+            (["--mode", "esr", "--k", "4"], 2),
+            (["--mode", "select", "--k", "3", "--engine", "high-snr", "--served", "2"], 2),
+            (["--k", "4"], 2),
+            (first, 0),
+        ]
+        outs = []
+        for argv, code in runs:
+            assert main([*argv, "--manifest", str(tmp_path / "m.txt")]) == code
+            outs.append(capsys.readouterr().out)
+        assert outs[-1] == outs[0]
+        assert outs[0].startswith(CSV_HEADER) and outs[0].count("\n") == 6
+
     def test_unknown_flag_is_usage_error(self):
         assert main(["--mode", "esr", "--k", "4", "--frobnicate"]) == 2
 

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from dualsel import analytic, cli, montecarlo, specfun
@@ -150,15 +151,17 @@ def cold_high_snr(K, n, rho):
 
 @pytest.fixture
 def li2_calls(monkeypatch):
-    calls = [0]
+    """[arguments, calls] of analytic.li2: an array call counts each element."""
+    counts = [0, 0]
     real = analytic.li2
 
     def counted(x):
-        calls[0] += 1
+        counts[0] += np.size(x)
+        counts[1] += 1
         return real(x)
 
     monkeypatch.setattr(analytic, "li2", counted)
-    return calls
+    return counts
 
 
 @pytest.fixture
@@ -217,10 +220,12 @@ class TestScanSharing:
                 "--manifest", str(tmp_path / "m.txt")]
         counts = []
         for _ in range(2):
-            li2_calls[0] = 0
+            li2_calls[:] = [0, 0]
             assert cli.main(argv) == 0
             assert specfun._scan_terms.get() is None
             counts.append(li2_calls[0])
+            # each of the K - 1 dual-selection cells takes its new xi in one call
+            assert li2_calls[1] <= 20 - 1
         # the second scan recomputes everything: nothing outlived the first
         assert counts[0] == counts[1] == 3 * len(distinct_xi_not_one(20)) <= 378
         capsys.readouterr()

@@ -18,6 +18,7 @@ from dualsel.specfun import (
     quad_semi_infinite,
 )
 from dualsel.specfun import _E1_CHUNK, _WG, _WGK, _XGK, _e1_fraction_coefficients
+from oracles import li2_loop
 
 
 def e1_oracle_scaled(x, tol=1e-13):
@@ -192,9 +193,55 @@ class TestLi2:
         assert li2(-1.0) == pytest.approx(-0.8224670334241132, abs=1e-14)
 
     def test_domain_errors(self):
-        for bad in (1.0000001, 2.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
+        # True used to return pi^2/6 and "1" to escape as a TypeError
+        for bad in (1.0000001, 2.0, math.nan, math.inf, -math.inf, True, False, "1", None):
+            with pytest.raises(ValueError, match="li2 requires a finite argument <= 1"):
                 li2(bad)
+
+    def test_array_input(self):
+        x = np.array([[-3.0, 0.25], [0.75, 1.0]])
+        got = li2(x)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[li2(float(v)) for v in row] for row in x]
+        assert li2(np.array(0.5)) == li2(0.5)
+        assert isinstance(li2(np.array(0.5)), float)
+        assert li2([-1, 0]).tolist() == [li2(-1.0), 0.0]
+        assert li2(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0.5, 1.5],
+            [0.5, math.nan],
+            [-math.inf, 0.5],
+            np.array([True, False]),
+            ["0.5", "0.25"],
+            np.array([0.5 + 0j]),
+            [[0.5], [2.0]],
+        ],
+        ids=["above-one", "nan", "-inf", "bool", "str", "complex", "nested"],
+    )
+    def test_one_bad_element_rejects_the_array(self, bad):
+        with pytest.raises(ValueError, match="li2 requires finite arguments <= 1"):
+            li2(bad)
+
+    def test_matches_the_series_loop_to_the_bit(self):
+        # li2 sums every series to a fixed depth; its value must be the
+        # term-by-term loop's to the last bit, as a scalar and in an array
+        rng = np.random.default_rng(20161018)
+        x = np.concatenate([rng.uniform(-50.0, 1.0, 10_000), rng.uniform(-1.0, 1.0, 2_000)])
+        edges = [0.0, -0.0, -1.0, 1.0, 1e-300, -1e-300, -1e6, -1e300, 2.0**-1074]
+        for v in (0.5, -0.5):
+            edges += [v, np.nextafter(v, 2.0), np.nextafter(v, -2.0)]
+        x = np.concatenate([x, edges])
+        want = [li2_loop(float(v)) for v in x]
+        assert li2(x).tolist() == want
+        assert [li2(float(v)) for v in x] == want
+
+    def test_zero_keeps_a_plus_sign(self):
+        for v in (0.0, -0.0):
+            assert math.copysign(1.0, li2(v)) == 1.0
+            assert math.copysign(1.0, li2(np.array([v]))[0]) == 1.0
 
     def test_reflection_identity(self):
         # Li2(x) + Li2(1-x) = pi^2/6 - log(x) log(1-x) on (0, 1)
@@ -344,3 +391,11 @@ class TestQuadrature:
                 quad_interval(np.exp, 0.0, 1.0, tol=tol)
         with pytest.raises(ValueError):
             quad_interval(np.exp, 1.0, 0.0, tol=1e-9)
+        # False, True used to integrate over [0, 1], and "0" to escape as a
+        # TypeError
+        for a, b in (("0", 1.0), (0.0, "1"), (False, True), (0.0, True), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="need finite a < b"):
+                quad_interval(np.exp, a, b)
+        for a in ("0", False, None, -math.inf):
+            with pytest.raises(ValueError, match="lower limit must be finite"):
+                quad_semi_infinite(np.exp, a)
