@@ -20,7 +20,7 @@ import numpy as np
 
 from .specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
 from .specfun import _as_float_array, _as_positive_array, _check_positive_real, _is_integer
-from .specfun import _scan_term
+from .specfun import _e1_scaled_array, _scan_term
 
 __all__ = [
     "MAX_USERS",
@@ -37,7 +37,6 @@ __all__ = [
     "psi",
     "exp_ce",
     "esr_exact",
-    "upsilon",
     "upsilon_from_xi",
     "esr_high_snr",
     "esr_tdma_exact",
@@ -56,11 +55,11 @@ class CapabilityError(ValueError):
     """Parameters outside the numerically certified envelope (e.g. K > 20)."""
 
 
-def _check_user_count(K):
-    if not _is_integer(K):
-        raise ValueError(f"number of users must be an integer, got {K!r}")
-    if K < 2:
-        raise ValueError(f"need at least 2 users, got {K}")
+def _check_user_count(K, least=2):
+    # least = 1 for the TDMA functions: the strongest of one user is a
+    # legitimate question, though the dual-selection scheme needs two users
+    if not _is_integer(K) or K < least:
+        raise ValueError(f"K must be a positive integer >= {least}, got {K!r}")
     if K > MAX_USERS:
         raise CapabilityError(
             f"K={K} exceeds the supported maximum of {MAX_USERS} users "
@@ -111,6 +110,8 @@ class EsrValue:
 
 
 def _clamped(unclamped):
+    if not math.isfinite(unclamped):  # max(0.0, nan) would read 0.0
+        raise FloatingPointError(f"the ESR evaluates to {unclamped!r}")
     return EsrValue(value=max(0.0, unclamped), unclamped=unclamped)
 
 
@@ -123,8 +124,7 @@ def xi_table(K, n):
     exists for the dual-selection slot, not for the TDMA case n = K.
     """
     _check_user_count(K)
-    if not _is_integer(n) or not (1 <= n <= K - 1):
-        raise ValueError(f"served index must be in [1, {K - 1}], got {n!r}")
+    _check_dual_slot(K, n)
     lead = n * math.comb(K, n)
     coeff = np.empty((K - n + 1, n))
     for i in range(K - n + 1):
@@ -209,12 +209,18 @@ def cdf_T_high_snr(t, K, n):
     return float(out[0]) if scalar else out
 
 
-def _require_dual_slot(cfg):
-    if cfg.served_index > cfg.num_users - 1:
+def _check_dual_slot(K, n):
+    # n names a dual-selection slot: 1 <= n <= K - 1
+    if not _is_integer(n) or not (1 <= n <= K - 1):
         raise ValueError(
-            "served_index = K is the TDMA-like slot; use esr_tdma_exact / "
-            "esr_tdma_high_snr for it"
+            f"served index must be in [1, {K - 1}], got {n!r}; n = K is the TDMA-like "
+            "slot, answered by esr_tdma_exact, esr_tdma_high_snr and estimate_esr_tdma"
         )
+
+
+def _check_variant(variant):
+    if variant not in ("corrected", "printed"):
+        raise ValueError(f"variant must be 'corrected' or 'printed', got {variant!r}")
 
 
 def _order_stat_series(K, n, f):
@@ -255,8 +261,8 @@ def exp_cb(cfg):
     Closed form: the order-statistic series of e^x E1(x) at x = 2m/rho
     (see _order_stat_series).
     """
-    _require_dual_slot(cfg)
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
+    _check_dual_slot(K, n)
     return _order_stat_series(K, n, lambda x: e1_scaled(2.0 * x / rho))
 
 
@@ -269,19 +275,26 @@ def theta(u, rho):
     positive-gain quadrant; theta_corrected restricts it to the exact image.
     Both are kept: this one for reference, the corrected one for results.
 
-    Vanishes at both ends: ~ (rho - 1) u as u -> 0+ (the e^x E1(x) factor
-    decays like 1/x against the 1/u pole, so no overflow), ~ -log(u)/u^2 as
-    u -> inf.
+    Vanishes at both ends: ~ (rho - 1) u as u -> 0+, ~ -log(u)/u^2 as
+    u -> inf. Where w = 2(u+1)/(rho u), the argument of e^w E1(w), exceeds
+    the doubles (rho u below about 1e-308), the kernel is its w -> inf
+    limit -log1p(u)/(u+1)^2, to within 2/(w (u+1)^2).
 
     Accepts a scalar (returns a float) or an array of positive finite u.
     """
     _check_positive_real(rho, "rho")
     scalar = np.ndim(u) == 0
     u = _as_positive_array(u, "u")
-    phi = e1_scaled(2.0 * (u + 1.0) / (rho * u))
-    first = (phi + 1.0 - np.log1p(u)) / ((u + 1.0) * (u + 1.0))
-    second = (2.0 / rho) * phi / (u * (u + 1.0))
-    out = first - second
+    up1 = u + 1.0
+    with np.errstate(all="ignore"):  # (u+1)^2 may overflow; inf w is set below
+        w = _kernel_w(u, up1, rho, 1)
+        phi = _e1_scaled_array(w)
+        log1p_u = np.log1p(u)
+        first = (phi + 1.0 - log1p_u) / (up1 * up1)
+        second = (2.0 / rho) * phi / (u * up1)
+        out = first - second
+    lim = w == math.inf
+    out[lim] = -log1p_u[lim] / (up1[lim] * up1[lim])
     return float(out[0]) if scalar else out
 
 
@@ -298,7 +311,9 @@ def theta_corrected(u, rho):
         w = 2 (u+1)^2 / (rho u).
 
     Decays like e^(-2u/rho)/u^2 for large u, so the tail integral converges
-    much faster than for the uncorrected kernel.
+    much faster than for the uncorrected kernel. Where w exceeds the
+    doubles, the kernel (about u e^(-2(u+1)/rho)/(u+1)^3 there) is below
+    3e-309 and reads 0.
 
     Accepts a scalar (returns a float) or an array of positive finite u.
     """
@@ -306,10 +321,28 @@ def theta_corrected(u, rho):
     scalar = np.ndim(u) == 0
     u = _as_positive_array(u, "u")
     up1 = u + 1.0
-    phi = e1_scaled(2.0 * up1 * up1 / (rho * u))
-    bracket = 1.0 / (up1 * up1) + phi * (1.0 / (up1 * up1) - 2.0 / (rho * u * up1))
-    out = np.exp(-2.0 * up1 / rho) * bracket
+    with np.errstate(all="ignore"):  # (u+1)^2 may overflow; inf w is set below
+        w = _kernel_w(u, up1, rho, 2)
+        phi = _e1_scaled_array(w)
+        bracket = 1.0 / (up1 * up1) + phi * (1.0 / (up1 * up1) - 2.0 / (rho * u * up1))
+        out = np.exp(-2.0 * up1 / rho) * bracket
+    out[w == math.inf] = 0.0
     return float(out[0]) if scalar else out
+
+
+def _kernel_w(u, up1, rho, power):
+    # w = 2 (u+1)^power / (rho u), the argument of e^w E1(w) in the theta
+    # kernels, rounded as written. Where that leaves the positive finite
+    # doubles ((u+1)^2 or rho u overflowing, rho u underflowing), w is
+    # rebuilt from the mantissas and exponents of u+1, rho and u, which
+    # cannot overflow; a w beyond the doubles comes out as inf. Runs under
+    # the caller's np.errstate(all="ignore").
+    w = 2.0 * up1**power / (rho * u)
+    bad = ~((w > 0.0) & (w < math.inf))  # a nan fails both
+    if bad.any():
+        (mp, ep), (mr, er), (mu, eu) = np.frexp(up1[bad]), np.frexp(rho), np.frexp(u[bad])
+        w[bad] = np.ldexp(2.0 * mp**power / (mr * mu), power * ep - er - eu)
+    return w
 
 
 def psi(cfg, tol=1e-9, variant="corrected"):
@@ -321,8 +354,9 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     simulation; "printed" keeps the v-from-0 kernel for comparison. The
     domain is split at u = 1 where the CDF switches branches.
     """
-    _require_dual_slot(cfg)
-    kernel = _select_kernel(variant)
+    _check_dual_slot(cfg.num_users, cfg.served_index)
+    _check_variant(variant)
+    kernel = theta_corrected if variant == "corrected" else theta
     rho = cfg.transmit_snr
 
     def f(u):  # u is a panel's node array
@@ -333,24 +367,25 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     return left.value + right.value
 
 
-def _select_kernel(variant):
-    if variant == "corrected":
-        return theta_corrected
-    if variant == "printed":
-        return theta
-    raise ValueError(f"variant must be 'corrected' or 'printed', got {variant!r}")
-
-
 def exp_ce(cfg, tol=1e-9, variant="corrected"):
     """Expected eavesdropper rate E[C_e] in nats.
 
     Sum of the no-jamming-knowledge baseline 1 - (2/rho) e^x E1(x) at
     x = 2/rho and the decode-probability-weighted correction e^(2/rho) Psi.
+    Psi is taken to tol e^(-2/rho), so that the correction meets tol. Where
+    e^(2/rho) overflows (below about -25.5 dB), or tol e^(-2/rho)
+    underflows, raises FloatingPointError.
     """
     rho = cfg.transmit_snr
     a = 2.0 / rho
     re1 = 1.0 - a * e1_scaled(a)
-    return re1 + math.exp(a) * psi(cfg, tol=tol, variant=variant)
+    psi_tol = tol * math.exp(-a)
+    if not (a < 709.78 and psi_tol > 0.0):  # e^a overflows from a = 709.7827
+        raise FloatingPointError(
+            "E[C_e] scales Psi by e^(2/rho) and takes it to tol e^(-2/rho), "
+            f"which leave the doubles at 2/rho = {a:.6g}"
+        )
+    return re1 + math.exp(a) * psi(cfg, tol=psi_tol, variant=variant)
 
 
 def esr_exact(cfg, tol=1e-9):
@@ -454,27 +489,15 @@ def upsilon_from_xi(xi, rho):
     return _upsilon_step(lead, parts)
 
 
-def upsilon(i, j, K, n, rho):
-    """Closed-form tail integral for table entry (i, j); i >= 1 only, the
-    i = 0 row integrates to the constant absorbed in the leading term."""
-    if not (_is_integer(i) and i >= 1):
-        raise ValueError(f"i must be an integer >= 1, got {i!r}")
-    if not (_is_integer(j) and 0 <= j <= n - 1):
-        raise ValueError(f"j must be an integer in [0, {n - 1}], got {j!r}")
-    if i > K - n:
-        raise ValueError(f"i must be <= K - n = {K - n}, got {i}")
-    xi = (K - n + 1 + j) / i - 1.0
-    return upsilon_from_xi(xi, rho)
-
-
 def esr_high_snr(cfg):
     """High-SNR closed-form ESR of the dual-selection slot, in nats.
 
     (log(rho/2) - 1 - gamma)/2 + varpi - sum_{i>=1, j} (Xi_ij / i) Upsilon_ij,
     clamped at zero, with varpi = -_order_stat_series(K, n, log) and
-    Upsilon_ij = upsilon(i, j, K, n, rho). Grows like c * log(rho/2) with
-    c = 1/2 minus the limiting decode probability weight carried by the
-    Upsilon terms.
+    Upsilon_ij = upsilon_from_xi(xi_ij, rho), xi_ij = (K - n + 1 + j)/i - 1
+    (the i = 0 row integrates to the constant in the leading term). Grows
+    like c * log(rho/2) with c = 1/2 minus the limiting decode probability
+    weight carried by the Upsilon terms.
 
     Only lead = log(rho/2) + 1 - gamma depends on rho. Within one scan
     (selection.evaluate_cells) each xi's rho-free Upsilon parts and each
@@ -482,8 +505,8 @@ def esr_high_snr(cfg):
     is (a longer run shares nothing); outside one, every call computes them
     afresh. Either way the value is the same to the bit.
     """
-    _require_dual_slot(cfg)
     K, n, rho = int(cfg.num_users), int(cfg.served_index), cfg.transmit_snr
+    _check_dual_slot(K, n)
     series, weights, parts = _scan_term([(K, n)], lambda _: [_high_snr_cell(K, n)])[0]
     tail = weights * _upsilon_step(_upsilon_lead(rho), parts)
     unclamped = (
@@ -499,29 +522,17 @@ def _high_snr_cell(K, n):
     weights Xi_ij / i, and the columns (a, b, c, d, mu) of the Upsilon parts
     at each xi_ij, (i, j) in row order. The parts of every xi that this scan
     has not met come from one _upsilon_parts call."""
-    # xi_ij = (K - n + 1 + j)/i - 1, built as upsilon builds it, to the bit
     xi = [(K - n + 1 + j) / i - 1.0 for i in range(1, K - n + 1) for j in range(n)]
     parts = np.array(_scan_term(xi, _upsilon_parts)).T
     weights = (xi_table(K, n).coefficients[1:] / np.arange(1, K - n + 1)[:, None]).ravel()
     return _order_stat_series(K, n, math.log), weights, parts
 
 
-def _check_order_stat_count(K):
-    # K = 1 is a legitimate TDMA question (the strongest of one user) even
-    # though the dual-selection scheme itself needs two users.
-    if not _is_integer(K) or K < 1:
-        raise ValueError(f"number of users must be a positive integer, got {K!r}")
-    if K > MAX_USERS:
-        raise CapabilityError(
-            f"K={K} exceeds the supported maximum of {MAX_USERS} users"
-        )
-
-
 def esr_tdma_exact(K, rho):
     """Exact ESR of the TDMA-like baseline: the strongest user transmits
     alone at full power, the eavesdropper overhears through an independent
     unit-mean gain. In nats."""
-    _check_order_stat_count(K)
+    _check_user_count(K, least=1)
     _check_positive_real(rho, "rho")
     best = _order_stat_series(K, K, lambda x: e1_scaled(x / rho))
     return _clamped(best - e1_scaled(1.0 / rho))
@@ -537,9 +548,8 @@ def esr_tdma_high_snr(K, variant="corrected"):
     E[log max of K exponentials] - E[log exponential] and matches
     simulation; "printed" is s, negative for every K >= 2 and so clamped.
     """
-    _check_order_stat_count(K)
-    if variant not in ("corrected", "printed"):
-        raise ValueError(f"variant must be 'corrected' or 'printed', got {variant!r}")
+    _check_user_count(K, least=1)
+    _check_variant(variant)
     s = _order_stat_series(K, K, math.log)
     # 0.0 - s rather than -s, so that K = 1 reads +0.0
     return _clamped(0.0 - s if variant == "corrected" else s)

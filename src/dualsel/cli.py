@@ -7,7 +7,8 @@ manifest. Rerunning the flag list recorded in a manifest reproduces the CSV
 byte for byte.
 
 Exit codes: 0 success, 2 usage, 3 capability (unsupported problem size),
-4 numerical (quadrature failure).
+4 numerical (a quadrature failure or a value out of double range, with the
+failing cell named).
 """
 
 import argparse
@@ -284,6 +285,9 @@ def main(argv=None):
             f"(best estimate {exc.value:.12g} +/- {exc.abs_error_estimate:.3g})",
             file=sys.stderr,
         )
+        return 4
+    except FloatingPointError as exc:
+        print(f"dualsel: numerical error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
         print(f"dualsel: usage error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _check_dual_slot, _check_user_count
 from .specfun import _check_positive_real, _is_integer, _scan_term
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
@@ -153,20 +154,21 @@ def _batch_slot_rates(h, g, K, n, rho):
 def _estimate(seed, trials, K, batch_fn):
     # Per-batch pairwise sums are combined with fsum so the reduction is
     # exact and order-fixed. starmap drops each batch before drawing the
-    # next, so a multi-batch run holds one batch at a time.
+    # next, so a multi-batch run holds one batch at a time. A rate that
+    # overflows makes a mean or the variance non-finite, which raises.
     sums_cb, sums_ce, sums_d2 = [], [], []
-    for cb, ce in itertools.starmap(batch_fn, _batches(seed, trials, K)):
-        sums_cb.append(float(np.sum(cb)))
-        sums_ce.append(float(np.sum(ce)))
-        sums_d2.append(float(np.sum((cb - ce) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cb, ce in itertools.starmap(batch_fn, _batches(seed, trials, K)):
+            sums_cb.append(float(np.sum(cb)))
+            sums_ce.append(float(np.sum(ce)))
+            sums_d2.append(float(np.sum((cb - ce) ** 2)))
     mean_cb = math.fsum(sums_cb) / trials
     mean_ce = math.fsum(sums_ce) / trials
     diff = mean_cb - mean_ce
-    if trials > 1:
-        var = max(0.0, (math.fsum(sums_d2) - trials * diff * diff) / (trials - 1))
-        std_error = math.sqrt(var / trials)
-    else:
-        std_error = 0.0
+    var = (math.fsum(sums_d2) - trials * diff * diff) / (trials - 1) if trials > 1 else 0.0
+    if not (math.isfinite(diff) and math.isfinite(var)):  # max(0.0, nan) would read 0.0
+        raise FloatingPointError(f"the means {mean_cb!r} and {mean_ce!r} are not finite")
+    std_error = math.sqrt(max(0.0, var) / trials)
     return EsrEstimate(
         esr=max(0.0, diff),
         mean_cb=mean_cb,
@@ -186,8 +188,7 @@ def estimate_esr(cfg, trials, seed):
     seed = _check_seed(seed)
     trials = _check_count(trials, "trials")
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
-    if n > K - 1:
-        raise ValueError("served_index = K is the TDMA-like slot; use estimate_esr_tdma")
+    _check_dual_slot(K, n)
     return _estimate(seed, trials, K, lambda h, g: _batch_slot_rates(h, g, K, n, rho))
 
 
@@ -200,10 +201,11 @@ def _batch_tdma_rates(h, g, K, rho):
 def estimate_esr_tdma(K, rho, trials, seed):
     """Monte Carlo ESR of the TDMA-like baseline: the strongest user
     transmits alone at full power, no jamming; the eavesdropper overhears
-    that user's own eavesdropper-side gain."""
+    that user's own eavesdropper-side gain. K may be 1; above MAX_USERS it
+    raises CapabilityError, as the analytic TDMA functions do."""
     seed = _check_seed(seed)
     trials = _check_count(trials, "trials")
-    K = _check_count(K, "K")
+    _check_user_count(K, least=1)
     _check_positive_real(rho, "rho")
     return _estimate(seed, trials, K, lambda h, g: _batch_tdma_rates(h, g, K, rho))
 
@@ -217,8 +219,7 @@ def empirical_cdf_T(cfg, samples, seed):
     seed = _check_seed(seed)
     samples = _check_count(samples, "samples")
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
-    if n > K - 1:
-        raise ValueError(f"served index must be in [1, {K - 1}], got {n}")
+    _check_dual_slot(K, n)
     inv = 2.0 / rho
 
     def decode_snr(h, g):

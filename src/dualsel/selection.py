@@ -13,11 +13,12 @@ a longer one; the memo is a context variable, so it belongs to one scan in
 one thread and goes with it.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import analytic, montecarlo
 from .analytic import SystemConfig
-from .specfun import _check_positive_real, _scan_scope
+from .specfun import QuadratureError, _check_positive_real, _scan_scope
 
 __all__ = ["SelectionResult", "best_served", "evaluate", "evaluate_cells", "select_served"]
 
@@ -54,24 +55,29 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
     functions are looked up on their modules at call time, so rebinding
     them there (tracing, test doubles) reaches every caller. K outside
     [2, MAX_USERS] raises, K > MAX_USERS as a CapabilityError; a rho that
-    is not positive and finite raises ValueError at every n.
+    is not positive and finite raises ValueError at every n. A numerical
+    failure (QuadratureError, FloatingPointError) names the cell.
     """
-    analytic._check_user_count(K)  # for every n: estimate_esr_tdma accepts K > MAX_USERS
+    analytic._check_user_count(K)  # for every n: the TDMA functions accept K = 1
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if n == K:
-        _check_positive_real(rho, "rho")  # esr_tdma_high_snr takes no rho
+    try:
+        if n == K:
+            _check_positive_real(rho, "rho")  # esr_tdma_high_snr takes no rho
+            if method == "analytic":
+                return analytic.esr_tdma_exact(K, rho)
+            if method == "high_snr":
+                return analytic.esr_tdma_high_snr(K, variant="corrected")
+            return montecarlo.estimate_esr_tdma(K, rho, trials, seed)
+        cfg = SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
         if method == "analytic":
-            return analytic.esr_tdma_exact(K, rho)
+            return analytic.esr_exact(cfg, tol=tol)
         if method == "high_snr":
-            return analytic.esr_tdma_high_snr(K, variant="corrected")
-        return montecarlo.estimate_esr_tdma(K, rho, trials, seed)
-    cfg = SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
-    if method == "analytic":
-        return analytic.esr_exact(cfg, tol=tol)
-    if method == "high_snr":
-        return analytic.esr_high_snr(cfg)
-    return montecarlo.estimate_esr(cfg, trials, seed)
+            return analytic.esr_high_snr(cfg)
+        return montecarlo.estimate_esr(cfg, trials, seed)
+    except (QuadratureError, FloatingPointError) as exc:
+        exc.args = (f"K={K}, n={n}, rho={rho:.6g} ({10.0 * math.log10(rho):.6g} dB): {exc}",)
+        raise
 
 
 def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):

@@ -187,7 +187,9 @@ def _e1_cf_scaled(x):
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             return h
-    raise RuntimeError(f"continued fraction for E1 did not converge at x={x!r}")
+    # The test above passes only at delta == 1.0 exactly, which some x never
+    # reach (delta settles one ulp away); there the array kernel answers.
+    return float(_e1_scaled_array(np.array([x]))[0])
 
 
 def e1(x):
@@ -238,12 +240,13 @@ _E1_SERIES = np.array(
 
 
 def _e1_scaled_array(x):
-    # e^x E1(x) for a 1-D array of positive finite x. Each node's value
-    # depends on that node alone: row sums, not a matrix product, whose
+    # e^x E1(x) for an array of positive finite x, in its shape. Each node's
+    # value depends on that node alone: row sums, not a matrix product, whose
     # rounding would depend on how many rows a call has.
-    out = np.empty_like(x)
-    for s in range(0, x.size, _E1_CHUNK):
-        xc = x[s:s + _E1_CHUNK]
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for s in range(0, flat.size, _E1_CHUNK):
+        xc = flat[s:s + _E1_CHUNK]
         part = out[s:s + _E1_CHUNK]
         small = xc <= 1.0
         if small.any():
@@ -254,7 +257,7 @@ def _e1_scaled_array(x):
             t = 1.0 / xc[~small]
             ratio = (t[:, None, None] ** _E1_FRACTION_POWERS * _E1_FRACTION).sum(axis=2)
             part[~small] = t * ratio[:, 0] / ratio[:, 1]
-    return out
+    return out.reshape(x.shape)
 
 
 def e1_scaled(x):
@@ -279,8 +282,7 @@ def e1_scaled(x):
         if x <= 1.0:
             return math.exp(x) * _e1_series(x)
         return _e1_cf_scaled(x)
-    arr = _as_positive_array(x, "x")
-    return _e1_scaled_array(arr.ravel()).reshape(arr.shape)
+    return _e1_scaled_array(_as_positive_array(x, "x"))
 
 
 # The dilogarithm's series sum_{k>=1} x^k / k^2 for |x| <= 1/2, summed to a

@@ -91,6 +91,32 @@ def cdf_order_stat(x, K, n):
     return float(out[0]) if scalar else out
 
 
+def e1_cf_lentz(x):
+    """specfun's modified Lentz loop for e^x E1(x), x > 1, as it was before
+    its exhaustion path: the converged value, or None where the loop runs
+    out of steps (it stops only at delta == 1.0 exactly)."""
+    tiny = 1e-300
+    b = x + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 500):
+        a = -float(i) * float(i)
+        b += 2.0
+        d = a * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + a / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h
+    return None
+
+
 def li2_series(x):
     """sum_{k>=1} x^k / k^2 for |x| <= 1/2, one term at a time until a term
     falls below 1e-17 of the total."""

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from mpmath import mp
+from scipy.integrate import quad
 
 from dualsel import analytic, montecarlo
 from dualsel.analytic import (
@@ -22,7 +23,6 @@ from dualsel.analytic import (
     psi,
     theta,
     theta_corrected,
-    upsilon,
     upsilon_from_xi,
     xi_table,
 )
@@ -60,8 +60,6 @@ class TestSystemConfig:
         lambda: cfg_of(4, True, 10.0),
         lambda: cfg_of(4, 2, True),
         lambda: (xi_table(4, 1), xi_table(4, True)),  # 1 cached first
-        lambda: upsilon(True, 0, 4, 2, 10.0),
-        lambda: upsilon(1, True, 4, 2, 10.0),
         lambda: esr_tdma_exact(True, 10.0),
         lambda: esr_tdma_high_snr(True),
         lambda: montecarlo.estimate_esr(cfg_of(4, 2, 10.0), True, 0),
@@ -74,8 +72,6 @@ class TestSystemConfig:
         "SystemConfig.served_index",
         "SystemConfig.transmit_snr",
         "xi_table.n",
-        "upsilon.i",
-        "upsilon.j",
         "esr_tdma_exact.K",
         "esr_tdma_high_snr.K",
         "estimate_esr.trials",
@@ -458,6 +454,34 @@ class TestThetaKernels:
                 with pytest.raises(ValueError, match="u must be positive and finite"):
                     kernel(u, 10.0)
 
+    def test_w_out_of_double_range(self):
+        # w = 2(u+1)^k/(rho u) used to round to inf ((u+1)^2 overflowing, or
+        # rho u underflowing) or to 0 (rho u overflowing at 3000 dB), and the
+        # kernel then raised with the internal w named. Now w is rebuilt, and
+        # where w itself exceeds the doubles the kernel takes its w -> inf limit.
+        def corrected_mp(u, rho):
+            u, rho = mp.mpf(u), mp.mpf(rho)
+            w = 2 * (u + 1) ** 2 / (rho * u)
+            bracket = 1 / (u + 1) ** 2 + mp.exp(w) * mp.e1(w) * (
+                1 / (u + 1) ** 2 - 2 / (rho * u * (u + 1))
+            )
+            return mp.exp(-2 * (u + 1) / rho) * bracket
+
+        with mp.workdps(50):
+            for u, rho in ((1e9, 1e300), (3.0, 1.5e308), (1e200, 1e200)):
+                want = float(corrected_mp(u, rho))
+                assert theta_corrected(u, rho) == pytest.approx(want, rel=1e-14, abs=1e-300)
+        assert theta_corrected(1e-310, 100.0) == 0.0  # w past the doubles
+        assert theta_corrected(1e155, 100.0) == 0.0  # e^(-2e153) underflows
+        assert theta(1e155, 100.0) == pytest.approx(0.0, abs=1e-300)
+        # the printed kernel's w -> inf limit is -log1p(u)/(u+1)^2, not 0
+        assert theta(1.0, 1e-308) == pytest.approx(-math.log(2.0) / 4.0, rel=1e-15)
+        assert theta(1e-310, 100.0) == pytest.approx(0.0, abs=1e-300)
+        u = np.array([1e-310, 0.5, 1e9, 1e155])
+        for kernel in (theta, theta_corrected):
+            for rho in (100.0, 1e300):
+                assert kernel(u, rho).tolist() == [kernel(x, rho) for x in u.tolist()]
+
     @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, True, "10"])
     @pytest.mark.parametrize("kernel", [theta, theta_corrected])
     def test_rho_must_be_a_positive_real(self, kernel, rho):
@@ -531,6 +555,35 @@ class TestPsiAndExpCe:
             cfg = cfg_of(K, n, rho)
             assert exp_ce(cfg, variant="printed") < exp_ce(cfg)
 
+    @pytest.mark.parametrize("rho_db", [-10, -20, -25])
+    def test_low_snr_correction_meets_tol(self, rho_db):
+        # exp_ce scales Psi by e^(2/rho), so Psi is taken to tol e^(-2/rho);
+        # with Psi to tol alone the correction was 4e-7 to 4e-6 off here.
+        # The oracle integrates e^(2/rho) theta_corrected F_T with scipy,
+        # its e^(-2(u+1)/rho) written as e^(-2u/rho).
+        rho = 10.0 ** (rho_db / 10.0)
+        cfg = cfg_of(4, 3, rho)
+        a = 2.0 / rho
+
+        def f(u):
+            up1 = u + 1.0
+            phi = e1_scaled(2.0 * up1 * up1 / (rho * u))
+            bracket = (1.0 + phi * (1.0 - 2.0 * up1 / (rho * u))) / (up1 * up1)
+            return math.exp(-2.0 * u / rho) * bracket * cdf_T(u, cfg)
+
+        want = sum(
+            quad(f, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=500)[0]
+            for lo, hi in ((0.0, 1.0), (1.0, math.inf))
+        )
+        got = exp_ce(cfg) - (1.0 - a * e1_scaled(a))
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_exp_ce_raises_where_the_scale_overflows(self):
+        # e^(2/rho) overflows below about -25.5 dB; math.exp used to raise
+        # OverflowError there
+        with pytest.raises(FloatingPointError, match="2/rho = 796.214"):
+            exp_ce(cfg_of(4, 3, 10.0 ** -2.6))
+
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             psi(cfg_of(4, 2, 10.0), variant="bogus")
@@ -569,6 +622,12 @@ class TestEsrExact:
         est = montecarlo.estimate_esr(cfg, 10_000, seed=5)
         assert abs(esr_exact(cfg).value - est.esr) <= 4.0 * est.std_error
 
+    def test_a_non_finite_difference_raises(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a nan used to read as ESR 0
+        monkeypatch.setattr(analytic, "exp_cb", lambda cfg: math.nan)
+        with pytest.raises(FloatingPointError, match="nan"):
+            esr_exact(cfg_of(4, 3, 100.0))
+
     def test_clamp_contract(self):
         for K, n, rho in ((2, 1, 0.5), (4, 3, 100.0), (8, 4, 10.0)):
             res = esr_exact(cfg_of(K, n, rho))
@@ -587,8 +646,6 @@ class TestUpsilon:
     def test_xi_one_closed_form(self):
         rho = 100.0
         expected = (math.log(rho / 2.0) + 1.0 - EULER_GAMMA) / 8.0 + math.log(2.0) / 4.0 - 3.0 / 8.0
-        # K-n+1+j = 2i picks xi exactly 1, e.g. (i, j) = (2, 0) at K=6, n=3
-        assert upsilon(2, 0, 6, 3, rho) == expected
         assert upsilon_from_xi(1.0, rho) == expected
 
     def test_continuity_across_one(self):
@@ -625,12 +682,6 @@ class TestUpsilon:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            upsilon(0, 0, 4, 2, 10.0)
-        with pytest.raises(ValueError):
-            upsilon(3, 0, 4, 2, 10.0)
-        with pytest.raises(ValueError):
-            upsilon(1, 2, 4, 2, 10.0)
-        with pytest.raises(ValueError):
             upsilon_from_xi(-1.0, 10.0)
 
     @pytest.mark.parametrize(
@@ -652,9 +703,6 @@ class TestUpsilon:
         # error, and True was taken as xi = 1
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             upsilon_from_xi(xi, rho)
-        if name == "rho":
-            with pytest.raises(ValueError, match="^rho must be positive and finite"):
-                upsilon(1, 0, 4, 2, rho)
 
 
 class TestEsrHighSnr:

@@ -252,11 +252,38 @@ class TestExitCodes:
             assert main([*args, "--trials", "10", "--manifest", str(tmp_path / "m.txt")]) == 3
         assert not (tmp_path / "m.txt").exists()
 
-    def test_numerical_error(self, tmp_path):
-        # an unreachable tolerance exhausts the quadrature budget
+    def test_numerical_error(self, tmp_path, capsys):
+        # an unreachable tolerance exhausts the quadrature budget; the
+        # message names the cell
         assert main(["--mode", "esr", "--k", "2", "--served", "1", "--rho-db", "20",
                      "--engine", "analytic", "--tol", "1e-30",
                      "--manifest", str(tmp_path / "m.txt")]) == 4
+        assert "numerical error: K=2, n=1, rho=100 (20 dB): quadrature budget" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("K", [2, 8])
+    @pytest.mark.parametrize("engine", ["analytic", "mc", "high-snr", "tdma"])
+    def test_every_accepted_snr_gives_a_value_or_names_its_cell(self, engine, K, tmp_path, capsys):
+        # Each accepted (K, n, rho) prints a finite value (exit 0) or exits 4
+        # naming the cell. An uncaught exception (exit 1 from the shell), a
+        # usage error (exit 2) or a RuntimeWarning (an error under pytest)
+        # fails. The -26 dB and lower points overflow e^(2/rho) in the
+        # analytic engine, and 3082 dB overflows the Monte Carlo rates.
+        n = K if engine == "tdma" else K - 1
+        for db in ("-3000", "-160", "-60", "-26", "-25", "0", "60", "300", "3000", "3082"):
+            argv = ["--mode", "esr", "--k", str(K), "--engine", engine, f"--rho-db={db}",
+                    "--manifest", str(tmp_path / "m.txt")]
+            argv += ["--trials", "1000"] if engine == "mc" else []
+            argv += [] if engine == "tdma" else ["--served", str(n)]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if code == 0:
+                (row,) = parse_rows(out)
+                assert math.isfinite(float(row[4])), (db, row)
+            else:
+                assert code == 4, (db, err)
+                assert f"numerical error: K={K}, n={n}, rho=" in err and f"({db} dB)" in err, err
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tol_is_usage_error(self, tol, tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dualsel import cli, montecarlo, specfun
-from dualsel.analytic import SystemConfig, cdf_T, esr_exact, exp_cb
+from dualsel.analytic import CapabilityError, SystemConfig, cdf_T, esr_exact, exp_cb
 from dualsel.montecarlo import (
     BATCH_TRIALS,
     empirical_cdf_T,
@@ -332,6 +332,19 @@ def test_counts_must_be_positive_integers():
             estimate_esr_tdma(bad, 10.0, 100, 0)
     with pytest.raises(ValueError, match="served index"):
         empirical_cdf_T(cfg_of(4, 4, 10.0), 100, 0)
+
+
+def test_tdma_shares_the_analytic_user_cap():
+    for K in (21, 2000):
+        with pytest.raises(CapabilityError):
+            estimate_esr_tdma(K, 10.0, 10, 0)
+    assert estimate_esr_tdma(1, 10.0, 10, 0).trials == 10
+
+
+def test_an_overflowing_rate_raises_instead_of_reading_zero():
+    # at 3082 dB 0.5 rho h overflows, and max(0.0, nan) used to print 0 +/- 0
+    with pytest.raises(FloatingPointError, match="not finite"):
+        estimate_esr(cfg_of(8, 4, 10.0**308.2), 1000, 0)
 
 
 class TestBatchMemo:

@@ -139,6 +139,23 @@ def test_tdma_engines_refuse_a_rho_that_is_not_a_positive_real(call, rho):
         call(rho)
 
 
+def test_a_numerical_failure_names_the_cell(monkeypatch):
+    # the message gives (K, n, rho) and rho in dB; the CLI prints it on exit 4
+    with pytest.raises(FloatingPointError, match=r"^K=4, n=3, rho=0.00251189 \(-26 dB\): "):
+        evaluate("analytic", 4, 3, 10.0**-2.6)
+
+    def stalled(*args, **kwargs):
+        raise specfun.QuadratureError("quadrature budget exhausted", 0.5, 1e-3, 200_000)
+
+    monkeypatch.setattr(analytic, "quad_interval", stalled)
+    cell = r"^K=4, n=2, rho=100 \(20 dB\): quadrature"
+    with pytest.raises(specfun.QuadratureError, match=cell) as exc:
+        evaluate("analytic", 4, 2, 100.0)
+    assert (exc.value.value, exc.value.abs_error_estimate, exc.value.evaluations) == (
+        0.5, 1e-3, 200_000
+    )
+
+
 def cfg_of(K, n, rho):
     return SystemConfig(num_users=K, served_index=n, transmit_snr=rho)
 

@@ -18,7 +18,7 @@ from dualsel.specfun import (
     quad_semi_infinite,
 )
 from dualsel.specfun import _E1_CHUNK, _WG, _WGK, _XGK, _e1_fraction_coefficients
-from oracles import li2_loop
+from oracles import e1_cf_lentz, li2_loop
 
 
 def e1_oracle_scaled(x, tol=1e-13):
@@ -99,6 +99,30 @@ class TestE1:
     def test_scaled_consistency(self):
         for x in (1e-6, 0.03, 0.9, 1.5, 30.0, 600.0):
             assert e1_scaled(x) == pytest.approx(math.exp(x) * e1(x), rel=1e-12)
+
+    def test_continued_fraction_never_raises_and_keeps_its_bits(self):
+        # The Lentz loop stops only at delta == 1.0 exactly, which some x
+        # never reach (delta settles one ulp away): 710487372823.1483,
+        # 1/10**-300 and about 13 % of x above 1.9e16 used to raise
+        # RuntimeError. Those x take the array kernel; every x the loop
+        # converges at keeps its bits.
+        rng = np.random.default_rng(15)
+        xs = 10.0 ** np.concatenate([rng.uniform(0.0, 300.0, 2000), rng.uniform(16, 18, 500)])
+        xs = xs.tolist() + [710487372823.1483, 1 / 10.0**-300, 2 / 10.0**-300, 1e300, 1.7e308]
+        stalled = []
+        for x in xs:
+            lentz = e1_cf_lentz(x)
+            if lentz is None:
+                stalled.append(x)
+                assert e1_scaled(x) == e1_scaled(np.array([x]))[0]
+            else:
+                assert e1_scaled(x) == lentz
+        assert {710487372823.1483, 1 / 10.0**-300} <= set(stalled) and len(stalled) > 50
+        with mp.workdps(40):
+            for x in stalled[:40]:
+                want = float(mp.e1(x) * mp.exp(x))
+                assert e1_scaled(x) == pytest.approx(want, rel=1e-15)
+        assert e1(710487372823.1483) == 0.0
 
 
 class TestE1Array:
