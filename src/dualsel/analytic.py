@@ -13,6 +13,7 @@ to the presentation layer.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -351,20 +352,79 @@ def psi(cfg, tol=1e-9, variant="corrected"):
 
     variant selects the kernel: "corrected" (default) integrates over the
     exact image of the positive-gain quadrant and is the one that matches
-    simulation; "printed" keeps the v-from-0 kernel for comparison. The
-    domain is split at u = 1 where the CDF switches branches.
+    simulation; "printed" keeps the v-from-0 kernel for comparison.
+
+    The domain is split at u = 1, where the CDF switches branches, and each
+    half gets tol/2. The lower half is one adaptive quadrature on [0, 1].
+    The upper half is int_0^log(U) f(e^x) e^x dx in x = log u, where the
+    corrected kernel's cut-off near u = rho/2 is one smooth step near
+    x = log(rho/2) that a few panels resolve, plus the tail beyond U, which
+    is dropped. U comes in closed form from a bound on int_U^inf |kernel| du
+    (F_T <= 1; see _log_tail_end). The bound gets a thousandth of the upper
+    half's tolerance and the quadrature the rest: a bound can be nearly
+    reached, while the quadrature's error estimate is pessimistic. Where the
+    bound meets its share from U = 1, the upper half is 0; where U would
+    exceed the doubles, raises FloatingPointError.
     """
     _check_dual_slot(cfg.num_users, cfg.served_index)
     _check_variant(variant)
     kernel = theta_corrected if variant == "corrected" else theta
     rho = cfg.transmit_snr
+    log_s = _log_tail_end(rho, math.log(_TAIL_SHARE * 0.5) + math.log(tol), variant)
+    # log(U), U = S - 1; a U <= 1 reads 0, where the upper half is dropped whole
+    log_u = log_s + math.log1p(-math.exp(-log_s)) if log_s > _LOG2 else 0.0
+    if not log_u < _LOG_MAX:
+        raise FloatingPointError(f"Psi's tail bound needs U = e^{log_u:.6g}, beyond the doubles")
 
     def f(u):  # u is a panel's node array
         return kernel(u, rho) * cdf_T(u, cfg)
 
+    def upper(x):  # u = e^x, du = e^x dx
+        u = np.exp(x)
+        return f(u) * u
+
     left = quad_interval(f, 0.0, 1.0, tol=0.5 * tol)
-    right = quad_semi_infinite(f, 1.0, tol=0.5 * tol)
+    if log_u == 0.0:
+        return left.value
+    right = quad_interval(upper, 0.0, log_u, tol=(1.0 - _TAIL_SHARE) * 0.5 * tol)
     return left.value + right.value
+
+
+#: The share of psi's upper-half tolerance that its dropped tail gets.
+_TAIL_SHARE = 1e-3
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _log_tail_end(rho, log_tol, variant):
+    """log S, S = U + 1 >= 1, such that the tail int_U^inf |kernel| du is
+    at most tol = e^log_tol. Built from logs, so it overflows at no rho or
+    tol.
+
+    With s = u + 1 and 1/(w+1) < e^w E1(w) < 1/w (A&S 5.1.19), the
+    corrected kernel lies in [0, e^(-2s/rho) (1/s^2 + rho/(2 s^3))]. That
+    bound integrates from S to at most (rho/2) e^(-2S/rho)/S^2, which is
+    <= tol at S = (rho/2) log(rho/(2 tol)); without its e^(-2u/rho), to
+    e^(-2/rho) (1/S + rho/(4 S^2)), whose two terms are each <= tol/2 from
+    S = max(2 e^(-2/rho)/tol, sqrt(rho e^(-2/rho)/(2 tol))). S is the
+    smaller of the two.
+
+    The printed kernel has |theta| < (L + 2 + log s)/s^2, with
+    L = log(1 + rho/2) > e^w E1(w) (A&S 5.1.20). Its tail from S is
+    (L + 3 + log S)/S, which is <= tol at S = 2 m/tol,
+    m = L + 2 + log(2/tol), since log S <= log(2/tol) + S tol/2 - 1.
+
+    Both bounds fall with S, so one that is <= tol at a smaller S gives S = 1.
+    """
+    log_half_rho = math.log(rho) - _LOG2
+    if variant == "printed":
+        m = math.log1p(0.5 * rho) + 2.0 + _LOG2 - log_tol
+        return max(0.0, _LOG2 + math.log(m) - log_tol) if m > 0.0 else 0.0
+    a = 2.0 / rho
+    without = max(_LOG2 - a - log_tol, 0.5 * (log_half_rho - a - log_tol))
+    level = log_half_rho - log_tol  # log(rho/(2 tol))
+    with_exp = log_half_rho + math.log(level) if level > 0.0 else 0.0
+    return max(0.0, min(with_exp, without))
 
 
 def exp_ce(cfg, tol=1e-9, variant="corrected"):

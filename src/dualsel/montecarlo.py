@@ -138,7 +138,7 @@ def _batches(seed, trials, K):
         yield _batch_gains(seed, start, min(BATCH_TRIALS, trials - start), K)
 
 
-def _batch_slot_rates(h, g, K, n, rho):
+def _batch_slot_rates(h, g, K, n, rho, wide):
     inv = 2.0 / rho
     hn, hK = h[:, n - 1], h[:, K - 1]
     gn, gK = g[:, n - 1], g[:, K - 1]
@@ -148,20 +148,39 @@ def _batch_slot_rates(h, g, K, n, rho):
     # its strided loop may round differently.
     cb = np.log1p(0.5 * rho * hn)
     ce = np.log1p(np.where(decoded, 0.5 * rho * gn, gn / (gK + inv)))
+    if wide:
+        _widen(cb, 0.5 * rho, hn)
+        _widen(ce, 0.5 * rho, gn, decoded)
     return cb, ce
+
+
+def _widen(rate, scale, x, where=True):
+    # rate = log1p(scale * x) reads inf where the product overflowed. There
+    # log1p(p) = log(p) + log1p(1/p), whose second term is 0 at p = inf (the
+    # true value is below 1e-308), so the rate is log(scale) + log(x).
+    # Writes in place.
+    over = np.isinf(rate) & where
+    rate[over] = math.log(scale) + np.log(x[over])
 
 
 def _estimate(seed, trials, K, batch_fn):
     # Per-batch pairwise sums are combined with fsum so the reduction is
     # exact and order-fixed. starmap drops each batch before drawing the
-    # next, so a multi-batch run holds one batch at a time. A rate that
-    # overflows makes a mean or the variance non-finite, which raises.
-    sums_cb, sums_ce, sums_d2 = [], [], []
+    # next, so a multi-batch run holds one batch at a time. batch_fn(h, g,
+    # wide) returns the rates; only a batch whose sum comes out non-finite
+    # is computed again with wide=True, which takes an overflowing product
+    # in logs, so no finite rate moves. A rate still not finite makes a mean
+    # or the variance non-finite, which raises.
+    def batch_sums(h, g):
+        cb, ce = batch_fn(h, g, False)
+        sum_cb, sum_ce = float(np.sum(cb)), float(np.sum(ce))
+        if not math.isfinite(sum_cb + sum_ce):
+            cb, ce = batch_fn(h, g, True)
+            sum_cb, sum_ce = float(np.sum(cb)), float(np.sum(ce))
+        return sum_cb, sum_ce, float(np.sum((cb - ce) ** 2))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for cb, ce in itertools.starmap(batch_fn, _batches(seed, trials, K)):
-            sums_cb.append(float(np.sum(cb)))
-            sums_ce.append(float(np.sum(ce)))
-            sums_d2.append(float(np.sum((cb - ce) ** 2)))
+        sums_cb, sums_ce, sums_d2 = zip(*itertools.starmap(batch_sums, _batches(seed, trials, K)))
     mean_cb = math.fsum(sums_cb) / trials
     mean_ce = math.fsum(sums_ce) / trials
     diff = mean_cb - mean_ce
@@ -189,12 +208,16 @@ def estimate_esr(cfg, trials, seed):
     trials = _check_count(trials, "trials")
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
     _check_dual_slot(K, n)
-    return _estimate(seed, trials, K, lambda h, g: _batch_slot_rates(h, g, K, n, rho))
+    return _estimate(seed, trials, K, lambda h, g, wide: _batch_slot_rates(h, g, K, n, rho, wide))
 
 
-def _batch_tdma_rates(h, g, K, rho):
-    cb = np.log1p(rho * h[:, K - 1])
-    ce = np.log1p(rho * g[:, K - 1])
+def _batch_tdma_rates(h, g, K, rho, wide):
+    hK, gK = h[:, K - 1], g[:, K - 1]
+    cb = np.log1p(rho * hK)
+    ce = np.log1p(rho * gK)
+    if wide:
+        _widen(cb, rho, hK)
+        _widen(ce, rho, gK)
     return cb, ce
 
 
@@ -207,7 +230,7 @@ def estimate_esr_tdma(K, rho, trials, seed):
     trials = _check_count(trials, "trials")
     _check_user_count(K, least=1)
     _check_positive_real(rho, "rho")
-    return _estimate(seed, trials, K, lambda h, g: _batch_tdma_rates(h, g, K, rho))
+    return _estimate(seed, trials, K, lambda h, g, wide: _batch_tdma_rates(h, g, K, rho, wide))
 
 
 def empirical_cdf_T(cfg, samples, seed):

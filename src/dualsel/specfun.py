@@ -487,13 +487,19 @@ def quad_interval(f, a, b, tol=1e-9, max_evals=200_000):
     return _adaptive_gk(f, a, b, tol, max_evals)
 
 
+#: 1 - v for the largest double v below 1 (2^-53), the least 1 - v of any
+#: node v < 1.
+_BELOW_ONE_GAP = 1.0 - math.nextafter(1.0, 0.0)
+
+
 def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
     """Adaptive quadrature of f over [a, inf) to absolute tolerance tol.
 
     Maps the domain onto [0, 1) via u = a + v/(1-v) and subdivides until the
     accumulated Gauss-Kronrod error estimate drops below tol. The integrand
     must decay at least like 1/u^2 for the transformed integrand to stay
-    integrable at v -> 1.
+    integrable at v -> 1. A node that rounds to v = 1 is taken at the
+    largest double below 1 (u = a + 2^53), so f never sees u = inf.
 
     f follows the same contract as in quad_interval: a 1-D float array of
     nodes u in, an array of the same shape out; 15 nodes on the first call,
@@ -515,8 +521,11 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
     _check_positive_real(tol, "tol")
 
     def g(v):
-        # v is the panel's node array; the map and its Jacobian act on it whole
-        w = 1.0 - v
+        # v is the panel's node array; the map and its Jacobian act on it
+        # whole. Bisection toward v = 1 can reach a node that rounds to 1,
+        # where u would be inf: it takes the w of the largest double below 1,
+        # as if it had rounded down. Every other w is at least that already.
+        w = np.maximum(1.0 - v, _BELOW_ONE_GAP)
         return f(a + v / w) / (w * w)
 
     return _adaptive_gk(g, 0.0, 1.0, tol, max_evals)

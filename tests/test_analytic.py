@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -595,12 +596,117 @@ class TestPsiAndExpCe:
             exp_cb(cfg_of(4, 4, 10.0))
 
 
+def kernel_of(variant):
+    return theta_corrected if variant == "corrected" else theta
+
+
+def scipy_upper_half(cfg, variant):
+    """Psi's integral over [1, inf) by scipy, in x = log u on pieces of
+    [0, 60]; beyond u = e^60 either kernel's tail is below 1e-24."""
+    kernel, rho = kernel_of(variant), cfg.transmit_snr
+
+    def f(x):
+        u = math.exp(x)
+        return kernel(u, rho) * cdf_T(u, cfg) * u
+
+    edges = (0.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0)
+    return math.fsum(
+        quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+
+
+def psi_halves(monkeypatch, cfg, tol, variant):
+    # the values of the quad_interval calls psi makes: [0, 1], then the
+    # upper half in x = log u
+    values = []
+
+    def recording(*args, **kwargs):
+        result = quad_interval(*args, **kwargs)
+        values.append(result.value)
+        return result
+
+    monkeypatch.setattr(analytic, "quad_interval", recording)
+    psi(cfg, tol=tol, variant=variant)
+    return values
+
+
+class TestPsiUpperHalf:
+    """Psi's upper half is a quadrature in x = log u up to a closed-form U,
+    whose dropped tail beyond U is bounded."""
+
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    @pytest.mark.parametrize("rho_db", [0, 20, 40, 60])
+    def test_matches_scipy(self, monkeypatch, variant, rho_db):
+        tol = 1e-9
+        for K in (2, 8, 12):
+            for n in sorted({1, K // 2, K - 1}):
+                cfg = cfg_of(K, n, 10.0 ** (rho_db / 10.0))
+                _, upper = psi_halves(monkeypatch, cfg, tol, variant)
+                want = scipy_upper_half(cfg, variant)
+                assert abs(upper - want) <= 0.5 * tol, (K, n)
+
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    @pytest.mark.parametrize("rho_db", [-25, 20, 60, 300, 3082])
+    def test_tail_bound_covers_the_tail(self, variant, rho_db):
+        # int_U^inf |kernel| du, which bounds the dropped part of Psi since
+        # 0 <= F_T <= 1, by scipy in u = U + S expm1(y), S = U + 1, on
+        # pieces of y in [0, 50]; beyond, the tail is below 1e-20
+        kernel, rho = kernel_of(variant), 10.0 ** (rho_db / 10.0)
+        for tol in (5e-13, 5e-16):
+            s = math.exp(analytic._log_tail_end(rho, math.log(tol), variant))
+
+            def f(y):
+                grow = s * math.expm1(y)
+                return abs(kernel((s - 1.0) + grow, rho)) * (s + grow)
+
+            edges = (0.0, 1.0, 3.0, 10.0, 50.0)
+            tail = math.fsum(
+                quad(f, lo, hi, epsabs=0.0, epsrel=1e-8, limit=200)[0]
+                for lo, hi in zip(edges, edges[1:])
+            )
+            assert tail <= tol, (tol, s, tail)
+
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    @pytest.mark.parametrize("rho_db", [-25, 300, 3000, 3082])
+    def test_answers_without_a_warning(self, variant, rho_db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 7):
+                assert math.isfinite(psi(cfg_of(8, n, 10.0 ** (rho_db / 10.0)), variant=variant))
+
+    def test_a_bound_beyond_the_doubles_raises(self):
+        # at 3082 dB and tol 1e-310 the tail bound asks for U = e^716
+        with pytest.raises(FloatingPointError, match="beyond the doubles"):
+            psi(cfg_of(8, 7, 10.0**308.2), tol=1e-310)
+
+
+class TestPsiLowerHalf:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the lower half stops after one panel on [0, 1]: F_T is about 0 at "
+        "all 15 of its nodes, and the boundary layer next to u = 1 is missed",
+    )
+    def test_lower_half_meets_tol_where_n_is_K_minus_1(self):
+        # (K=12, n=11, 30 dB) is the worst exact-points grid point: 1.42e-6
+        # off. The reference takes the lower half on [0, .9, .99, .999, 1].
+        cfg = cfg_of(12, 11, 1000.0)
+        kernel, rho = kernel_of("corrected"), cfg.transmit_snr
+        edges = (0.0, 0.9, 0.99, 0.999, 1.0)
+        lower = math.fsum(
+            quad_interval(lambda u: kernel(u, rho) * cdf_T(u, cfg), lo, hi, tol=1e-12).value
+            for lo, hi in zip(edges, edges[1:])
+        )
+        want = lower + scipy_upper_half(cfg, "corrected")
+        assert abs(psi(cfg) - want) <= 1e-9
+
+
 class TestEsrExact:
-    @pytest.mark.parametrize("rho_db, evaluations", [(0.0, 120), (20.0, 480), (60.0, 570)])
+    @pytest.mark.parametrize("rho_db, evaluations", [(0.0, 90), (20.0, 360), (60.0, 180)])
     def test_quadrature_evaluation_counts_are_pinned(self, monkeypatch, rho_db, evaluations):
-        # the integrand-evaluation total of both halves of psi; the counts
-        # were taken from the node-by-node quadrature, so an array-evaluated
-        # panel must reproduce the same adaptive decisions
+        # the integrand-evaluation total of both halves of psi: [0, 1], and
+        # the upper half in x = log u. Both are adaptive decisions, so a
+        # change to the panel evaluation or to the tail bound shows here.
         seen = []
 
         def counting(quad):

@@ -269,7 +269,8 @@ class TestExitCodes:
         # naming the cell. An uncaught exception (exit 1 from the shell), a
         # usage error (exit 2) or a RuntimeWarning (an error under pytest)
         # fails. The -26 dB and lower points overflow e^(2/rho) in the
-        # analytic engine, and 3082 dB overflows the Monte Carlo rates.
+        # analytic engine. At 3082 dB rho h overflows in the Monte Carlo
+        # rates, which take those trials in logs and answer.
         n = K if engine == "tdma" else K - 1
         for db in ("-3000", "-160", "-60", "-26", "-25", "0", "60", "300", "3000", "3082"):
             argv = ["--mode", "esr", "--k", str(K), "--engine", engine, f"--rho-db={db}",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dualsel import cli, montecarlo, specfun
-from dualsel.analytic import CapabilityError, SystemConfig, cdf_T, esr_exact, exp_cb
+from dualsel.analytic import CapabilityError, SystemConfig, cdf_T, esr_exact, esr_tdma_exact, exp_cb
 from dualsel.montecarlo import (
     BATCH_TRIALS,
     empirical_cdf_T,
@@ -341,10 +341,47 @@ def test_tdma_shares_the_analytic_user_cap():
     assert estimate_esr_tdma(1, 10.0, 10, 0).trials == 10
 
 
-def test_an_overflowing_rate_raises_instead_of_reading_zero():
-    # at 3082 dB 0.5 rho h overflows, and max(0.0, nan) used to print 0 +/- 0
+def test_an_overflowing_rate_raises_instead_of_reading_zero(monkeypatch):
+    # max(0.0, nan) used to print 0 +/- 0. A product that overflows is taken
+    # in logs (see test_rates_stay_finite_at_3082_db), so this rate stays
+    # inf even on the wide path.
+    def rates(h, g, K, n, rho, wide):
+        return np.full(h.shape[0], math.inf), np.zeros(h.shape[0])
+
+    monkeypatch.setattr(montecarlo, "_batch_slot_rates", rates)
     with pytest.raises(FloatingPointError, match="not finite"):
-        estimate_esr(cfg_of(8, 4, 10.0**308.2), 1000, 0)
+        estimate_esr(cfg_of(8, 4, 10.0), 1000, 0)
+
+
+@pytest.mark.parametrize("K, n", [(8, 7), (8, 4), (2, 1)])
+def test_rates_stay_finite_at_3082_db(K, n):
+    # 0.5 rho h overflows before log1p here; the overflowing trials are
+    # taken as log(0.5 rho) + log(h)
+    rho = 10.0**308.2
+    est = estimate_esr(cfg_of(K, n, rho), 1000, 0)
+    assert math.isfinite(est.mean_cb) and math.isfinite(est.mean_ce)
+    assert abs(est.esr - esr_exact(cfg_of(K, n, rho)).value) <= 3.0 * est.std_error
+    tdma = estimate_esr_tdma(K, rho, 1000, 0)
+    assert math.isfinite(tdma.mean_cb) and math.isfinite(tdma.mean_ce)
+    assert abs(tdma.esr - esr_tdma_exact(K, rho).value) <= 3.0 * tdma.std_error
+
+
+def test_the_wide_path_moves_only_overflowing_rates():
+    rho = 10.0**308.2
+    h, g = montecarlo._batch_gains(0, 0, 5000, 8)
+    with np.errstate(over="ignore"):  # as _estimate runs them
+        pairs = [
+            (montecarlo._batch_slot_rates(h, g, 8, 7, rho, False),
+             montecarlo._batch_slot_rates(h, g, 8, 7, rho, True)),
+            (montecarlo._batch_tdma_rates(h, g, 8, rho, False),
+             montecarlo._batch_tdma_rates(h, g, 8, rho, True)),
+        ]
+    for narrow, wide in pairs:
+        for a, b in zip(narrow, wide):
+            over = np.isinf(a)
+            assert over.any() and np.isfinite(b).all()
+            assert np.array_equal(a[~over], b[~over])
+            assert (b[over] > math.log(np.finfo(float).max)).all()
 
 
 class TestBatchMemo:

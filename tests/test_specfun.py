@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,52 @@ class TestQuadrature:
                 + quad_semi_infinite(f, split, tol=tol).value
             )
             assert abs(whole - parts) <= 2.0 * tol
+
+    @pytest.mark.parametrize("tol, raises", [(1e-16, False), (1e-18, True)])
+    def test_a_node_that_rounds_to_one_stays_finite(self, tol, raises):
+        # log(1+u)/(1+u)^2 is log-singular at v = 1, so bisection reaches
+        # nodes that round to v = 1.0, where u = a + v/(1-v) would be inf.
+        # The run must end in a value or a QuadratureError, with no warning
+        # and finite nodes only.
+        nodes_finite = []
+
+        def f(u):
+            nodes_finite.append(bool(np.isfinite(u).all()))
+            return np.log1p(u) / (1.0 + u) ** 2
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if raises:
+                with pytest.raises(QuadratureError):
+                    quad_semi_infinite(f, 1.0, tol=tol, max_evals=20_000)
+            else:
+                r = quad_semi_infinite(f, 1.0, tol=tol, max_evals=20_000)
+                assert r.value == pytest.approx((1.0 + math.log(2.0)) / 2.0, abs=1e-15)
+        assert all(nodes_finite)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_finite_nodes_keep_their_bits(self, tol):
+        # the plain map u = a + v/(1-v), Jacobian 1/(1-v)^2, on [0, 1]: where
+        # no node rounds to 1 the driver must give its bits
+        cases = [
+            (lambda u: np.exp(-u), 0.0),
+            (lambda u: 1.0 / (1.0 + u) ** 2, 0.0),
+            (lambda u: np.log(u) / (1.0 + u) ** 2, 1.0),
+            (lambda u: np.log1p(u) / (1.0 + u) ** 2, 1.0),
+            (lambda u: np.exp(-u) * np.cos(u), 0.0),
+        ]
+        for f, a in cases:
+
+            def g(v):
+                w = 1.0 - v
+                return f(a + v / w) / (w * w)
+
+            got, want = quad_semi_infinite(f, a, tol=tol), quad_interval(g, 0.0, 1.0, tol=tol)
+            assert (got.value, got.abs_error_estimate, got.evaluations) == (
+                want.value,
+                want.abs_error_estimate,
+                want.evaluations,
+            )
 
     def test_deterministic(self):
         f = lambda u: np.exp(-u) * np.cos(u)
