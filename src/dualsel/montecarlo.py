@@ -15,13 +15,21 @@ of a longer run. Outside a scan every call draws; no batch outlives either.
 A batch's sorted gains are (trials, K) views of rank-major buffers, so the
 column of each rank, the one a rate kernel reads, is contiguous. They are
 ordered by numpy's unstable argsort behind an exact tie guard: a trial with
-a tie sends its batch through a stable sort, so tied users stay in user
-order with their eavesdropper gains, and no bit depends on the host's sort
-implementation.
+a tie sends its block of trials through a stable sort, so tied users stay in
+user order with their eavesdropper gains, and no bit depends on the host's
+sort implementation.
+
+A large batch is drawn as two halves of its trials on two threads: the
+calling thread draws and orders the lower half, one worker thread the upper
+half, each from its own Philox counter offset, and the halves' rank-major
+buffers are joined before any rate is computed. Every draw stage works trial
+by trial and the reductions run on the joined batch, so no value depends on
+the split.
 """
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +44,13 @@ __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T"
 BATCH_TRIALS = 1 << 16
 
 _U64 = 1 << 64
+
+#: Fewest gains (trials * K) in a batch drawn as two halves on two threads.
+#: Starting and joining the worker costs about 0.1 ms, and the threads wait
+#: on each other for the interpreter lock between numpy calls. On 2 vCPUs
+#: the split drew faster at every K from 2 to 20 from 24 000 gains up and
+#: slower at most K below 16 000; at 20 000 (a 1 ms draw) it broke even.
+_SPLIT_GAINS = 20_000
 
 
 @dataclass(frozen=True)
@@ -90,26 +105,40 @@ def _gains_from_uniforms(u, K):
     The sort is numpy's default (unstable) argsort. A trial whose K gains
     are distinct has only one sorting permutation, so this equals the stable
     sort bit for bit on any host and any sort implementation; if any trial
-    holds a tie, the batch is sorted again stably, so tied users keep their
+    holds a tie, the block is sorted again stably, so tied users keep their
     user order and the eavesdropper gains still pair with their owners.
+
+    Every stage works trial by trial, so the gains of a trial do not depend
+    on the other trials in u: `_batch_gains` runs this on each half of a
+    large batch, one half per thread, and joins the results.
     """
-    h = -np.log1p(-u[:, :K])
-    g = -np.log1p(-u[:, K:])
+    h = _exponentials(u[:, :K])
+    g = _exponentials(u[:, K:])
     del u  # free the uniform block before the sort allocates
-    hT, gT = _rank_major(h, g, np.argsort(h, axis=1))
+    idx = _rank_major(np.argsort(h, axis=1))
+    hT = h.ravel().take(idx)
     if np.any(hT[1:] == hT[:-1]):
-        hT, gT = _rank_major(h, g, np.argsort(h, axis=1, kind="stable"))
-    return hT.T, gT.T
+        idx = _rank_major(np.argsort(h, axis=1, kind="stable"))
+        hT = h.ravel().take(idx)
+    del h  # before the eavesdropper gather allocates
+    return hT.T, g.ravel().take(idx).T
 
 
-def _rank_major(h, g, order):
+def _exponentials(u):
+    # -log1p(-u) in one fresh buffer, negated and logged in place; the
+    # buffer is contiguous, which numpy's SIMD log1p needs to serve it
+    x = np.negative(u)
+    np.log1p(x, out=x)
+    return np.negative(x, out=x)
+
+
+def _rank_major(order):
     # Flat indices in (rank, trial) order, built C-contiguous: fancy indexing
     # with a transposed index keeps its Fortran layout, so each gathered rank
     # would be strided again.
     idx = np.ascontiguousarray(order.T)
-    idx += np.arange(h.shape[0]) * h.shape[1]
-    del order  # before the gathers allocate
-    return h.ravel().take(idx), g.ravel().take(idx)
+    idx += np.arange(order.shape[0]) * order.shape[1]
+    return idx
 
 
 def _batch_gains(seed, start_trial, n_trials, K):
@@ -118,11 +147,48 @@ def _batch_gains(seed, start_trial, n_trials, K):
     read-only. Each is a view of a rank-major buffer, so h[:, j] and g[:, j]
     are contiguous; the tie-guarded sort (see `_gains_from_uniforms`) makes
     the content that of a stable sort, whatever sort the host runs.
+
+    A batch of at least _SPLIT_GAINS gains is drawn as two halves of its
+    trials, the lower one in the calling thread and the upper one in a
+    worker thread, and the halves' rank-major buffers are joined. Every
+    stage works trial by trial, so no value depends on the split.
     """
-    h, g = _gains_from_uniforms(_uniform_block(seed, start_trial, n_trials, K), K)
+
+    def draw(lo, hi):
+        return _gains_from_uniforms(_uniform_block(seed, start_trial + lo, hi - lo, K), K)
+
+    if n_trials * K < _SPLIT_GAINS:
+        h, g = draw(0, n_trials)
+    else:
+        mid = n_trials // 2
+        lower, upper = _with_worker(lambda: draw(0, mid), lambda: draw(mid, n_trials))
+        h, g = (np.concatenate((a.T, b.T), axis=1).T for a, b in zip(lower, upper))
     h.setflags(write=False)
     g.setflags(write=False)
     return h, g
+
+
+def _with_worker(here, there):
+    """(here(), there()), with here() run in the calling thread and there()
+    in one worker thread. The worker is joined before this returns or
+    raises, and an exception it raised is raised here."""
+    result = {}
+
+    def work():
+        try:
+            result["value"] = there()
+        except BaseException as exc:  # raised again in the calling thread
+            result["error"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        mine = here()
+    finally:
+        worker.join()
+    if "error" in result:
+        raise result["error"]
+    return mine, result["value"]
 
 
 def _batches(seed, trials, K):

@@ -4,6 +4,8 @@ import hashlib
 import contextlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -129,6 +131,87 @@ class TestSortedGains:
             assert h.shape == g.shape == (2_000, K)
             for j in range(K):
                 assert h[:, j].flags.c_contiguous and g[:, j].flags.c_contiguous
+
+
+class TestSplitDraw:
+    """A batch large enough to be drawn as two halves on two threads equals
+    the stable sort of its whole uniform block bit for bit, with contiguous
+    rank columns, and no thread outlives the call that started it."""
+
+    @pytest.mark.parametrize("K", range(1, 21))
+    def test_equals_stable_sort(self, K):
+        for trials in (1, 2, 3, 7, 10_000, BATCH_TRIALS):
+            for start in (0, 5):
+                h, g = montecarlo._batch_gains(4, start, trials, K)
+                h_ref, g_ref = stable_sorted_gains(_uniform_block(4, start, trials, K), K)
+                assert same_bits(h, h_ref) and same_bits(g, g_ref), (trials, start)
+                for j in range(K):
+                    assert h[:, j].flags.c_contiguous and g[:, j].flags.c_contiguous
+
+    @pytest.mark.parametrize("tied_half", [0, 1])
+    @pytest.mark.parametrize("K", [2, 8, 20])
+    def test_a_tie_in_one_half_is_sorted_stably(self, monkeypatch, K, tied_half):
+        trials = 20_000
+        u = _uniform_block(9, 0, trials, K).copy()
+        u[tied_half * (trials - 2_000) :][:2_000] = tied_block(K)
+        starts = []
+
+        def crafted_block(seed, start, n, K):
+            starts.append(start)
+            return u[start : start + n]
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", crafted_block)
+        h, g = montecarlo._batch_gains(9, 0, trials, K)
+        assert sorted(starts) == [0, trials // 2]
+        h_ref, g_ref = stable_sorted_gains(u, K)
+        assert same_bits(h, h_ref) and same_bits(g, g_ref)
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        select_served(8, 100.0, "montecarlo", 10_000, 7)
+        assert threading.active_count() == before
+        estimate_esr(cfg_of(8, 4, 10.0), 3 * BATCH_TRIALS + 1, 1)
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_get_their_own_draws(self):
+        # more calling threads than cores, each splitting its batches, with
+        # the interpreter switching threads as often as it can
+        calls = [(cfg_of(K, K // 2, 10.0), 10_000, seed) for K in (4, 8, 20) for seed in (1, 2)]
+        want = [estimate_esr(*call) for call in calls]
+        got = [None] * len(calls)
+
+        def run(i):
+            got[i] = estimate_esr(*calls[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_an_error_in_either_half_is_raised_after_the_join(self, monkeypatch, failing):
+        # the worker draws the upper half, the one that starts past trial 0
+        boom = RuntimeError(f"{failing} half")
+
+        def failing_block(seed, start, n, K):
+            if (start > 0) == (failing == "worker"):
+                raise boom
+            return _uniform_block(seed, start, n, K)
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", failing_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            montecarlo._batch_gains(3, 0, 10_000, 8)
+        assert info.value is boom
+        assert threading.active_count() == before
 
 
 class TestSlotRates:
@@ -402,15 +485,30 @@ class TestBatchMemo:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The arguments of every _uniform_block call."""
-        seen = []
+        """The batches drawn, in order, as (seed, start_trial, n_trials, K).
+        A batch draws its uniforms in one _uniform_block call or in one per
+        half, in either order; each of its trials must be drawn exactly once,
+        and no uniforms may be drawn outside a batch."""
+        batches, ranges = [], []
+        batch_gains = montecarlo._batch_gains
 
-        def counting_block(*args):
-            seen.append(args)
-            return _uniform_block(*args)
+        def counting_block(seed, start, n, K):
+            ranges.append((start, start + n))
+            return _uniform_block(seed, start, n, K)
+
+        def counting_batch(seed, start, n, K):
+            assert not ranges
+            gains = batch_gains(seed, start, n, K)
+            lows, highs = zip(*sorted(ranges))
+            assert (*lows, start + n) == (start, *highs)
+            ranges.clear()
+            batches.append((seed, start, n, K))
+            return gains
 
         monkeypatch.setattr(montecarlo, "_uniform_block", counting_block)
-        return seen
+        monkeypatch.setattr(montecarlo, "_batch_gains", counting_batch)
+        yield batches
+        assert not ranges
 
     def test_scan_draws_once(self, draws):
         select_served(8, 100.0, "montecarlo", 10_000, 7)

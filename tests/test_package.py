@@ -1,5 +1,8 @@
 """The package's public surface: each submodule's __all__, listed once."""
 
+import subprocess
+import sys
+
 import dualsel
 from dualsel import analytic, montecarlo, selection, specfun
 
@@ -23,3 +26,11 @@ def test_oracles_are_not_exported():
     for module in (dualsel, analytic, montecarlo):
         for name in ORACLES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_import_loads_no_executor():
+    # the Monte Carlo draw starts a plain thread; importing concurrent.futures
+    # would add about 7 ms to every process that imports the package
+    code = "import sys, dualsel; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
