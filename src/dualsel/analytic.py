@@ -141,73 +141,66 @@ def xi_table(K, n):
 _CDF_CHUNK = 2048
 
 
-def _cdf_T_branch(t, table, rho, lower):
-    # One branch of cdf_T (t < 1 if lower, else t >= 1), each chunk of
-    # points in one broadcast over (point, i, j). Each row i is summed over
-    # j, then the rows are added in order of i by a cumsum, so every value
-    # has the bits of a loop that adds one row i at a time.
-    K, n = table.K, table.n
-    c = table.coefficients
+def _cdf_T(t, K, n, rho):
+    # cdf_T at a scalar (a float back) or an array of points (an array of
+    # its shape), each chunk of points in one broadcast over (point, i, j).
+    # Each row i is summed over j, then the rows are added in order of i by
+    # a cumsum, so every value has the bits of a loop that adds one row i at
+    # a time.
+    c = xi_table(K, n).coefficients
+    scalar = np.ndim(t) == 0
+    arr = _as_float_array(t, "t")
     b = np.arange(K - n + 1, K + 1, dtype=float)  # K - n + 1 + j
     i = np.arange(1, K - n + 1, dtype=float)[:, None]
-    out = np.empty_like(t)
-    with np.errstate(over="ignore"):
-        for s in range(0, t.size, _CDF_CHUNK):
-            tc = t[s:s + _CDF_CHUNK, None]
-            # rho = inf is the high-SNR limit, where every exponential is 1;
-            # computed, it would be exp(nan) at t = inf
-            e = np.exp(-2.0 * tc[:, None] * i / rho) if rho < math.inf else 1.0
-            denom = i * (tc[:, None] - 1.0) + b
-            if lower:
-                # exponent -> -inf as t -> 1-, so exp() underflows to 0
-                # exactly where the branches meet
-                tail = np.exp(-2.0 * tc * b / (rho * (1.0 - tc)))
-                row0 = (c[0] * (1.0 - tail) / b).sum(axis=1)
-                terms = c[1:] * (e - tail[:, None]) / denom
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    with np.errstate(over="ignore", divide="ignore"):
+        for s in range(0, flat.size, _CDF_CHUNK):
+            tc = flat[s:s + _CDF_CHUNK, None]
+            om = 1.0 - tc
+            if rho < math.inf:
+                m2t = -2.0 * tc
+                e = np.exp(m2t[:, None] * i / rho)
+                # the tail's exponent -> -inf as t -> 1-, and is -inf from
+                # t = 1 on, where 1 - t is floored at 0: the tail is 0 there
+                tail = np.exp(m2t * b / (rho * np.maximum(om, 0.0)))
             else:
-                # the i = 0 row is written out: i*t would produce nan at t = inf
-                row0 = np.full(tc.shape[0], (c[0] / b).sum())
-                terms = c[1:] * e / denom
+                # the high-SNR limit: every exponential is 1, and the tail
+                # is 1 below t = 1 and 0 from t = 1 on (computed, inf * 0
+                # from t = 1 on and inf / inf at t = inf give exp(nan))
+                e, tail = 1.0, (tc < 1.0).astype(float)
+            denom = b - i * om[:, None]  # i (t - 1) + b_j, to the bit
+            row0 = (c[0] * (1.0 - tail) / b).sum(axis=1)
+            terms = c[1:] * (e - tail[:, None]) / denom
             rows = np.concatenate((row0[:, None], terms.sum(axis=2)), axis=1)
             out[s:s + _CDF_CHUNK] = np.cumsum(rows, axis=1)[:, -1]
-    return out
+    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def cdf_T(t, cfg):
     """CDF of T = |h_K|^2 / (|h_n|^2 + 2/rho), the base station's SNR for
     decoding the jamming signal.
 
-    Accepts a scalar or array t >= 0. The formula has two branches glued at
-    t = 1; the lower branch's extra exponential vanishes as t -> 1-, so the
-    CDF is continuous there. Each branch evaluates every (point, i, j)
-    term of the Xi table in one broadcast per fixed-size chunk of points
-    (which bounds its temporaries), sums each row i over j, and adds the
-    rows in order of i, so the bits are those of a loop over i.
+    Accepts a scalar or array t >= 0. One formula covers every t:
+
+        F_T(t) = sum_ij Xi[i, j] (e^(-2it/rho) - tail_j) / (i (t - 1) + b_j),
+        b_j = K - n + 1 + j,  tail_j = e^(-2t b_j / (rho (1 - t))),
+
+    where tail_j vanishes as t -> 1- and is 0 from t = 1 on, so the CDF is
+    continuous there. Every (point, i, j) term is evaluated in one
+    broadcast per fixed-size chunk of points (which bounds its
+    temporaries); each row i is summed over j and the rows are added in
+    order of i, so the bits are those of a loop over i.
     """
-    table = xi_table(cfg.num_users, cfg.served_index)
-    rho = cfg.transmit_snr
-    scalar = np.ndim(t) == 0
-    arr = _as_float_array(t, "t")
-    hi = arr >= 1.0
-    out = np.empty_like(arr)
-    if hi.any():
-        out[hi] = _cdf_T_branch(arr[hi], table, rho, lower=False)
-    if not hi.all():
-        out[~hi] = _cdf_T_branch(arr[~hi], table, rho, lower=True)
-    return float(out[0]) if scalar else out
+    return _cdf_T(t, cfg.num_users, cfg.served_index, cfg.transmit_snr)
 
 
 def cdf_T_high_snr(t, K, n):
-    """Limiting CDF of the jamming-decode SNR as rho -> inf: zero below
-    t = 1 (the strongest gain can never trail the n-th), rational above,
-    where it is cdf_T's upper branch with every exponential at 1."""
-    table = xi_table(K, n)
-    scalar = np.ndim(t) == 0
-    arr = _as_float_array(t, "t")
-    out = np.zeros_like(arr)
-    hi = arr >= 1.0
-    out[hi] = _cdf_T_branch(arr[hi], table, math.inf, lower=False)
-    return float(out[0]) if scalar else out
+    """Limiting CDF of the jamming-decode SNR as rho -> inf: cdf_T's formula
+    at rho = inf, where e^(-2it/rho) is 1 and tail_j is 1 below t = 1 and 0
+    from t = 1 on. So it is zero below t = 1 (the strongest gain can never
+    trail the n-th) and rational from t = 1 on."""
+    return _cdf_T(t, K, n, math.inf)
 
 
 def _check_dual_slot(K, n):
@@ -354,7 +347,7 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     exact image of the positive-gain quadrant and is the one that matches
     simulation; "printed" keeps the v-from-0 kernel for comparison.
 
-    The domain is split at u = 1, where the CDF switches branches, and each
+    The domain is split at u = 1, where the CDF's tail reaches 0, and each
     half gets tol/2. The lower half is one adaptive quadrature on [0, 1].
     The upper half is int_0^log(U) f(e^x) e^x dx in x = log u, where the
     corrected kernel's cut-off near u = rho/2 is one smooth step near

@@ -14,6 +14,7 @@ failing cell named).
 import argparse
 import functools
 import math
+import shlex
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -99,9 +100,14 @@ def _parse_rho_db(text):
 
 def _rho_linear(rho_db):
     try:
-        return 10.0 ** (rho_db / 10.0)
+        rho = 10.0 ** (rho_db / 10.0)
     except OverflowError:
-        raise _UsageError(f"--rho-db {rho_db:g} is too large for a linear SNR") from None
+        rho = math.inf
+    if rho == math.inf:
+        raise _UsageError(f"--rho-db {rho_db:g} is too large for a linear SNR")
+    if not rho > 0.0:  # underflowed to 0.0, or nan
+        raise _UsageError(f"--rho-db {rho_db:g} has no positive linear SNR")
+    return rho
 
 
 @functools.cache  # one parser per process: parsing leaves it unchanged
@@ -171,7 +177,8 @@ def _check_flags(ns, rho_values):
         raise _UsageError(f"--mode {ns.mode} needs a single --rho-db value")
     if ns.mode == "compare" and ns.served == ns.k:
         raise _UsageError("--mode compare needs a dual-selection slot (served < K)")
-    _rho_linear(max(rho_values))  # the largest value is the one that can overflow
+    for rho_db in rho_values:
+        _rho_linear(rho_db)
 
 
 def _cells(ns, engines, rho_values):
@@ -195,7 +202,7 @@ def run(ns, argv, out=None, err=None):
     err = err if err is not None else sys.stderr
     manifest = RunManifest(
         tool_version=__version__,
-        invocation=" ".join(argv),
+        invocation=shlex.join(argv),
         seed=ns.seed,
         started=datetime.now(timezone.utc).isoformat(),
     )

@@ -193,16 +193,14 @@ def _e1_cf_scaled(x):
 
 
 def e1(x):
-    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0.
+    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0, as
+    e^(-x) times e1_scaled(x) at that scalar.
 
-    Power series below x = 1, modified Lentz continued fraction above.
     Relative error <= 1e-12 on [1e-8, 700]; returns exactly 0.0 once the
     true value underflows double precision.
     """
     x = _positive_scalar(x, "x")
-    if x <= 1.0:
-        return _e1_series(x)
-    return math.exp(-x) * _e1_cf_scaled(x)
+    return math.exp(-x) * e1_scaled(x)
 
 
 # The array kernel of e1_scaled. Below x = 1 it sums the power series to a
@@ -261,21 +259,21 @@ def _e1_scaled_array(x):
 
 
 def e1_scaled(x):
-    """e^x * E1(x), stable on the whole positive axis.
+    """e^x * E1(x), stable on the whole positive axis; e1 is e^(-x) times it.
 
     The plain product overflows for x beyond ~709 even though the result is
     ~1/x; rate kernels that need e^x E1(x) at large x must go through here.
 
-    A scalar goes through the same series and modified Lentz fraction as
-    e1 (relative error ~1e-14) and returns a float. An array goes through a
-    fixed-depth kernel, a few numpy calls for the whole array (relative
-    error <= 2e-15 on [1e-8, 1e12]), and returns an array of its shape; one
-    bad element rejects it whole. The two paths agree to about 1e-15 but
-    not bitwise: they sum different series and fractions to different
-    depths. The scalar path stays because the closed forms feed e^x E1(x)
-    into alternating binomial sums that amplify its last bit, and their
-    printed digits are pinned; it can retire once those sums are rewritten
-    without cancellation.
+    A scalar goes through the power series below x = 1 and the modified
+    Lentz fraction above (relative error ~1e-14) and returns a float. An
+    array goes through a fixed-depth kernel, a few numpy calls for the
+    whole array (relative error <= 2e-15 on [1e-8, 1e12]), and returns an
+    array of its shape; one bad element rejects it whole. The two paths
+    agree to about 1e-15 but not bitwise: they sum different series and
+    fractions to different depths. The scalar path stays because the
+    closed forms feed e^x E1(x) into alternating binomial sums that amplify
+    its last bit, and their printed digits are pinned; it can retire once
+    those sums are rewritten without cancellation.
     """
     if np.ndim(x) == 0:
         x = _positive_scalar(x, "x")

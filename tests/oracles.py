@@ -4,7 +4,8 @@ The per-slot ones restate the model one slot at a time, with no
 validation, and draw their gains from the same per-trial Philox slices as
 the library but without its batch memo. The closed-form ones are the
 library's earlier one-term-at-a-time loops, kept as bit oracles: the array
-code must reproduce them to the last bit.
+code must reproduce them to the last bit. cdf_T_two_branch is the Xi-sum
+CDF as it was evaluated before its two branches became one formula.
 """
 
 import math
@@ -89,6 +90,57 @@ def cdf_order_stat(x, K, n):
     for i in range(n, K + 1):
         out += math.comb(K, i) * p**i * q ** (K - i)
     return float(out[0]) if scalar else out
+
+
+#: Points per _cdf_T_branch broadcast.
+_CDF_CHUNK = 2048
+
+
+def _cdf_T_branch(t, table, rho, lower):
+    # One branch of cdf_T (t < 1 if lower, else t >= 1), each chunk of
+    # points in one broadcast over (point, i, j). Each row i is summed over
+    # j, then the rows are added in order of i by a cumsum, so every value
+    # has the bits of a loop that adds one row i at a time.
+    K, n = table.K, table.n
+    c = table.coefficients
+    b = np.arange(K - n + 1, K + 1, dtype=float)  # K - n + 1 + j
+    i = np.arange(1, K - n + 1, dtype=float)[:, None]
+    out = np.empty_like(t)
+    with np.errstate(over="ignore"):
+        for s in range(0, t.size, _CDF_CHUNK):
+            tc = t[s:s + _CDF_CHUNK, None]
+            # rho = inf is the high-SNR limit, where every exponential is 1;
+            # computed, it would be exp(nan) at t = inf
+            e = np.exp(-2.0 * tc[:, None] * i / rho) if rho < math.inf else 1.0
+            denom = i * (tc[:, None] - 1.0) + b
+            if lower:
+                # exponent -> -inf as t -> 1-, so exp() underflows to 0
+                # exactly where the branches meet
+                tail = np.exp(-2.0 * tc * b / (rho * (1.0 - tc)))
+                row0 = (c[0] * (1.0 - tail) / b).sum(axis=1)
+                terms = c[1:] * (e - tail[:, None]) / denom
+            else:
+                # the i = 0 row is written out: i*t would produce nan at t = inf
+                row0 = np.full(tc.shape[0], (c[0] / b).sum())
+                terms = c[1:] * e / denom
+            rows = np.concatenate((row0[:, None], terms.sum(axis=2)), axis=1)
+            out[s:s + _CDF_CHUNK] = np.cumsum(rows, axis=1)[:, -1]
+    return out
+
+
+def cdf_T_two_branch(t, K, n, rho):
+    """The jamming-decode CDF at an array of t >= 0, its t < 1 and t >= 1
+    points evaluated by separate branches; rho = inf gives the high-SNR
+    limit, zero below t = 1."""
+    table = xi_table(K, n)
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    hi = arr >= 1.0
+    out = np.zeros_like(arr)
+    if hi.any():
+        out[hi] = _cdf_T_branch(arr[hi], table, rho, lower=False)
+    if rho < math.inf and not hi.all():
+        out[~hi] = _cdf_T_branch(arr[~hi], table, rho, lower=True)
+    return out
 
 
 def e1_cf_lentz(x):

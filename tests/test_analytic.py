@@ -28,7 +28,7 @@ from dualsel.analytic import (
     xi_table,
 )
 from dualsel.specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
-from oracles import cdf_order_stat, esr_high_snr_terms, order_stat_series_terms
+from oracles import cdf_order_stat, cdf_T_two_branch, esr_high_snr_terms, order_stat_series_terms
 
 
 def cfg_of(K, n, rho):
@@ -212,6 +212,32 @@ class TestCdfT:
                                         e -= mp.exp(-2 * x * b / (r * (1 - x)))
                                     ref += mp.mpf(c[i, j]) * e / (i * (x - 1) + b)
                             assert abs(g - float(ref)) <= 1e-12, (K, n, rho_db, tv)
+
+    def test_one_formula_has_the_two_branch_bits(self):
+        # cdf_T's one formula against the evaluator that split t < 1 from
+        # t >= 1, bit for bit, at every slot, finite SNR and rho = inf
+        rng = np.random.default_rng(19)
+        edges = [0.0, 1e-300, 1.0 - 2.0**-53, 1.0, 1e6, math.inf]
+        t = np.concatenate([rng.uniform(0.0, 3.0, 40), 10.0 ** rng.uniform(-8, 8, 40), edges])
+        for K in range(2, 21):
+            for n in range(1, K):
+                for rho_db in (-20.0, 0.0, 20.0, 40.0, 60.0, 300.0, 3000.0):
+                    rho = 10.0 ** (rho_db / 10.0)
+                    got = cdf_T(t, cfg_of(K, n, rho))
+                    assert got.tobytes() == cdf_T_two_branch(t, K, n, rho).tobytes(), (K, n, rho)
+                got = cdf_T_high_snr(t, K, n)
+                assert got.tobytes() == cdf_T_two_branch(t, K, n, math.inf).tobytes(), (K, n)
+        # several chunks of points from both sides of t = 1, interleaved
+        t = np.concatenate([rng.uniform(0.0, 2.0, 5000), edges])
+        rng.shuffle(t)
+        for K, n in ((2, 1), (8, 5), (20, 10), (20, 19)):
+            for rho in (1.0, 100.0, math.inf):
+                got = cdf_T(t, cfg_of(K, n, rho)) if rho < math.inf else cdf_T_high_snr(t, K, n)
+                assert got.tobytes() == cdf_T_two_branch(t, K, n, rho).tobytes(), (K, n, rho)
+        # a scalar and a 2-D array take the same formula
+        cfg = cfg_of(8, 5, 100.0)
+        assert cdf_T(float(t[7]), cfg) == cdf_T(t[7:8], cfg)[0]
+        assert cdf_T(t.reshape(-1, 2), cfg).tobytes() == cdf_T(t, cfg).tobytes()
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

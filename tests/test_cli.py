@@ -2,6 +2,7 @@
 
 import io
 import math
+import shlex
 import subprocess
 import sys
 
@@ -210,20 +211,25 @@ class TestManifest:
         assert "--mode esr" in text
 
     def test_replaying_manifest_invocation_reproduces_csv(self, tmp_path):
+        # the invocation is shell-quoted, so a manifest path with a space
+        # replays as one argument
         args = ["--mode", "esr", "--k", "4", "--served", "3", "--rho-db", "20",
                 "--engine", "mc", "--trials", "1000", "--seed", "42"]
-        code1, out1, _ = run_inproc(args, tmp_path / "m1.txt")
-        recorded = (tmp_path / "m1.txt").read_text()
-        inv = next(l for l in recorded.splitlines() if l.startswith("invocation="))
-        replay_args = inv[len("invocation="):].split()
-        # swap the manifest path, keep everything else exactly as recorded
-        idx = replay_args.index("--manifest")
-        replay_args[idx + 1] = str(tmp_path / "m2.txt")
-        ns = _build_parser().parse_args(replay_args)
-        out = io.StringIO()
-        code2 = run(ns, replay_args, out=out, err=io.StringIO())
-        assert code1 == code2 == 0
-        assert out.getvalue() == out1
+        (tmp_path / "out dir").mkdir()
+        for path in (tmp_path / "m1.txt", tmp_path / "out dir" / "m1.txt"):
+            code1, out1, _ = run_inproc(args, path)
+            recorded = path.read_text()
+            inv = next(l for l in recorded.splitlines() if l.startswith("invocation="))
+            replay_args = shlex.split(inv[len("invocation="):])
+            assert replay_args == [*args, "--manifest", str(path)]
+            # swap the manifest path, keep everything else exactly as recorded
+            idx = replay_args.index("--manifest")
+            replay_args[idx + 1] = str(path.with_name("m2.txt"))
+            ns = _build_parser().parse_args(replay_args)
+            out = io.StringIO()
+            code2 = run(ns, replay_args, out=out, err=io.StringIO())
+            assert code1 == code2 == 0
+            assert out.getvalue() == out1
 
 
 class TestExitCodes:
@@ -238,6 +244,22 @@ class TestExitCodes:
     def test_bad_rho_spec_is_usage_error(self, tmp_path):
         assert main(["--mode", "esr", "--k", "4", "--served", "3",
                      "--rho-db", "10:5:1", "--manifest", str(tmp_path / "m.txt")]) == 2
+
+    @pytest.mark.parametrize(
+        "db, why",
+        [("3083", "3083 is too large"), ("1e400", "inf is too large"),
+         ("-3300", "-3300 has no positive"), ("nan", "nan has no positive"),
+         ("-3300:0:3300", "-3300 has no positive")],
+        ids=["overflow", "inf", "zero", "nan", "zero-in-range"],
+    )
+    def test_snr_with_no_linear_value_is_usage_error(self, db, why, tmp_path, capsys):
+        # every value is checked, not only the largest: -3300 dB underflows
+        # to a linear SNR of 0.0, and nan has none
+        assert main(["--mode", "sweep-rho", "--k", "4", "--served", "3", "--engine", "high-snr",
+                     f"--rho-db={db}", "--manifest", str(tmp_path / "m.txt")]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: --rho-db {why}" in err, err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_capability_error(self, tmp_path):
         # the K <= 20 cap holds at n = K under every engine too
@@ -355,10 +377,10 @@ class TestExitCodes:
         ],
     )
     def test_underflowing_rho_is_usage_error(self, args, tmp_path, capsys):
-        # -4000 dB is a linear SNR of 0.0, refused by every engine at every n
+        # -4000 dB is a linear SNR of 0.0, refused for every engine at every n
         assert main(["--mode", "esr", "--k", "4", *args, "--rho-db", "-4000",
                      "--manifest", str(tmp_path / "m.txt")]) == 2
-        assert "must be positive and finite, got 0.0" in capsys.readouterr().err
+        assert "--rho-db -4000 has no positive linear SNR" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
     def test_oversized_rho_range_is_usage_error(self, tmp_path, capsys):
