@@ -358,6 +358,13 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     reached, while the quadrature's error estimate is pessimistic. Where the
     bound meets its share from U = 1, the upper half is 0; where U would
     exceed the doubles, raises FloatingPointError.
+
+    The upper half's quadrature starts from eight equal panels of
+    [0, log U], evaluated in one integrand call, where bisection from one
+    panel would take three levels of splits to reach them. The lower half
+    starts from the one panel [0, 1]: bench/reference.json pins its values,
+    16 of which carry its boundary-layer miss next to u = 1, and a 2- or
+    4-panel start moves some of them by more than the bench's 1e-8.
     """
     _check_dual_slot(cfg.num_users, cfg.served_index)
     _check_variant(variant)
@@ -379,12 +386,31 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     left = quad_interval(f, 0.0, 1.0, tol=0.5 * tol)
     if log_u == 0.0:
         return left.value
-    right = quad_interval(upper, 0.0, log_u, tol=(1.0 - _TAIL_SHARE) * 0.5 * tol)
+    right = quad_interval(
+        upper, 0.0, log_u, tol=(1.0 - _TAIL_SHARE) * 0.5 * tol, points=_bisected(log_u)
+    )
     return left.value + right.value
 
 
 #: The share of psi's upper-half tolerance that its dropped tail gets.
 _TAIL_SHARE = 1e-3
+
+#: The panels psi's upper half starts from, a power of 2.
+_UPPER_PANELS = 8
+
+
+def _bisected(b):
+    """The interior edges of _UPPER_PANELS equal panels of [0, b], each
+    found as quad_interval splits a panel, 0.5 * (lo + hi), so that every
+    panel is one that its bisection of [0, b] makes. b * k / 8 is not
+    always: the bisection rounds twice on the way to 5/8 and 7/8, and can
+    land an ulp away from it."""
+    edges = [0.0, b]
+    while len(edges) <= _UPPER_PANELS:
+        mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+        edges = [x for pair in zip(edges, mids) for x in pair] + [b]
+    return edges[1:-1]
+
 
 _LOG_MAX = math.log(sys.float_info.max)
 

@@ -3,9 +3,10 @@ adaptive Gauss-Kronrod quadrature on finite and semi-infinite intervals.
 
 E1 (as e^x E1(x)) and the dilogarithm take a scalar or an array.
 The quadrature integrand contract is "array of nodes in, array of values
-out": the first Gauss-Kronrod panel calls the integrand on a 1-D float
-array of its 15 nodes, and every later split calls it once on the 30 nodes
-of both halves. Each call expects an array of the same shape back.
+out": the first call takes a 1-D float array of the 15 Gauss-Kronrod nodes
+of every initial panel (one panel, or one per gap between breakpoints), and
+every later split calls it once on the 30 nodes of both halves. Each call
+must return an array of the same shape, or the quadrature raises ValueError.
 
 Everything downstream (rate formulas, CDFs, the high-SNR corollary) reduces to
 these three primitives, so they are kept self-contained and individually
@@ -415,26 +416,46 @@ def _gk15_reduce(fx, half):
     return resk, abs(resk - resg)
 
 
-def _adaptive_gk(f, a, b, tol, max_evals):
+def _integrand_values(f, x):
+    # f's values on the node array x, checked once against the contract
+    fx = f(x)
+    if not (isinstance(fx, np.ndarray) and fx.shape == x.shape):
+        got = fx.shape if isinstance(fx, np.ndarray) else type(fx).__name__
+        raise ValueError(
+            f"the integrand must return an array of its nodes' shape {x.shape}, got {got}"
+        )
+    return fx
+
+
+def _adaptive_gk(f, edges, tol, max_evals):
     # Globally adaptive bisection: always split the interval with the largest
     # error estimate. Deterministic: ties broken by insertion order.
     #
     # The error total is kept as a running sum (as QUADPACK dqagse does),
-    # with a bound `slack` on its accumulated rounding. The exact fsum over
-    # the heap is taken only when the running total may have reached tol,
-    # and it alone decides the stop, so every decision is the one an exact
-    # sum after each split would make. A stop it refuses resynchronises the
-    # running total, and so does a nan total (a panel with a nan or inf
-    # error estimate has left the heap).
+    # with a bound `slack` on its accumulated rounding. It starts at the
+    # exact fsum over the initial panels. The exact fsum over the heap is
+    # taken only when the running total may have reached tol, and it alone
+    # decides the stop, so every decision is the one an exact sum after each
+    # split would make. A stop it refuses resynchronises the running total,
+    # and so does a nan total (a panel with a nan or inf error estimate has
+    # left the heap).
     #
-    # f is called once on the first panel's 15 nodes, then once per split
-    # on the 30 nodes of both halves.
-    half, x = _gk15_nodes(a, b)
-    val, err = _gk15_reduce(f(x).tolist(), half)
-    evals = 15
-    counter = 0
-    heap = [(-err, counter, a, b, val, err)]
-    total_err, slack = err, 0.0
+    # f is called once on the 15 nodes of every initial panel (edges[i],
+    # edges[i + 1]), in panel order, then once per split on the 30 nodes of
+    # both halves. The initial panels enter the heap left to right.
+    panels = [_gk15_nodes(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    evals = 15 * len(panels)
+    if not (_is_integer(max_evals) and max_evals >= evals):
+        raise ValueError(
+            f"max_evals must be an integer of at least {evals}, got {max_evals!r}"
+        )
+    fx = _integrand_values(f, np.concatenate([x for _, x in panels])).tolist()
+    heap = []
+    for i, (half, _) in enumerate(panels):
+        val, err = _gk15_reduce(fx[15 * i : 15 * i + 15], half)
+        heapq.heappush(heap, (-err, i, edges[i], edges[i + 1], val, err))
+    counter = len(panels) - 1
+    total_err, slack = math.fsum(item[5] for item in heap), 0.0
     while True:
         if not total_err - slack > tol:
             total_err, slack = math.fsum(item[5] for item in heap), 0.0
@@ -454,7 +475,7 @@ def _adaptive_gk(f, a, b, tol, max_evals):
         mid = 0.5 * (lo + hi)
         h1, x1 = _gk15_nodes(lo, mid)
         h2, x2 = _gk15_nodes(mid, hi)
-        fx = f(np.concatenate((x1, x2))).tolist()
+        fx = _integrand_values(f, np.concatenate((x1, x2))).tolist()
         v1, e1_ = _gk15_reduce(fx[:15], h1)
         v2, e2_ = _gk15_reduce(fx[15:], h2)
         evals += 30
@@ -468,21 +489,38 @@ def _adaptive_gk(f, a, b, tol, max_evals):
     return QuadratureResult(value, total_err, evals)
 
 
-def quad_interval(f, a, b, tol=1e-9, max_evals=200_000):
+def quad_interval(f, a, b, tol=1e-9, max_evals=200_000, points=()):
     """Adaptive Gauss-Kronrod quadrature of f over the finite interval [a, b].
 
     f takes a 1-D float array of nodes and returns an array of the same
-    shape (write it with numpy ufuncs, e.g. ``lambda u: np.exp(-u)``). It
-    is called once on the first panel's 15 nodes, then once per split on
-    the 30 nodes of both halves, so each node's value must not depend on
-    the others in its call. Endpoints are never evaluated (all Kronrod
-    nodes are interior), so removable endpoint limits are fine.
-    The value and error estimate are exact fsums over the final panels.
+    shape (write it with numpy ufuncs, e.g. ``lambda u: np.exp(-u)``);
+    anything else raises ValueError. points are interior breakpoints,
+    strictly increasing and strictly inside (a, b): the quadrature starts
+    from the panels they cut [a, b] into, as QUADPACK dqagp does. f is
+    called once on the 15 nodes of every initial panel, in panel order,
+    then once per split on the 30 nodes of both halves, so each node's value
+    must not depend on the others in its call. Endpoints and breakpoints are
+    never evaluated (all Kronrod nodes are interior), so removable limits
+    there are fine. max_evals must be an integer of at least 15 per initial
+    panel. The value and error estimate are exact fsums over the final
+    panels.
     """
     if not (_is_finite_real(a) and _is_finite_real(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
     _check_positive_real(tol, "tol")
-    return _adaptive_gk(f, a, b, tol, max_evals)
+    try:
+        edges = [a, *points, b]
+    except TypeError:
+        edges = None
+    if edges is None or not (
+        all(_is_finite_real(x) for x in edges[1:-1])
+        and all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    ):
+        raise ValueError(
+            f"points must be finite reals, strictly increasing inside "
+            f"({a!r}, {b!r}), got {points!r}"
+        )
+    return _adaptive_gk(f, edges, tol, max_evals)
 
 
 #: 1 - v for the largest double v below 1 (2^-53), the least 1 - v of any
@@ -501,7 +539,8 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
 
     f follows the same contract as in quad_interval: a 1-D float array of
     nodes u in, an array of the same shape out; 15 nodes on the first call,
-    then the 30 nodes of both halves of each split.
+    then the 30 nodes of both halves of each split. max_evals is an integer
+    of at least 15.
 
     Returns
     -------
@@ -524,6 +563,6 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
         # where u would be inf: it takes the w of the largest double below 1,
         # as if it had rounded down. Every other w is at least that already.
         w = np.maximum(1.0 - v, _BELOW_ONE_GAP)
-        return f(a + v / w) / (w * w)
+        return _integrand_values(f, a + v / w) / (w * w)
 
-    return _adaptive_gk(g, 0.0, 1.0, tol, max_evals)
+    return _adaptive_gk(g, [0.0, 1.0], tol, max_evals)

@@ -706,6 +706,17 @@ class TestPsiUpperHalf:
         with pytest.raises(FloatingPointError, match="beyond the doubles"):
             psi(cfg_of(8, 7, 10.0**308.2), tol=1e-310)
 
+    @pytest.mark.parametrize("b", [1e-9, 0.1, 1.0, 3.0, 37.4, 709.0])
+    def test_upper_half_starts_from_the_panels_bisection_makes(self, b):
+        # each edge is the midpoint of the two edges s apart, s = 4, 2, 1,
+        # as quad_interval computes it on a split: so every initial panel is
+        # one that three levels of bisection of [0, b] make
+        edges = [0.0, *analytic._bisected(b), b]
+        assert len(edges) == 9
+        for s in (4, 2, 1):
+            for i in range(s, 8, 2 * s):
+                assert edges[i] == 0.5 * (edges[i - s] + edges[i + s])
+
 
 class TestPsiLowerHalf:
     @pytest.mark.xfail(
@@ -726,9 +737,25 @@ class TestPsiLowerHalf:
         want = lower + scipy_upper_half(cfg, "corrected")
         assert abs(psi(cfg) - want) <= 1e-9
 
+    def test_lower_half_starts_from_one_panel(self, monkeypatch):
+        # bench/reference.json pins the lower half's values, its boundary-
+        # layer miss included, so [0, 1] keeps its one-panel start; the
+        # upper half starts from eight panels
+        calls = []
+
+        def recording(f, a, b, **kwargs):
+            calls.append((a, b, kwargs.get("points", ())))
+            return quad_interval(f, a, b, **kwargs)
+
+        monkeypatch.setattr(analytic, "quad_interval", recording)
+        psi(cfg_of(12, 11, 1000.0))
+        (a0, b0, lower), (a1, _, upper) = calls
+        assert (a0, b0, lower) == (0.0, 1.0, ())
+        assert a1 == 0.0 and len(upper) == 7
+
 
 class TestEsrExact:
-    @pytest.mark.parametrize("rho_db, evaluations", [(0.0, 90), (20.0, 360), (60.0, 180)])
+    @pytest.mark.parametrize("rho_db, evaluations", [(0.0, 165), (20.0, 345), (60.0, 165)])
     def test_quadrature_evaluation_counts_are_pinned(self, monkeypatch, rho_db, evaluations):
         # the integrand-evaluation total of both halves of psi: [0, 1], and
         # the upper half in x = log u. Both are adaptive decisions, so a

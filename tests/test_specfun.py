@@ -287,10 +287,12 @@ class TestLi2:
         assert li2(-1.0) == pytest.approx(ref, abs=1e-9)
 
 
-def node_by_node_quad(f, a, b, tol, max_evals):
+def node_by_node_quad(f, a, b, tol, max_evals, points=()):
     """Reference adaptive GK15: one integrand call per node and an exact
-    fsum of the error estimates after every split. Returns (value, error,
-    evaluations), or the same triple of the exhausted budget's estimate."""
+    fsum of the error estimates after every split. The initial panels, cut
+    from [a, b] at points, enter the heap left to right. Returns (value,
+    error, evaluations), or the same triple of the exhausted budget's
+    estimate."""
 
     def panel(lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -304,8 +306,12 @@ def node_by_node_quad(f, a, b, tol, max_evals):
                 resg += _WG[i // 2] * s
         return resk * half, abs(resk * half - resg * half)
 
-    val, err = panel(a, b)
-    heap, evals, counter = [(-err, 0, a, b, val, err)], 15, 0
+    edges = [a, *points, b]
+    heap = []
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        val, err = panel(lo, hi)
+        heapq.heappush(heap, (-err, i, lo, hi, val, err))
+    evals, counter = 15 * len(heap), len(heap) - 1
     while not math.fsum(item[5] for item in heap) <= tol and evals + 30 <= max_evals:
         _, _, lo, hi, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -362,6 +368,146 @@ class TestQuadrature:
             splits = (r.evaluations - 15) // 30
             assert splits > 0
             assert sizes == [(15,)] + [(30,)] * splits
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-30])
+    def test_matches_node_by_node_reference_from_breakpoints(self, tol):
+        # the initial panels in one call, pushed left to right, and a running
+        # total started at their exact sum make the reference's decisions
+        budget = 6_000
+        cases = [
+            (lambda u: 1.0 / (1.0 + u * u), 0.0, 3.0, [0.375, 0.75, 1.5]),
+            (lambda u: u * (1.0 - u) / (0.01 + (u - 0.3) * (u - 0.3)), 0.0, 1.0, [0.3]),
+            (lambda u: (u - 0.5) * (u - 0.5) * (u - 0.5) / (1e-4 + (u - 0.5) * (u - 0.5)), 0.0, 2.0, [0.25, 0.5, 1.0, 1.75]),
+            # inf at a centre gives that initial panel a nan error estimate
+            (lambda u: np.where(u == 1.5, np.inf, 1.0 / (1.0 + u * u)), 0.0, 3.0, [1.0, 2.0]),
+        ]
+        for f, a, b, points in cases:
+            try:
+                r = quad_interval(f, a, b, tol=tol, max_evals=budget, points=points)
+                got = (r.value, r.abs_error_estimate, r.evaluations)
+            except QuadratureError as err:
+                got = (err.value, err.abs_error_estimate, err.evaluations)
+            assert got == node_by_node_quad(f, a, b, tol, budget, points)
+
+    def test_a_breakpoint_at_the_first_split_saves_its_panel(self):
+        # the first panel of [0, 3] is split, so starting from its two
+        # halves makes the same panels: the same bits, 15 evaluations fewer
+        sizes = []
+
+        def f(u):
+            sizes.append(u.shape)
+            return np.log1p(u) / (1.0 + u) ** 3
+
+        whole = quad_interval(f, 0.0, 3.0, tol=1e-12)
+        assert whole.evaluations > 15
+        sizes.clear()
+        halves = quad_interval(f, 0.0, 3.0, tol=1e-12, points=[0.5 * (0.0 + 3.0)])
+        assert sizes[0] == (30,)
+        assert (halves.value, halves.abs_error_estimate) == (whole.value, whole.abs_error_estimate)
+        assert halves.evaluations == whole.evaluations - 15
+
+    @pytest.mark.parametrize("points", [[1.5], [0.25, 1.0, 2.0]])
+    def test_one_call_on_the_initial_panels_then_one_per_split(self, points):
+        sizes = []
+
+        def f(u):
+            sizes.append(u.shape)
+            return np.log1p(u) / (1.0 + u) ** 3
+
+        r = quad_interval(f, 0.0, 3.0, tol=1e-12, points=points)
+        first = 15 * (len(points) + 1)
+        splits = (r.evaluations - first) // 30
+        assert splits > 0
+        assert sizes == [(first,)] + [(30,)] * splits
+
+    def test_initial_panels_are_evaluated_and_queued_in_panel_order(self):
+        calls = []
+
+        def f(u):
+            calls.append(u.copy())
+            return 1.0 / (1.0 + u * u)
+
+        quad_interval(f, -3.0, 3.0, tol=1.0, points=(-1.0, 1.0))
+        assert len(calls) == 1
+        panels = calls[0].reshape(3, 15)
+        for (lo, hi), nodes in zip(((-3.0, -1.0), (-1.0, 1.0), (1.0, 3.0)), panels):
+            assert ((lo < nodes) & (nodes < hi)).all()
+        # f is even, so the two panels of [-3, 3] at 0 have the same error
+        # estimate to the bit; the tie goes to the left one, pushed first
+        calls.clear()
+        quad_interval(f, -3.0, 3.0, tol=1e-9, points=(0.0,))
+        assert len(calls) > 1 and (calls[1] < 0.0).all()
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [math.nan],
+            [math.inf],
+            ["0.5"],
+            [True],
+            [None],
+            [0.6, 0.5],
+            [0.5, 0.5],
+            [0.0],
+            [1.0],
+            [-0.5],
+            [2.0],
+            0.5,
+            "0.5",
+            [[0.5]],
+        ],
+    )
+    def test_bad_points(self, points):
+        with pytest.raises(ValueError, match="points must be"):
+            quad_interval(np.exp, 0.0, 1.0, points=points)
+
+    def test_points_may_be_any_finite_reals_in_order(self):
+        want = math.e - 1.0
+        for points in ((0.5,), [0.25, np.float64(0.5)], np.array([0.1, 0.9])):
+            r = quad_interval(np.exp, 0.0, 1.0, tol=1e-12, points=points)
+            assert r.value == pytest.approx(want, abs=1e-12)
+        assert quad_interval(np.exp, 0, 3, points=[1, 2]).value == pytest.approx(
+            math.exp(3) - 1.0, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("max_evals", [0, -5, True, 1.5, math.nan, 14, "200", None])
+    def test_max_evals_must_cover_the_initial_panels(self, max_evals):
+        # it used to go unchecked: the first panel's 15 evaluations were
+        # spent whatever the budget
+        with pytest.raises(ValueError, match="max_evals must be an integer of at least 15"):
+            quad_interval(np.exp, 0.0, 1.0, max_evals=max_evals)
+        with pytest.raises(ValueError, match="max_evals must be an integer of at least 15"):
+            quad_semi_infinite(lambda u: np.exp(-u), 0.0, max_evals=max_evals)
+
+    def test_max_evals_counts_every_initial_panel(self):
+        with pytest.raises(ValueError, match="at least 45"):
+            quad_interval(np.exp, 0.0, 1.0, max_evals=44, points=[0.25, 0.5])
+        r = quad_interval(np.exp, 0.0, 1.0, max_evals=np.int64(45), points=[0.25, 0.5])
+        assert r.evaluations == 45
+        assert quad_interval(np.exp, 0.0, 1.0, max_evals=15).evaluations == 15
+
+    @pytest.mark.parametrize(
+        "integrand",
+        [
+            lambda u: 1.0,
+            lambda u: np.float64(1.0),
+            lambda u: np.exp(u)[:-1],
+            lambda u: np.exp(u)[:, None],
+            lambda u: np.exp(u).tolist(),
+            lambda u: None,
+        ],
+        ids=["float", "numpy-scalar", "short", "2-D", "list", "None"],
+    )
+    def test_an_integrand_that_breaks_the_contract_is_refused(self, integrand):
+        # these used to escape as AttributeError, IndexError or TypeError, or,
+        # on [a, inf), to broadcast a scalar against the map's Jacobian
+        match = "integrand must return an array of its nodes' shape"
+        with pytest.raises(ValueError, match=match):
+            quad_interval(integrand, 0.0, 1.0)
+        with pytest.raises(ValueError, match=match):
+            quad_interval(integrand, 0.0, 1.0, points=[0.5])
+        with pytest.raises(ValueError, match=match):
+            quad_semi_infinite(integrand, 0.0)
 
     def test_exponential(self):
         r = quad_semi_infinite(lambda u: np.exp(-u), 0.0, tol=1e-10)
