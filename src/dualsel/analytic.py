@@ -580,9 +580,8 @@ def esr_high_snr(cfg):
 
     Only lead = log(rho/2) + 1 - gamma depends on rho. Within one scan
     (selection.evaluate_cells) each xi's rho-free Upsilon parts and each
-    (K, n)'s rho-free cell are computed once, as a Monte Carlo one-batch run
-    is (a longer run shares nothing); outside one, every call computes them
-    afresh. Either way the value is the same to the bit.
+    (K, n)'s rho-free cell are computed once; outside one, every call
+    computes them afresh. Either way the value is the same to the bit.
     """
     K, n, rho = int(cfg.num_users), int(cfg.served_index), cfg.transmit_snr
     _check_dual_slot(K, n)

@@ -8,34 +8,41 @@ Reproducibility contract: every trial owns a fixed slice of a counter-based
 Philox stream keyed by the seed, so trial i yields bit-identical gains no
 matter how trials are batched, ordered, or distributed across workers.
 Reductions run in trial order with exact (fsum) accumulation across batches.
-Within one scan (selection.evaluate_cells), cells that share (seed, trials,
-K) share the draw of a one-batch run, which that key determines, and nothing
-of a longer run. Outside a scan every call draws; no batch outlives either.
+
+One reducer (`_reduce`) answers every estimate: it walks the fixed batches
+of a (seed, trials, K) key once and computes the rates of several cells on
+each batch. Within one scan (selection.evaluate_cells), the first estimate
+at a key reduces every Monte Carlo cell the scan registered there, at any
+trial count, and the scan's later calls read their sums; a lone call
+reduces its one cell. No batch outlives the reduction that drew it.
 
 A batch's sorted gains are (trials, K) views of rank-major buffers, so the
-column of each rank, the one a rate kernel reads, is contiguous. They are
+row of each rank, the one a rate kernel reads, is contiguous. They are
 ordered by numpy's unstable argsort behind an exact tie guard: a trial with
 a tie sends its block of trials through a stable sort, so tied users stay in
 user order with their eavesdropper gains, and no bit depends on the host's
 sort implementation.
 
 A large batch is drawn as two halves of its trials on two threads: the
-calling thread draws and orders the lower half, one worker thread the upper
-half, each from its own Philox counter offset, and the halves' rank-major
-buffers are joined before any rate is computed. Every draw stage works trial
-by trial and the reductions run on the joined batch, so no value depends on
-the split.
+calling thread draws, orders and rates the lower half, one worker thread the
+upper half, each from its own Philox counter offset, and each writes its
+rates into its own columns of the batch's (cells, trials) buffers. The
+calling thread then sums each cell's full row, so no value depends on the
+split. A reduction keeps one worker for all its batches.
 """
 
+import contextlib
 import itertools
 import math
+import queue
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import _check_dual_slot, _check_user_count
-from .specfun import _check_positive_real, _is_integer, _scan_term
+from .specfun import _check_positive_real, _is_integer, _is_positive_real, _scan_term
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
@@ -51,6 +58,15 @@ _U64 = 1 << 64
 #: the split drew faster at every K from 2 to 20 from 24 000 gains up and
 #: slower at most K below 16 000; at 20 000 (a 1 ms draw) it broke even.
 _SPLIT_GAINS = 20_000
+
+#: Most doubles in each of a reduction's two rate buffers (16 MiB): a
+#: scan's cells beyond as many rows reduce in a later pass.
+_RATE_DOUBLES = 32 * BATCH_TRIALS
+
+#: Least rho at which a rate kernel takes overflowing products in logs. No
+#: drawn gain exceeds 53 ln 2 < 64 (the largest uniform is 1 - 2**-53), so
+#: below this no product rho * gain overflows and there is nothing to mend.
+_WIDE_RHO = sys.float_info.max / 64
 
 
 @dataclass(frozen=True)
@@ -109,8 +125,8 @@ def _gains_from_uniforms(u, K):
     user order and the eavesdropper gains still pair with their owners.
 
     Every stage works trial by trial, so the gains of a trial do not depend
-    on the other trials in u: `_batch_gains` runs this on each half of a
-    large batch, one half per thread, and joins the results.
+    on the other trials in u: `_draw_batch` runs this on each half of a
+    large batch, one half per thread.
     """
     h = _exponentials(u[:, :K])
     g = _exponentials(u[:, K:])
@@ -141,83 +157,116 @@ def _rank_major(order):
     return idx
 
 
-def _batch_gains(seed, start_trial, n_trials, K):
-    """Sorted base-station gains and the matching eavesdropper gains of
-    trials [start_trial, start_trial + n_trials), shape (n_trials, K) each,
-    read-only. Each is a view of a rank-major buffer, so h[:, j] and g[:, j]
-    are contiguous; the tie-guarded sort (see `_gains_from_uniforms`) makes
-    the content that of a stable sort, whatever sort the host runs.
+@contextlib.contextmanager
+def _worker(runs):
+    """A run(here, there) that returns (here(), there()), with here() run in
+    the calling thread and there() in one worker thread that every run of
+    this block shares. The worker starts at the first run and ends after
+    `runs` runs or with the block, so it can exit while the caller finishes
+    its own half; it is joined when the block ends or raises. run returns or
+    raises only once both are done, and an exception the worker raised is
+    raised by run."""
+    tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
+    thread = None
+
+    def serve():
+        for task in itertools.islice(iter(tasks.get, None), runs):
+            try:
+                done.put((task(), None))
+            except BaseException as exc:  # raised again in the calling thread
+                done.put((None, exc))
+
+    def run(here, there):
+        nonlocal thread
+        if thread is None:
+            thread = threading.Thread(target=serve)
+            thread.start()
+        tasks.put(there)
+        try:
+            mine = here()
+        finally:
+            theirs, error = done.get()
+        if error is not None:
+            raise error
+        return mine, theirs
+
+    try:
+        yield run
+    finally:
+        if thread is not None:
+            tasks.put(None)
+            thread.join()
+
+
+def _draw_batch(seed, start_trial, n_trials, K, each_half, run):
+    """[each_half(h, g, lo, hi)] for the sorted gains (h, g) of trials
+    [start_trial + lo, start_trial + hi), which cover the batch of trials
+    [start_trial, start_trial + n_trials) in order. h and g are
+    (hi - lo, K) views of rank-major buffers, so h[:, j] and g[:, j] are
+    contiguous; the tie-guarded sort (see `_gains_from_uniforms`) makes the
+    content that of a stable sort, whatever sort the host runs.
 
     A batch of at least _SPLIT_GAINS gains is drawn as two halves of its
-    trials, the lower one in the calling thread and the upper one in a
-    worker thread, and the halves' rank-major buffers are joined. Every
-    stage works trial by trial, so no value depends on the split.
+    trials, the lower one in the calling thread and the upper one in the
+    worker of run (see `_worker`), each half handed to each_half in the
+    thread that drew it. Every stage works trial by trial, so no gain
+    depends on the split.
     """
 
-    def draw(lo, hi):
-        return _gains_from_uniforms(_uniform_block(seed, start_trial + lo, hi - lo, K), K)
+    def half(lo, hi):
+        h, g = _gains_from_uniforms(_uniform_block(seed, start_trial + lo, hi - lo, K), K)
+        return each_half(h, g, lo, hi)
 
     if n_trials * K < _SPLIT_GAINS:
-        h, g = draw(0, n_trials)
-    else:
-        mid = n_trials // 2
-        lower, upper = _with_worker(lambda: draw(0, mid), lambda: draw(mid, n_trials))
-        h, g = (np.concatenate((a.T, b.T), axis=1).T for a, b in zip(lower, upper))
-    h.setflags(write=False)
-    g.setflags(write=False)
-    return h, g
+        return [half(0, n_trials)]
+    mid = n_trials // 2
+    return list(run(lambda: half(0, mid), lambda: half(mid, n_trials)))
 
 
-def _with_worker(here, there):
-    """(here(), there()), with here() run in the calling thread and there()
-    in one worker thread. The worker is joined before this returns or
-    raises, and an exception it raised is raised here."""
-    result = {}
-
-    def work():
-        try:
-            result["value"] = there()
-        except BaseException as exc:  # raised again in the calling thread
-            result["error"] = exc
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        mine = here()
-    finally:
-        worker.join()
-    if "error" in result:
-        raise result["error"]
-    return mine, result["value"]
+def _batch_gains(seed, start_trial, n_trials, K):
+    """The sorted gains of `_draw_batch`'s batch as one (h, g) pair, its
+    halves joined: read-only (n_trials, K) views of rank-major buffers."""
+    with _worker(1) as run:
+        halves = _draw_batch(seed, start_trial, n_trials, K, lambda h, g, lo, hi: (h.T, g.T), run)
+    joined = [np.concatenate(parts, axis=1).T for parts in zip(*halves)]
+    for arr in joined:
+        arr.setflags(write=False)
+    return tuple(joined)
 
 
-def _batches(seed, trials, K):
-    """Sorted gains of trials [0, trials), one fixed BATCH_TRIALS slice at a
-    time, so batch boundaries never depend on the caller. A one-batch run is
-    the scan term (seed, trials, K), which fixes its content (Philox is
-    counter-based); a longer run draws every batch, one at a time."""
-    if trials <= BATCH_TRIALS:
-        (batch,) = _scan_term([(seed, trials, K)], lambda _: [_batch_gains(seed, 0, trials, K)])
-        yield batch
-        return
-    for start in range(0, trials, BATCH_TRIALS):
-        yield _batch_gains(seed, start, min(BATCH_TRIALS, trials - start), K)
-
-
-def _batch_slot_rates(h, g, K, n, rho, wide):
-    inv = 2.0 / rho
-    hn, hK = h[:, n - 1], h[:, K - 1]
-    gn, gK = g[:, n - 1], g[:, K - 1]
-    decoded = hK / (hn + inv) <= gK / (gn + inv)
-    # Select before the log1p, so each trial takes one. Each log1p argument
-    # is a fresh contiguous array: numpy's SIMD log1p serves only those, and
-    # its strided loop may round differently.
-    cb = np.log1p(0.5 * rho * hn)
-    ce = np.log1p(np.where(decoded, 0.5 * rho * gn, gn / (gK + inv)))
+def _slot_rates(hT, gT, n, rho, cb, ce, wide):
+    """Rates of the dual-selection slots n, n + 1, ..., n + len(cb) - 1 at
+    one rho, written into the rows of cb and ce. hT and gT are a half
+    batch's rank-major gains, shape (K, trials); each row of cb and ce is
+    contiguous. wide takes overflowing products in logs (see `_widen`)."""
+    K = len(hT)
+    inv, scale = 2.0 / rho, 0.5 * rho
+    ranks = slice(n - 1, n - 1 + len(cb))
+    hn, gn = hT[ranks], gT[ranks]
+    hK, gK = hT[K - 1], gT[K - 1]
+    gK_inv = gK + inv  # one row for every n
+    # cb and ce hold the two decode SNRs until the rates overwrite them
+    np.divide(hK, np.add(hn, inv, out=cb), out=cb)
+    np.divide(gK, np.add(gn, inv, out=ce), out=ce)
+    decoded = cb <= ce
+    # Select before the log1p, so each trial takes one; every log1p runs
+    # on contiguous rows, which numpy's SIMD loop serves.
+    np.log1p(np.multiply(scale, hn, out=cb), out=cb)
+    np.divide(gn, gK_inv, out=ce)
+    np.multiply(scale, gn, out=ce, where=decoded)
+    np.log1p(ce, out=ce)
     if wide:
-        _widen(cb, 0.5 * rho, hn)
-        _widen(ce, 0.5 * rho, gn, decoded)
-    return cb, ce
+        _widen(cb, scale, hn)
+        _widen(ce, scale, gn, decoded)
+
+
+def _tdma_rates(hT, gT, n, rho, cb, ce, wide):
+    """Rates of the TDMA-like slot (n = K, one row of cb and ce): the
+    strongest user alone at full power, no jamming; as `_slot_rates`."""
+    for rate, x in ((cb, hT[n - 1 : n]), (ce, gT[n - 1 : n])):
+        np.log1p(np.multiply(rho, x, out=rate), out=rate)
+        if wide:
+            _widen(rate, rho, x)
 
 
 def _widen(rate, scale, x, where=True):
@@ -229,28 +278,76 @@ def _widen(rate, scale, x, where=True):
     rate[over] = math.log(scale) + np.log(x[over])
 
 
-def _estimate(seed, trials, K, batch_fn):
-    # Per-batch pairwise sums are combined with fsum so the reduction is
-    # exact and order-fixed. starmap drops each batch before drawing the
-    # next, so a multi-batch run holds one batch at a time. batch_fn(h, g,
-    # wide) returns the rates; only a batch whose sum comes out non-finite
-    # is computed again with wide=True, which takes an overflowing product
-    # in logs, so no finite rate moves. A rate still not finite makes a mean
-    # or the variance non-finite, which raises.
-    def batch_sums(h, g):
-        cb, ce = batch_fn(h, g, False)
-        sum_cb, sum_ce = float(np.sum(cb)), float(np.sum(ce))
-        if not math.isfinite(sum_cb + sum_ce):
-            cb, ce = batch_fn(h, g, True)
-            sum_cb, sum_ce = float(np.sum(cb)), float(np.sum(ce))
-        return sum_cb, sum_ce, float(np.sum((cb - ce) ** 2))
+def _reduce(seed, trials, K, cells):
+    """(sum of C_b, sum of C_e, sum of (C_b - C_e)^2) over trials
+    [0, trials) of each of the distinct cells (n, rho), in cell order; n = K
+    is the TDMA-like slot. Each sum is the fsum of per-batch pairwise sums.
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums_cb, sums_ce, sums_d2 = zip(*itertools.starmap(batch_sums, _batches(seed, trials, K)))
-    mean_cb = math.fsum(sums_cb) / trials
-    mean_ce = math.fsum(sums_ce) / trials
+    Every batch is drawn once for all cells. Each thread of `_draw_batch`
+    writes its half's rates into its columns of the batch's (cells, trials)
+    buffers, one kernel call per run of consecutive n at one rho; the
+    calling thread then sums each full row, so a cell's batch sums are
+    those of its rates alone. A reduction holds one batch and its buffers
+    at a time.
+    """
+    blocks = []  # [first row, end row, first n, rho, kernel]
+    for row, (n, rho) in enumerate(cells):
+        last = blocks[-1] if blocks else None
+        if last and last[3] == rho and n < K and n - last[2] == row - last[0]:
+            last[1] = row + 1
+        else:
+            blocks.append([row, row + 1, n, rho, _tdma_rates if n == K else _slot_rates])
+    size = len(cells) * min(trials, BATCH_TRIALS)
+    buffers, lock = [], threading.Lock()
+
+    def batch_rows(m):
+        # (C_b, C_e) rows of a batch of m trials. The first half ready to
+        # write allocates the buffers, so they never sit beside two draws.
+        with lock:
+            if not buffers:
+                buffers.extend((np.empty(size), np.empty(size)))
+        return [buf[: len(cells) * m].reshape(len(cells), m) for buf in buffers]
+
+    sums = []
+    starts = range(0, trials, BATCH_TRIALS)
+    with _worker(len(starts)) as run, np.errstate(over="ignore", invalid="ignore"):
+        for start in starts:
+            m = min(BATCH_TRIALS, trials - start)
+
+            def rates(h, g, lo, hi, m=m):
+                cb, ce = batch_rows(m)
+                with np.errstate(over="ignore", invalid="ignore"):  # the worker's own
+                    for first, end, n, rho, kernel in blocks:
+                        out = cb[first:end, lo:hi], ce[first:end, lo:hi]
+                        kernel(h.T, g.T, n, rho, *out, rho >= _WIDE_RHO)
+
+            _draw_batch(seed, start, m, K, rates, run)
+            cb, ce = batch_rows(m)
+            sum_cb, sum_ce = np.sum(cb, axis=1), np.sum(ce, axis=1)
+            np.square(np.subtract(cb, ce, out=cb), out=cb)
+            sums.append((sum_cb, sum_ce, np.sum(cb, axis=1)))
+    sums = np.array(sums)  # (batch, which sum, cell)
+    return [tuple(math.fsum(col) for col in sums[:, :, row].T) for row in range(len(cells))]
+
+
+def _estimate(seed, trials, K, cell):
+    # The estimate of one cell (n, rho). The scan memo holds, under (seed,
+    # trials, K), the sums of the cells a scan registered there (None until
+    # computed; see _scan_cells), so the first call reduces them all and the
+    # later ones read theirs; outside a scan the dict is fresh, and a cell
+    # nobody registered is reduced alone. A pass takes at most the cells
+    # whose rates fit _RATE_DOUBLES; the rest wait for a later call. A mean
+    # or the variance that is not finite raises here, at the cell's own call.
+    (group,) = _scan_term([(seed, trials, K)], lambda _: [{}])
+    if group.get(cell) is None:
+        todo = [cell] + [c for c, s in group.items() if s is None and c != cell]
+        del todo[max(1, _RATE_DOUBLES // min(trials, BATCH_TRIALS)) :]
+        group.update(zip(todo, _reduce(seed, trials, K, todo)))
+    sum_cb, sum_ce, sum_d2 = group[cell]
+    mean_cb = sum_cb / trials
+    mean_ce = sum_ce / trials
     diff = mean_cb - mean_ce
-    var = (math.fsum(sums_d2) - trials * diff * diff) / (trials - 1) if trials > 1 else 0.0
+    var = (sum_d2 - trials * diff * diff) / (trials - 1) if trials > 1 else 0.0
     if not (math.isfinite(diff) and math.isfinite(var)):  # max(0.0, nan) would read 0.0
         raise FloatingPointError(f"the means {mean_cb!r} and {mean_ce!r} are not finite")
     std_error = math.sqrt(max(0.0, var) / trials)
@@ -264,6 +361,22 @@ def _estimate(seed, trials, K, batch_fn):
     )
 
 
+def _scan_cells(K, cells, trials, seed):
+    """Register a scan's Monte Carlo cells (n, rho) at K users, n = K the
+    TDMA-like slot, so that the scan's first estimate at (seed, trials, K)
+    reduces them all. A cell or a key that no estimator accepts is left out;
+    its own call raises."""
+    try:
+        key = (_check_seed(seed), _check_count(trials, "trials"), K)
+        _check_user_count(K, least=1)
+    except ValueError:
+        return
+    (group,) = _scan_term([key], lambda _: [{}])
+    for n, rho in cells:
+        if _is_integer(n) and 1 <= n <= K and _is_positive_real(rho):
+            group.setdefault((n, rho), None)
+
+
 def estimate_esr(cfg, trials, seed):
     """Monte Carlo ESR of the dual-selection slot over `trials` slots.
 
@@ -274,17 +387,7 @@ def estimate_esr(cfg, trials, seed):
     trials = _check_count(trials, "trials")
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
     _check_dual_slot(K, n)
-    return _estimate(seed, trials, K, lambda h, g, wide: _batch_slot_rates(h, g, K, n, rho, wide))
-
-
-def _batch_tdma_rates(h, g, K, rho, wide):
-    hK, gK = h[:, K - 1], g[:, K - 1]
-    cb = np.log1p(rho * hK)
-    ce = np.log1p(rho * gK)
-    if wide:
-        _widen(cb, rho, hK)
-        _widen(ce, rho, gK)
-    return cb, ce
+    return _estimate(seed, trials, K, (n, rho))
 
 
 def estimate_esr_tdma(K, rho, trials, seed):
@@ -296,7 +399,7 @@ def estimate_esr_tdma(K, rho, trials, seed):
     trials = _check_count(trials, "trials")
     _check_user_count(K, least=1)
     _check_positive_real(rho, "rho")
-    return _estimate(seed, trials, K, lambda h, g, wide: _batch_tdma_rates(h, g, K, rho, wide))
+    return _estimate(seed, trials, K, (K, rho))
 
 
 def empirical_cdf_T(cfg, samples, seed):
@@ -310,12 +413,15 @@ def empirical_cdf_T(cfg, samples, seed):
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
     _check_dual_slot(K, n)
     inv = 2.0 / rho
+    t = np.empty(samples)
+    starts = range(0, samples, BATCH_TRIALS)
+    with _worker(len(starts)) as run:
+        for start in starts:
 
-    def decode_snr(h, g):
-        return h[:, K - 1] / (h[:, n - 1] + inv)
+            def decode_snr(h, g, lo, hi, start=start):
+                np.divide(h[:, K - 1], h[:, n - 1] + inv, out=t[start + lo : start + hi])
 
-    # starmap, as in _estimate, so one batch is held at a time
-    t = np.concatenate(list(itertools.starmap(decode_snr, _batches(seed, samples, K))))
+            _draw_batch(seed, start, min(BATCH_TRIALS, samples - start), K, decode_snr, run)
     t.sort()
     return t
 

@@ -8,9 +8,10 @@ maps a method and a cell to an engine function. `evaluate_cells` answers a
 list of cells (a scan: every CLI mode and `select_served`); it is the only
 loop over cells and the only place that opens a scan scope. While it runs,
 high-SNR cells share their rho-free terms (each xi's dilogarithm parts and
-each (K, n)'s varpi and weights) and Monte Carlo cells a one-batch run, not
-a longer one; the memo is a context variable, so it belongs to one scan in
-one thread and goes with it.
+each (K, n)'s varpi and weights), and the Monte Carlo cells that share
+(seed, trials, K) are answered by one pass over the batches, at any trial
+count; the memo is a context variable, so it belongs to one scan in one
+thread and goes with it.
 """
 
 import math
@@ -85,10 +86,16 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     as a list in cell order.
 
     Cells are answered one by one through `evaluate`, and each result is
-    the one a lone call returns. High-SNR cells share their rho-free terms,
-    and Monte Carlo cells a one-batch run's draw, during this call only.
+    the one a lone call returns. High-SNR cells share their rho-free terms
+    during this call only. The Monte Carlo cells are registered first, so
+    the first of them to be evaluated reduces them all in one pass over the
+    batches, each batch drawn once at any trial count; each later one reads
+    its sums, and each raises its own errors at its own call.
     """
     with _scan_scope():
+        mc = [(n, rho) for method, n, rho in cells if method == "montecarlo"]
+        if mc:
+            montecarlo._scan_cells(K, mc, trials, seed)
         return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]
 
 

@@ -123,7 +123,7 @@ def _as_positive_array(x, name):
 
 #: The work the cells of one scan share: a dict inside _scan_scope, None
 #: outside. Keys: xi floats (Upsilon parts), (K, n) pairs (high-SNR cells)
-#: and MC (seed, trials, K) triples (one-batch draws).
+#: and MC (seed, trials, K) triples (each Monte Carlo cell's sums).
 _scan_terms = contextvars.ContextVar("dualsel_scan_terms", default=None)
 
 

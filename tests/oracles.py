@@ -2,7 +2,7 @@
 
 The per-slot ones restate the model one slot at a time, with no
 validation, and draw their gains from the same per-trial Philox slices as
-the library but without its batch memo. The closed-form ones are the
+the library. The closed-form ones are the
 library's earlier one-term-at-a-time loops, kept as bit oracles: the array
 code must reproduce them to the last bit. cdf_T_two_branch is the Xi-sum
 CDF as it was evaluated before its two branches became one formula.

@@ -23,7 +23,7 @@ from dualsel.montecarlo import (
     _gains_from_uniforms,
     _uniform_block,
 )
-from dualsel.selection import select_served
+from dualsel.selection import evaluate_cells, select_served
 from oracles import (
     ChannelRealization,
     cdf_order_stat,
@@ -428,10 +428,10 @@ def test_an_overflowing_rate_raises_instead_of_reading_zero(monkeypatch):
     # max(0.0, nan) used to print 0 +/- 0. A product that overflows is taken
     # in logs (see test_rates_stay_finite_at_3082_db), so this rate stays
     # inf even on the wide path.
-    def rates(h, g, K, n, rho, wide):
-        return np.full(h.shape[0], math.inf), np.zeros(h.shape[0])
+    def rates(hT, gT, n, rho, cb, ce, wide):
+        cb[:], ce[:] = math.inf, 0.0
 
-    monkeypatch.setattr(montecarlo, "_batch_slot_rates", rates)
+    monkeypatch.setattr(montecarlo, "_slot_rates", rates)
     with pytest.raises(FloatingPointError, match="not finite"):
         estimate_esr(cfg_of(8, 4, 10.0), 1000, 0)
 
@@ -452,13 +452,17 @@ def test_rates_stay_finite_at_3082_db(K, n):
 def test_the_wide_path_moves_only_overflowing_rates():
     rho = 10.0**308.2
     h, g = montecarlo._batch_gains(0, 0, 5000, 8)
-    with np.errstate(over="ignore"):  # as _estimate runs them
-        pairs = [
-            (montecarlo._batch_slot_rates(h, g, 8, 7, rho, False),
-             montecarlo._batch_slot_rates(h, g, 8, 7, rho, True)),
-            (montecarlo._batch_tdma_rates(h, g, 8, rho, False),
-             montecarlo._batch_tdma_rates(h, g, 8, rho, True)),
-        ]
+
+    def rates(kernel, n, wide):
+        cb, ce = np.empty((1, 5000)), np.empty((1, 5000))
+        with np.errstate(over="ignore"):  # as _reduce runs them
+            kernel(h.T, g.T, n, rho, cb, ce, wide)
+        return cb, ce
+
+    pairs = [
+        (rates(montecarlo._slot_rates, 7, False), rates(montecarlo._slot_rates, 7, True)),
+        (rates(montecarlo._tdma_rates, 8, False), rates(montecarlo._tdma_rates, 8, True)),
+    ]
     for narrow, wide in pairs:
         for a, b in zip(narrow, wide):
             over = np.isinf(a)
@@ -467,21 +471,26 @@ def test_the_wide_path_moves_only_overflowing_rates():
             assert (b[over] > math.log(np.finfo(float).max)).all()
 
 
-class TestBatchMemo:
-    """Within one scan, cells that share (seed, trials, K) reuse the draw of
-    a one-batch run; no result may tell a reused batch from a fresh one, and
-    no batch outlives the call or the scan that drew it."""
+def cold_cell(K, n, rho, trials, seed):
+    # a lone call, outside any scan
+    if n < K:
+        return estimate_esr(cfg_of(K, n, rho), trials, seed)
+    return estimate_esr_tdma(K, rho, trials, seed)
 
-    @pytest.mark.parametrize("K", [3, 8])
+
+class TestBatchMemo:
+    """Within one scan, the cells that share (seed, trials, K) are answered
+    by one reduction that draws each batch once, at any trial count; no
+    result may tell a scan's cell from a lone call, and no batch outlives
+    the call or the scan that drew it."""
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 20])
     def test_scan_equals_cold_cells(self, K):
         rho = 100.0
-        scan = select_served(K, rho, "montecarlo", 10_000, 7)
-        for n, est in scan.esr_by_n:
-            if n < K:
-                ref = estimate_esr(cfg_of(K, n, rho), 10_000, 7)
-            else:
-                ref = estimate_esr_tdma(K, rho, 10_000, 7)
-            assert est == ref
+        for trials in (10_000, BATCH_TRIALS + 5, 3 * BATCH_TRIALS + 1):
+            scan = select_served(K, rho, "montecarlo", trials, 7)
+            for n, est in scan.esr_by_n:
+                assert est == cold_cell(K, n, rho, trials, 7), (trials, n)
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -490,23 +499,23 @@ class TestBatchMemo:
         half, in either order; each of its trials must be drawn exactly once,
         and no uniforms may be drawn outside a batch."""
         batches, ranges = [], []
-        batch_gains = montecarlo._batch_gains
+        draw_batch = montecarlo._draw_batch
 
         def counting_block(seed, start, n, K):
             ranges.append((start, start + n))
             return _uniform_block(seed, start, n, K)
 
-        def counting_batch(seed, start, n, K):
+        def counting_batch(seed, start, n, K, *rest):
             assert not ranges
-            gains = batch_gains(seed, start, n, K)
+            halves = draw_batch(seed, start, n, K, *rest)
             lows, highs = zip(*sorted(ranges))
             assert (*lows, start + n) == (start, *highs)
             ranges.clear()
             batches.append((seed, start, n, K))
-            return gains
+            return halves
 
         monkeypatch.setattr(montecarlo, "_uniform_block", counting_block)
-        monkeypatch.setattr(montecarlo, "_batch_gains", counting_batch)
+        monkeypatch.setattr(montecarlo, "_draw_batch", counting_batch)
         yield batches
         assert not ranges
 
@@ -534,17 +543,13 @@ class TestBatchMemo:
         assert warm == [fn(*args) for fn, *args in calls]
 
     def test_multi_batch_run_equals_cold_cells(self):
-        # each cell walks both batches and shares neither with the others
         scan = select_served(4, 10.0, "montecarlo", BATCH_TRIALS + 5, 3)
         for n, est in scan.esr_by_n:
-            if n < 4:
-                assert est == estimate_esr(cfg_of(4, n, 10.0), BATCH_TRIALS + 5, 3)
-            else:
-                assert est == estimate_esr_tdma(4, 10.0, BATCH_TRIALS + 5, 3)
+            assert est == cold_cell(4, n, 10.0, BATCH_TRIALS + 5, 3)
 
-    def test_multi_batch_scan_draws_every_batch_for_every_cell(self, draws):
+    def test_multi_batch_scan_draws_each_batch_once(self, draws):
         select_served(4, 10.0, "montecarlo", BATCH_TRIALS + 5, 3)
-        assert draws == [(3, 0, BATCH_TRIALS, 4), (3, BATCH_TRIALS, 5, 4)] * 4
+        assert draws == [(3, 0, BATCH_TRIALS, 4), (3, BATCH_TRIALS, 5, 4)]
 
     def test_compare_run_draws_once(self, draws, tmp_path, capsys):
         # the analytic and mc cells alternate over the three rho values
@@ -554,30 +559,109 @@ class TestBatchMemo:
         assert capsys.readouterr().out.count("\nmc,") == 3
         assert draws == [(5, 0, 10_000, 4)]
 
-    def test_memo_holds_a_one_batch_run_only(self):
+    @pytest.mark.parametrize("engine, n", [("mc", 3), ("both", 6)])
+    def test_sweep_rho_run_draws_once_and_equals_cold_cells(self, draws, tmp_path, capsys, engine, n):
+        # one pass over both batches answers every rho; engine "both" puts
+        # the analytic cells first
+        trials = BATCH_TRIALS + 5
+        argv = ["--mode", "sweep-rho", "--k", "6", "--served", str(n), "--engine", engine,
+                "--rho-db", "0:30:10", "--trials", str(trials), "--seed", "4",
+                "--manifest", str(tmp_path / "m.txt")]
+        assert cli.main(argv) == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.splitlines() if r.startswith("mc,")]
+        assert draws == [(4, 0, BATCH_TRIALS, 6), (4, BATCH_TRIALS, 5, 6)]
+        assert [row[3] for row in rows] == ["0", "10", "20", "30"]
+        for row in rows:
+            cold = cold_cell(6, n, 10.0 ** (float(row[3]) / 10.0), trials, 4)
+            assert row[4:6] == [f"{cold.esr:.12g}", f"{cold.std_error:.6g}"]
+
+    def test_a_multi_rho_scan_equals_cold_cells(self):
+        # several runs of n at each rho, repeats, the TDMA slot and a wide rho
+        rhos = (1.0, 100.0, 10.0**308.2)
+        cells = [("montecarlo", n, rho) for rho in rhos for n in (6, 1, 2, 8, 4, 5, 2)]
+        cells += [("analytic", 7, 100.0), ("montecarlo", 3, 1.0)]
+        for trials in (3, 10_000, BATCH_TRIALS + 5):
+            got = evaluate_cells(8, cells, trials, 9)
+            for (method, n, rho), value in zip(cells, got):
+                if method == "montecarlo":
+                    assert value == cold_cell(8, n, rho, trials, 9), (trials, n, rho)
+
+    def test_a_long_scan_reduces_in_passes_of_bounded_buffers(self, draws, monkeypatch):
+        # five cells per pass: the eight cells of one rho take two passes
+        monkeypatch.setattr(montecarlo, "_RATE_DOUBLES", 5 * 1_000)
+        scan = select_served(8, 100.0, "montecarlo", 1_000, 2)
+        assert draws == [(2, 0, 1_000, 8)] * 2
+        for n, est in scan.esr_by_n:
+            assert est == cold_cell(8, n, 100.0, 1_000, 2)
+
+    def test_memo_holds_sums_not_batches(self):
         K = 4
         cfg = cfg_of(K, 2, 10.0)
         estimate_esr(cfg, 10, 5)  # first-call allocations of numpy
-        with specfun._scan_scope():
-            estimate_esr(cfg, 1_000, 5)
-            memo = dict(specfun._scan_terms.get())
-        assert list(memo) == [(5, 1_000, K)]
-        for arr in memo[(5, 1_000, K)]:
-            assert arr.shape == (1_000, K)
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
         tracemalloc.start()
         try:
             with specfun._scan_scope():
                 before = tracemalloc.get_traced_memory()[0]
+                estimate_esr(cfg, 1_000, 5)
                 estimate_esr(cfg, 3 * BATCH_TRIALS + 1, 5)
                 held = tracemalloc.get_traced_memory()[0] - before
                 memo = dict(specfun._scan_terms.get())
         finally:
             tracemalloc.stop()
-        assert memo == {}
+        # each (seed, trials, K) keeps its cells' three sums, no array
+        assert list(memo) == [(5, 1_000, K), (5, 3 * BATCH_TRIALS + 1, K)]
+        for group in memo.values():
+            assert list(group) == [(2, 10.0)]
+            (sums,) = group.values()
+            assert len(sums) == 3 and all(type(x) is float for x in sums)
         # less than the base-station half of one full batch stays behind
         assert held < BATCH_TRIALS * K * 8
+
+    def test_a_failing_cell_raises_at_its_own_call(self, monkeypatch, tmp_path, capsys):
+        # n = 3's rates are nan: the cells before it return, and the error
+        # names n = 3, though the first call reduced every cell of the scan
+        real = montecarlo._slot_rates
+
+        def poisoned(hT, gT, n, rho, cb, ce, wide):
+            real(hT, gT, n, rho, cb, ce, wide)
+            if n <= 3 < n + len(cb):
+                cb[3 - n] = math.nan
+
+        monkeypatch.setattr(montecarlo, "_slot_rates", poisoned)
+        seen = []
+        estimate = montecarlo.estimate_esr
+
+        def spy(cfg, trials, seed):
+            seen.append(cfg.served_index)
+            return estimate(cfg, trials, seed)
+
+        monkeypatch.setattr(montecarlo, "estimate_esr", spy)
+        cell = r"^K=5, n=3, rho=100 \(20 dB\): the means nan and "
+        with pytest.raises(FloatingPointError, match=cell):
+            evaluate_cells(5, [("montecarlo", n, 100.0) for n in (1, 2, 3, 4, 5)], 2_000, 1)
+        assert seen == [1, 2, 3]
+        argv = ["--mode", "sweep-n", "--k", "5", "--engine", "mc", "--rho-db", "20",
+                "--trials", "2000", "--seed", "1", "--manifest", str(tmp_path / "m.txt")]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert "numerical error: K=5, n=3, rho=100 (20 dB): the means nan" in err
+
+    def test_a_reduction_keeps_one_worker(self, monkeypatch):
+        # three split batches and a short one, one worker thread for all
+        started = []
+        thread = threading.Thread
+
+        class Counted(thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        estimate_esr(cfg_of(8, 4, 10.0), 3 * BATCH_TRIALS + 1, 1)
+        select_served(8, 10.0, "montecarlo", 3 * BATCH_TRIALS + 1, 1)
+        empirical_cdf_T(cfg_of(8, 4, 10.0), 3 * BATCH_TRIALS + 1, 1)
+        assert len(started) == 3
+        assert not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize(
         "call, trials",
