@@ -368,6 +368,7 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     """
     _check_dual_slot(cfg.num_users, cfg.served_index)
     _check_variant(variant)
+    _check_positive_real(tol, "tol")
     kernel = theta_corrected if variant == "corrected" else theta
     rho = cfg.transmit_snr
     log_s = _log_tail_end(rho, math.log(_TAIL_SHARE * 0.5) + math.log(tol), variant)
@@ -455,6 +456,7 @@ def exp_ce(cfg, tol=1e-9, variant="corrected"):
     e^(2/rho) overflows (below about -25.5 dB), or tol e^(-2/rho)
     underflows, raises FloatingPointError.
     """
+    _check_positive_real(tol, "tol")
     rho = cfg.transmit_snr
     a = 2.0 / rho
     re1 = 1.0 - a * e1_scaled(a)

@@ -9,12 +9,14 @@ Philox stream keyed by the seed, so trial i yields bit-identical gains no
 matter how trials are batched, ordered, or distributed across workers.
 Reductions run in trial order with exact (fsum) accumulation across batches.
 
-One reducer (`_reduce`) answers every estimate: it walks the fixed batches
-of a (seed, trials, K) key once and computes the rates of several cells on
-each batch. Within one scan (selection.evaluate_cells), the first estimate
-at a key reduces every Monte Carlo cell the scan registered there, at any
-trial count, and the scan's later calls read their sums; a lone call
-reduces its one cell. No batch outlives the reduction that drew it.
+One walk over the fixed batches (`_walk`) draws every trial, for both of
+its callers: `empirical_cdf_T` and the reducer. One reducer (`_reduce`)
+answers every estimate: it walks the batches of a (seed, trials, K) key
+once and computes the rates of several cells on each batch. Within one
+scan (selection.evaluate_cells), the first estimate at a key reduces every
+Monte Carlo cell the scan registered there, at any trial count, and the
+scan's later calls read their sums; a lone call reduces its one cell. No
+batch outlives the reduction that drew it.
 
 A batch's sorted gains are (trials, K) views of rank-major buffers, so the
 row of each rank, the one a rate kernel reads, is contiguous. They are
@@ -23,16 +25,15 @@ a tie sends its block of trials through a stable sort, so tied users stay in
 user order with their eavesdropper gains, and no bit depends on the host's
 sort implementation.
 
-A large batch is drawn as two halves of its trials on two threads: the
-calling thread draws, orders and rates the lower half, one worker thread the
-upper half, each from its own Philox counter offset, and each writes its
-rates into its own columns of the batch's (cells, trials) buffers. The
-calling thread then sums each cell's full row, so no value depends on the
-split. A reduction keeps one worker for all its batches.
+The walk draws a large batch as two halves of its trials on two threads:
+the calling thread draws, orders and rates the lower half, one worker thread
+the upper half, each from its own Philox counter offset, and each writes its
+rates into its own columns of the batch's (cells, trials) buffers. Once
+both are done, the calling thread sums each cell's full row, so no value
+depends on the split. A walk keeps one worker for all its batches, fed one
+half per batch, and holds one batch at a time.
 """
 
-import contextlib
-import itertools
 import math
 import queue
 import sys
@@ -125,8 +126,8 @@ def _gains_from_uniforms(u, K):
     user order and the eavesdropper gains still pair with their owners.
 
     Every stage works trial by trial, so the gains of a trial do not depend
-    on the other trials in u: `_draw_batch` runs this on each half of a
-    large batch, one half per thread.
+    on the other trials in u: `_walk` runs this on each half of a large
+    batch, one half per thread.
     """
     h = _exponentials(u[:, :K])
     g = _exponentials(u[:, K:])
@@ -157,81 +158,63 @@ def _rank_major(order):
     return idx
 
 
-@contextlib.contextmanager
-def _worker(runs):
-    """A run(here, there) that returns (here(), there()), with here() run in
-    the calling thread and there() in one worker thread that every run of
-    this block shares. The worker starts at the first run and ends after
-    `runs` runs or with the block, so it can exit while the caller finishes
-    its own half; it is joined when the block ends or raises. run returns or
-    raises only once both are done, and an exception the worker raised is
-    raised by run."""
+def _walk(seed, trials, K, each_half, each_batch):
+    """Draw trials [0, trials) in the fixed batches of BATCH_TRIALS, in
+    order, each batch made when the walk reaches it. A batch of m trials
+    from start is handed out in halves that cover it, each_half(h, g,
+    start, m, lo, hi) getting the sorted gains of trials [start + lo,
+    start + hi); then each_batch(start, m) runs in the calling thread. h
+    and g are (hi - lo, K) views of rank-major buffers, so h[:, j] and
+    g[:, j] are contiguous, and their content is that of a stable sort (see
+    `_gains_from_uniforms`).
+
+    A batch of at least _SPLIT_GAINS gains is split: the calling thread
+    draws and hands out the lower half, and one worker thread, fed one half
+    per batch, the upper. The worker exits after its last half and is
+    joined before the walk returns or raises; its exception is raised here.
+    """
     tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
-    thread = None
+    worker = None
+
+    def half(start, m, lo, hi):
+        h, g = _gains_from_uniforms(_uniform_block(seed, start + lo, hi - lo, K), K)
+        each_half(h, g, start, m, lo, hi)
 
     def serve():
-        for task in itertools.islice(iter(tasks.get, None), runs):
+        for start, m in iter(tasks.get, None):
             try:
-                done.put((task(), None))
+                half(start, m, m // 2, m)
             except BaseException as exc:  # raised again in the calling thread
-                done.put((None, exc))
+                done.put(exc)
+            else:
+                done.put(None)
 
-    def run(here, there):
-        nonlocal thread
-        if thread is None:
-            thread = threading.Thread(target=serve)
-            thread.start()
-        tasks.put(there)
-        try:
-            mine = here()
-        finally:
-            theirs, error = done.get()
-        if error is not None:
-            raise error
-        return mine, theirs
+    def splits(start):  # False past the last batch
+        return min(BATCH_TRIALS, trials - start) * K >= _SPLIT_GAINS
 
     try:
-        yield run
+        for start in range(0, trials, BATCH_TRIALS):
+            m = min(BATCH_TRIALS, trials - start)
+            if splits(start):
+                if worker is None:
+                    worker = threading.Thread(target=serve)
+                    worker.start()
+                tasks.put((start, m))
+                if not splits(start + m):  # the worker's last half
+                    tasks.put(None)
+                try:
+                    half(start, m, 0, m // 2)
+                finally:
+                    error = done.get()
+                if error is not None:
+                    raise error
+            else:
+                half(start, m, 0, m)
+            each_batch(start, m)
     finally:
-        if thread is not None:
+        if worker is not None:
             tasks.put(None)
-            thread.join()
-
-
-def _draw_batch(seed, start_trial, n_trials, K, each_half, run):
-    """[each_half(h, g, lo, hi)] for the sorted gains (h, g) of trials
-    [start_trial + lo, start_trial + hi), which cover the batch of trials
-    [start_trial, start_trial + n_trials) in order. h and g are
-    (hi - lo, K) views of rank-major buffers, so h[:, j] and g[:, j] are
-    contiguous; the tie-guarded sort (see `_gains_from_uniforms`) makes the
-    content that of a stable sort, whatever sort the host runs.
-
-    A batch of at least _SPLIT_GAINS gains is drawn as two halves of its
-    trials, the lower one in the calling thread and the upper one in the
-    worker of run (see `_worker`), each half handed to each_half in the
-    thread that drew it. Every stage works trial by trial, so no gain
-    depends on the split.
-    """
-
-    def half(lo, hi):
-        h, g = _gains_from_uniforms(_uniform_block(seed, start_trial + lo, hi - lo, K), K)
-        return each_half(h, g, lo, hi)
-
-    if n_trials * K < _SPLIT_GAINS:
-        return [half(0, n_trials)]
-    mid = n_trials // 2
-    return list(run(lambda: half(0, mid), lambda: half(mid, n_trials)))
-
-
-def _batch_gains(seed, start_trial, n_trials, K):
-    """The sorted gains of `_draw_batch`'s batch as one (h, g) pair, its
-    halves joined: read-only (n_trials, K) views of rank-major buffers."""
-    with _worker(1) as run:
-        halves = _draw_batch(seed, start_trial, n_trials, K, lambda h, g, lo, hi: (h.T, g.T), run)
-    joined = [np.concatenate(parts, axis=1).T for parts in zip(*halves)]
-    for arr in joined:
-        arr.setflags(write=False)
-    return tuple(joined)
+            worker.join()
 
 
 def _slot_rates(hT, gT, n, rho, cb, ce, wide):
@@ -283,12 +266,12 @@ def _reduce(seed, trials, K, cells):
     [0, trials) of each of the distinct cells (n, rho), in cell order; n = K
     is the TDMA-like slot. Each sum is the fsum of per-batch pairwise sums.
 
-    Every batch is drawn once for all cells. Each thread of `_draw_batch`
-    writes its half's rates into its columns of the batch's (cells, trials)
-    buffers, one kernel call per run of consecutive n at one rho; the
-    calling thread then sums each full row, so a cell's batch sums are
-    those of its rates alone. A reduction holds one batch and its buffers
-    at a time.
+    One walk (see `_walk`) draws every batch once for all cells. Each half
+    writes its rates into its columns of the batch's (cells, trials)
+    buffers, in the thread that drew it, one kernel call per run of
+    consecutive n at one rho; once both halves are in, the calling thread
+    sums each full row, so a cell's batch sums are those of its rates
+    alone. A reduction holds one batch and its buffers at a time.
     """
     blocks = []  # [first row, end row, first n, rho, kernel]
     for row, (n, rho) in enumerate(cells):
@@ -298,7 +281,7 @@ def _reduce(seed, trials, K, cells):
         else:
             blocks.append([row, row + 1, n, rho, _tdma_rates if n == K else _slot_rates])
     size = len(cells) * min(trials, BATCH_TRIALS)
-    buffers, lock = [], threading.Lock()
+    buffers, lock, sums = [], threading.Lock(), []
 
     def batch_rows(m):
         # (C_b, C_e) rows of a batch of m trials. The first half ready to
@@ -308,24 +291,21 @@ def _reduce(seed, trials, K, cells):
                 buffers.extend((np.empty(size), np.empty(size)))
         return [buf[: len(cells) * m].reshape(len(cells), m) for buf in buffers]
 
-    sums = []
-    starts = range(0, trials, BATCH_TRIALS)
-    with _worker(len(starts)) as run, np.errstate(over="ignore", invalid="ignore"):
-        for start in starts:
-            m = min(BATCH_TRIALS, trials - start)
+    def rates(h, g, start, m, lo, hi):
+        cb, ce = batch_rows(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first, end, n, rho, kernel in blocks:
+                out = cb[first:end, lo:hi], ce[first:end, lo:hi]
+                kernel(h.T, g.T, n, rho, *out, rho >= _WIDE_RHO)
 
-            def rates(h, g, lo, hi, m=m):
-                cb, ce = batch_rows(m)
-                with np.errstate(over="ignore", invalid="ignore"):  # the worker's own
-                    for first, end, n, rho, kernel in blocks:
-                        out = cb[first:end, lo:hi], ce[first:end, lo:hi]
-                        kernel(h.T, g.T, n, rho, *out, rho >= _WIDE_RHO)
-
-            _draw_batch(seed, start, m, K, rates, run)
-            cb, ce = batch_rows(m)
+    def row_sums(start, m):
+        cb, ce = batch_rows(m)
+        with np.errstate(over="ignore", invalid="ignore"):
             sum_cb, sum_ce = np.sum(cb, axis=1), np.sum(ce, axis=1)
             np.square(np.subtract(cb, ce, out=cb), out=cb)
             sums.append((sum_cb, sum_ce, np.sum(cb, axis=1)))
+
+    _walk(seed, trials, K, rates, row_sums)
     sums = np.array(sums)  # (batch, which sum, cell)
     return [tuple(math.fsum(col) for col in sums[:, :, row].T) for row in range(len(cells))]
 
@@ -414,14 +394,11 @@ def empirical_cdf_T(cfg, samples, seed):
     _check_dual_slot(K, n)
     inv = 2.0 / rho
     t = np.empty(samples)
-    starts = range(0, samples, BATCH_TRIALS)
-    with _worker(len(starts)) as run:
-        for start in starts:
 
-            def decode_snr(h, g, lo, hi, start=start):
-                np.divide(h[:, K - 1], h[:, n - 1] + inv, out=t[start + lo : start + hi])
+    def decode_snr(h, g, start, m, lo, hi):
+        np.divide(h[:, K - 1], h[:, n - 1] + inv, out=t[start + lo : start + hi])
 
-            _draw_batch(seed, start, min(BATCH_TRIALS, samples - start), K, decode_snr, run)
+    _walk(seed, samples, K, decode_snr, lambda start, m: None)
     t.sort()
     return t
 

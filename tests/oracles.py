@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualsel.analytic import _LOG2, _upsilon_lead, xi_table
-from dualsel.montecarlo import _uniform_block
+from dualsel.montecarlo import _uniform_block, _walk
 from dualsel.specfun import EULER_GAMMA
 
 _PI2_6 = math.pi**2 / 6.0
@@ -48,6 +48,23 @@ def stable_sorted_gains(u, K):
     g = -np.log1p(-u[:, K:])
     order = np.argsort(h, axis=1, kind="stable")
     return np.take_along_axis(h, order, axis=1), np.take_along_axis(g, order, axis=1)
+
+
+def walked_gains(seed, trials, K):
+    """The sorted gains (h, g) of trials [0, trials) as the library's batch
+    walk draws them, its halves and batches joined in trial order:
+    read-only (trials, K) views of rank-major buffers."""
+    halves = []  # (first trial, hT, gT), appended by either thread
+    _walk(
+        seed, trials, K,
+        lambda h, g, start, m, lo, hi: halves.append((start + lo, h.T, g.T)),
+        lambda start, m: None,
+    )
+    halves.sort(key=lambda half: half[0])
+    joined = [np.concatenate(parts, axis=1).T for parts in list(zip(*halves))[1:]]
+    for arr in joined:
+        arr.setflags(write=False)
+    return tuple(joined)
 
 
 def draw_realization(seed, trial_index, K):

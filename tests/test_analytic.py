@@ -27,6 +27,7 @@ from dualsel.analytic import (
     upsilon_from_xi,
     xi_table,
 )
+from dualsel.selection import select_served
 from dualsel.specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
 from oracles import cdf_order_stat, cdf_T_two_branch, esr_high_snr_terms, order_stat_series_terms
 
@@ -615,6 +616,23 @@ class TestPsiAndExpCe:
         with pytest.raises(ValueError):
             psi(cfg_of(4, 2, 10.0), variant="bogus")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tol: psi(cfg_of(4, 2, 10.0), tol=tol),
+            lambda tol: exp_ce(cfg_of(4, 2, 10.0), tol=tol),
+            lambda tol: esr_exact(cfg_of(4, 2, 10.0), tol=tol),
+            lambda tol: select_served(4, 100.0, tol=tol),
+        ],
+        ids=["psi", "exp_ce", "esr_exact", "select_served"],
+    )
+    @pytest.mark.parametrize("tol", [0, -1, math.nan, math.inf, True, "1e-9"])
+    def test_tol_must_be_positive_and_finite(self, call, tol):
+        # 0, -1 and nan used to raise FloatingPointError (psi at -1 a math
+        # domain error), True ran at tol 1 and "1e-9" raised TypeError
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call(tol)
+
     def test_tdma_slot_rejected(self):
         with pytest.raises(ValueError):
             psi(cfg_of(4, 4, 10.0))
@@ -938,3 +956,12 @@ class TestTdma:
         for K in (2, 4, 8):
             lim = esr_tdma_high_snr(K).value
             assert esr_tdma_exact(K, 1e8).value == pytest.approx(lim, rel=1e-4)
+
+    @pytest.mark.parametrize("rho_db", [-40, -60])
+    def test_exact_has_the_wideband_slope(self, rho_db):
+        # E[log1p(rho h_K)] - E[log1p(rho g)] = rho (H_K - 1) + O(rho^2); the
+        # gap measured 1.5 to 2.4 rho relative
+        rho = 10.0 ** (rho_db / 10.0)
+        for K in range(2, 21):
+            slope = math.fsum(1.0 / i for i in range(2, K + 1))  # H_K - 1
+            assert esr_tdma_exact(K, rho).value / rho == pytest.approx(slope, rel=10.0 * rho)

@@ -30,6 +30,7 @@ from oracles import (
     draw_realization,
     slot_rates,
     stable_sorted_gains,
+    walked_gains,
 )
 
 #: float.hex pins of Monte Carlo estimates, recorded from the stable-sort draw
@@ -124,7 +125,7 @@ class TestSortedGains:
     @pytest.mark.parametrize("K", [1, 2, 8, 20])
     def test_rank_columns_are_contiguous(self, K):
         drawn = (
-            montecarlo._batch_gains(3, 0, 2_000, K),
+            walked_gains(3, 2_000, K),
             _gains_from_uniforms(tied_block(K), K),  # the stable path, for K > 1
         )
         for h, g in drawn:
@@ -140,9 +141,10 @@ class TestSplitDraw:
 
     @pytest.mark.parametrize("K", range(1, 21))
     def test_equals_stable_sort(self, K):
+        # the walk's trials from 5 on are those of a block drawn from trial 5
         for trials in (1, 2, 3, 7, 10_000, BATCH_TRIALS):
             for start in (0, 5):
-                h, g = montecarlo._batch_gains(4, start, trials, K)
+                h, g = (a[start:] for a in walked_gains(4, start + trials, K))
                 h_ref, g_ref = stable_sorted_gains(_uniform_block(4, start, trials, K), K)
                 assert same_bits(h, h_ref) and same_bits(g, g_ref), (trials, start)
                 for j in range(K):
@@ -161,7 +163,7 @@ class TestSplitDraw:
             return u[start : start + n]
 
         monkeypatch.setattr(montecarlo, "_uniform_block", crafted_block)
-        h, g = montecarlo._batch_gains(9, 0, trials, K)
+        h, g = walked_gains(9, trials, K)
         assert sorted(starts) == [0, trials // 2]
         h_ref, g_ref = stable_sorted_gains(u, K)
         assert same_bits(h, h_ref) and same_bits(g, g_ref)
@@ -196,6 +198,27 @@ class TestSplitDraw:
         assert not any(t.is_alive() for t in threads)
         assert got == want
 
+    def test_every_worker_is_joined(self, monkeypatch):
+        # a worker that has had its last half may still be running when the
+        # walk returns; only the join makes it gone, on the error path too
+        started, joined = [], []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+            def join(self, timeout=None):
+                super().join(timeout)
+                joined.append(self)
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        estimate_esr(cfg_of(8, 4, 10.0), 2 * BATCH_TRIALS + 1, 1)
+        monkeypatch.setattr(montecarlo, "_slot_rates", None)  # each half raises
+        with pytest.raises(TypeError):
+            estimate_esr(cfg_of(8, 4, 10.0), 10_000, 1)
+        assert len(started) == 2 and joined == started
+
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_an_error_in_either_half_is_raised_after_the_join(self, monkeypatch, failing):
         # the worker draws the upper half, the one that starts past trial 0
@@ -209,7 +232,7 @@ class TestSplitDraw:
         monkeypatch.setattr(montecarlo, "_uniform_block", failing_block)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            montecarlo._batch_gains(3, 0, 10_000, 8)
+            walked_gains(3, 10_000, 8)
         assert info.value is boom
         assert threading.active_count() == before
 
@@ -373,6 +396,26 @@ def test_multi_batch_run_holds_one_batch_at_a_time(fn):
         assert peaks[1] < peaks[0] + batch_bytes // 2, scope
 
 
+def test_a_huge_run_makes_its_batches_as_it_reaches_them(monkeypatch):
+    # 10**12 trials are 15 million batches: a list of them, or buffers
+    # sized by the trial count, would show in the peak before the draw
+    boom = RuntimeError("draw")
+
+    def failing_block(seed, start, n, K):
+        raise boom
+
+    monkeypatch.setattr(montecarlo, "_uniform_block", failing_block)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError) as info:
+            estimate_esr(cfg_of(8, 4, 10.0), 10**12, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value is boom
+    assert peak < 2**20
+
+
 def test_a_cold_scan_peaks_below_9_mib():
     # the uniform block and the argsort result are freed before the gathers
     # allocate; holding either one longer breaks this bound
@@ -417,6 +460,30 @@ def test_counts_must_be_positive_integers():
         empirical_cdf_T(cfg_of(4, 4, 10.0), 100, 0)
 
 
+def harmonic(k):
+    return math.fsum(1.0 / i for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("K", [4, 8, 20])
+@pytest.mark.parametrize("rho_db", [-40, -60])
+def test_low_snr_means_have_the_wideband_slope(K, rho_db):
+    # log1p(x) = x + O(x^2), so (mean_cb - mean_ce)/rho tends to the slope of
+    # the means: E[h_n]/2 - E[g_n]/2 = (H_K - H_(K-n) - 1)/2 for the dual
+    # slot (C_e is about (rho/2) g_n whether or not the jamming is
+    # decoded), and E[h_K] - E[g] = H_K - 1 for the TDMA slot. The worst
+    # deviation measured 2.2 standard errors.
+    rho = 10.0 ** (rho_db / 10.0)
+    served = (1, K // 2, K - 1, K)
+    ests = evaluate_cells(K, [("montecarlo", n, rho) for n in served], 200_000, 3)
+    for n, est in zip(served, ests):
+        if n < K:
+            slope = (harmonic(K) - harmonic(K - n) - 1.0) / 2.0
+        else:
+            slope = harmonic(K) - 1.0
+        got = (est.mean_cb - est.mean_ce) / rho
+        assert abs(got - slope) <= 4.0 * est.std_error / rho + 10.0 * rho * abs(slope), n
+
+
 def test_tdma_shares_the_analytic_user_cap():
     for K in (21, 2000):
         with pytest.raises(CapabilityError):
@@ -451,7 +518,7 @@ def test_rates_stay_finite_at_3082_db(K, n):
 
 def test_the_wide_path_moves_only_overflowing_rates():
     rho = 10.0**308.2
-    h, g = montecarlo._batch_gains(0, 0, 5000, 8)
+    h, g = walked_gains(0, 5000, 8)
 
     def rates(kernel, n, wide):
         cb, ce = np.empty((1, 5000)), np.empty((1, 5000))
@@ -499,23 +566,30 @@ class TestBatchMemo:
         half, in either order; each of its trials must be drawn exactly once,
         and no uniforms may be drawn outside a batch."""
         batches, ranges = [], []
-        draw_batch = montecarlo._draw_batch
+        walk = montecarlo._walk
 
         def counting_block(seed, start, n, K):
             ranges.append((start, start + n))
             return _uniform_block(seed, start, n, K)
 
-        def counting_batch(seed, start, n, K, *rest):
-            assert not ranges
-            halves = draw_batch(seed, start, n, K, *rest)
-            lows, highs = zip(*sorted(ranges))
-            assert (*lows, start + n) == (start, *highs)
-            ranges.clear()
-            batches.append((seed, start, n, K))
-            return halves
+        def counting_walk(seed, trials, K, each_half, each_batch):
+            def half(h, g, start, m, lo, hi):
+                # this half was drawn, and nothing outside its batch
+                assert (start + lo, start + hi) in ranges
+                assert all(start <= a and b <= start + m for a, b in ranges)
+                each_half(h, g, start, m, lo, hi)
+
+            def batch(start, m):
+                lows, highs = zip(*sorted(ranges))
+                assert (*lows, start + m) == (start, *highs)
+                ranges.clear()
+                batches.append((seed, start, m, K))
+                each_batch(start, m)
+
+            walk(seed, trials, K, half, batch)
 
         monkeypatch.setattr(montecarlo, "_uniform_block", counting_block)
-        monkeypatch.setattr(montecarlo, "_draw_batch", counting_batch)
+        monkeypatch.setattr(montecarlo, "_walk", counting_walk)
         yield batches
         assert not ranges
 
