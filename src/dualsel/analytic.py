@@ -21,7 +21,7 @@ import numpy as np
 
 from .specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
 from .specfun import _as_float_array, _as_positive_array, _check_positive_real, _is_integer
-from .specfun import _e1_scaled_array, _scan_term
+from .specfun import _e1_scaled_array, _e1_scaled_scalar, _is_positive_real, _scan_group
 
 __all__ = [
     "MAX_USERS",
@@ -225,14 +225,21 @@ def _order_stat_series(K, n, f):
     E[log(1 + h_n/a)]; f = log gives -(E[log h_n] + gamma). n = K is the
     TDMA slot (the strongest gain), where the second alternating sum is empty.
     f is called once for each m in 1..K, the only arguments either sum takes.
-    Each term is one rounded product of an exact signed binomial weight and
-    f(m), and each sum is an exact fsum, so the order of the terms is free.
     """
+    (value,) = _order_stat_sums(K, [n], np.array([f(m) for m in range(1, K + 1)]))
+    return value
+
+
+def _order_stat_sums(K, ns, fm):
+    # _order_stat_series at each served index of the list ns, from its row
+    # fm, fm[m - 1] = f(m). Each term is one rounded product of an exact
+    # signed binomial weight and f(m), and each sum is an exact fsum, so the
+    # order of the terms is free: every n shares the first sum, and its
+    # second sum is a suffix of one row of products.
     first, second, index = _ORDER_STAT_WEIGHTS[K]
-    fm = np.array([f(m) for m in range(1, K + 1)])  # fm[m - 1] = f(m)
-    pairs = slice(n * (n + 1) // 2, None)  # the pairs with i >= n
-    second = second[pairs] * fm[index[pairs]]
-    return math.fsum((first * fm).tolist()) - math.fsum(second.tolist())
+    total = math.fsum((first * fm).tolist())
+    terms = (second * fm[index]).tolist()
+    return [total - math.fsum(terms[n * (n + 1) // 2:]) for n in ns]  # pairs with i >= n
 
 
 def _order_stat_weights(K):
@@ -249,15 +256,24 @@ def _order_stat_weights(K):
 _ORDER_STAT_WEIGHTS = [None] + [_order_stat_weights(K) for K in range(1, MAX_USERS + 1)]
 
 
+def _check_e1_bound(x, name):
+    # x is the largest argument of e^x E1(x) that an order-statistic series
+    # takes; where it is finite, no smaller one leaves the positive doubles
+    if not x < math.inf:
+        raise FloatingPointError(f"e^x E1(x) is taken at x = {name}, which overflows")
+
+
 def exp_cb(cfg):
     """Expected legitimate rate E[log(1 + (rho/2)|h_n|^2)] in nats.
 
     Closed form: the order-statistic series of e^x E1(x) at x = 2m/rho
-    (see _order_stat_series).
+    (see _order_stat_series). Where 2K/rho overflows, raises
+    FloatingPointError.
     """
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
     _check_dual_slot(K, n)
-    return _order_stat_series(K, n, lambda x: e1_scaled(2.0 * x / rho))
+    _check_e1_bound(2.0 * K / rho, "2K/rho")
+    return _order_stat_series(K, n, lambda m: _e1_scaled_scalar(2.0 * m / rho))
 
 
 def theta(u, rho):
@@ -482,6 +498,8 @@ def esr_exact(cfg, tol=1e-9):
 
 def _upsilon_lead(rho):
     # the only place rho enters Upsilon: log(rho/2) + 1 - gamma
+    if not 0.5 * rho > 0.0:
+        raise FloatingPointError(f"log(rho/2) is taken at rho/2 = 0.5 * {rho!r}, which underflows")
     return math.log(0.5 * rho) + 1.0 - EULER_GAMMA
 
 
@@ -560,6 +578,7 @@ def upsilon_from_xi(xi, rho):
     0 < |xi - 1| < 0.05 the integral is taken by quadrature to 1e-13
     instead. The engine's xi are ratios of integers up to 20 minus one, so
     each is 1 or at least 1/19 away from it and always takes a closed form.
+    Where rho/2 underflows, raises FloatingPointError.
     """
     _check_positive_real(xi, "xi")
     _check_positive_real(rho, "rho")
@@ -578,44 +597,101 @@ def esr_high_snr(cfg):
     Upsilon_ij = upsilon_from_xi(xi_ij, rho), xi_ij = (K - n + 1 + j)/i - 1
     (the i = 0 row integrates to the constant in the leading term). Grows
     like c * log(rho/2) with c = 1/2 minus the limiting decode probability
-    weight carried by the Upsilon terms.
+    weight carried by the Upsilon terms. Where rho/2 underflows, raises
+    FloatingPointError.
 
     Only lead = log(rho/2) + 1 - gamma depends on rho. Within one scan
-    (selection.evaluate_cells) each xi's rho-free Upsilon parts and each
-    (K, n)'s rho-free cell are computed once; outside one, every call
-    computes them afresh. Either way the value is the same to the bit.
+    (selection.evaluate_cells), the first call at K answers every cell
+    (n, rho) the scan registered at K in one pass (see _high_snr_pass),
+    and each later call reads its own value; outside one, a call is that
+    pass over its one cell. Either way the value is the same to the bit,
+    and a cell's errors are raised at its own call.
     """
     K, n, rho = int(cfg.num_users), int(cfg.served_index), cfg.transmit_snr
     _check_dual_slot(K, n)
-    series, weights, parts = _scan_term([(K, n)], lambda _: [_high_snr_cell(K, n)])[0]
-    tail = weights * _upsilon_step(_upsilon_lead(rho), parts)
-    unclamped = (
-        (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0
-        - series
-        - math.fsum(tail.tolist())
-    )
-    return _clamped(unclamped)
+    cell = (n, rho)
+    group = _scan_group(("high_snr", K))  # (n, rho) -> unclamped, None until computed
+    if group.get(cell) is None:
+        _upsilon_lead(rho)  # a rho/2 that underflows raises here, at this cell alone
+        group[cell] = None
+        _high_snr_pass(K, group)
+    return _clamped(group[cell])
 
 
-def _high_snr_cell(K, n):
-    """The rho-free part of esr_high_snr's (K, n) cell: varpi's series, the
-    weights Xi_ij / i, and the columns (a, b, c, d, mu) of the Upsilon parts
-    at each xi_ij, (i, j) in row order. The parts of every xi that this scan
-    has not met come from one _upsilon_parts call."""
-    xi = [(K - n + 1 + j) / i - 1.0 for i in range(1, K - n + 1) for j in range(n)]
-    parts = np.array(_scan_term(xi, _upsilon_parts)).T
-    weights = (xi_table(K, n).coefficients[1:] / np.arange(1, K - n + 1)[:, None]).ravel()
-    return _order_stat_series(K, n, math.log), weights, parts
+def _scan_cells(K, cells):
+    """Register a scan's high-SNR cells (n, rho) at K users, so that the
+    scan's first esr_high_snr call at K answers them all. A cell that
+    esr_high_snr refuses is left out; its own call raises."""
+    if not (_is_integer(K) and 2 <= K <= MAX_USERS):
+        return
+    group = _scan_group(("high_snr", int(K)))
+    for n, rho in cells:
+        if _is_integer(n) and 1 <= n < K and _is_positive_real(rho) and 0.5 * rho > 0.0:
+            group.setdefault((int(n), rho), None)
+
+
+def _high_snr_pass(K, group):
+    """Answer, in place and in one pass, every cell (n, rho) of group (see
+    esr_high_snr) whose unclamped value is None. The terms of n are the
+    (i, p), p = K - n + 1 + j, with i <= K - n < p <= K, at xi = p/i - 1;
+    one _upsilon_parts call (so one li2 call) takes the distinct xi of
+    every (i, p) that some n among the cells takes, and varpi's row of
+    log m is shared across n. Per chunk of rho, Upsilon over the (i, p)
+    grid is one broadcast, each n's tails (Xi_ij / i) Upsilon_ij at those
+    rho are one product, and each cell's tail is then an exact fsum. So
+    every value has the bits of its cell's term-by-term evaluation."""
+    ns_at = {}
+    for n, rho in [cell for cell, value in group.items() if value is None]:
+        ns_at.setdefault(rho, []).append(n)
+    ns = list(dict.fromkeys(n for at in ns_at.values() for n in at))
+    # (i, p) is a term of some n when i <= m < p for some m = K - n, that
+    # is when p exceeds the least such m that is >= i
+    ms = sorted({K - n for n in ns})
+    place = [0] * (K * (K + 1))  # i (K + 1) + p -> its xi's place among the distinct
+    distinct = {}
+    k = 0
+    for i in range(1, ms[-1] + 1):
+        while ms[k] < i:
+            k += 1
+        for p in range(ms[k] + 1, K + 1):
+            place[i * (K + 1) + p] = distinct.setdefault(p / i - 1.0, len(distinct))
+    parts = np.array(_upsilon_parts(list(distinct)))[place].T.reshape(5, K, K + 1)
+    i_col = np.arange(1, K)[:, None]
+    weights = {n: xi_table(K, n).coefficients[1:] / i_col[:K - n] for n in ns}
+    logs = np.array([math.log(m) for m in range(1, K + 1)])
+    series = dict(zip(ns, _order_stat_sums(K, ns, logs)))
+    rhos = list(ns_at)
+    step = max(1, _CHUNK_VALUES // max(K * (K + 1), sum((K - n) * n for n in ns)))
+    for s in range(0, len(rhos), step):
+        chunk = rhos[s:s + step]
+        leads = np.array([_upsilon_lead(rho) for rho in chunk])[:, None, None]
+        upsilon = _upsilon_step(leads, parts)  # (rho, i, p)
+        tails = {
+            n: (weights[n] * upsilon[:, 1:K - n + 1, K - n + 1:]).reshape(len(chunk), -1).tolist()
+            for n in ns
+        }
+        for r, rho in enumerate(chunk):
+            lead = (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0
+            for n in ns_at[rho]:
+                group[n, rho] = lead - series[n] - math.fsum(tails[n][r])
+
+
+#: Most (rho, i, p) Upsilon values, and most (rho, term) tails, per chunk
+#: of rho, which bounds the chunk's arrays and lists.
+_CHUNK_VALUES = 1 << 14
 
 
 def esr_tdma_exact(K, rho):
     """Exact ESR of the TDMA-like baseline: the strongest user transmits
     alone at full power, the eavesdropper overhears through an independent
-    unit-mean gain. In nats."""
+    unit-mean gain. In nats. Where K/rho overflows, raises
+    FloatingPointError."""
     _check_user_count(K, least=1)
     _check_positive_real(rho, "rho")
-    best = _order_stat_series(K, K, lambda x: e1_scaled(x / rho))
-    return _clamped(best - e1_scaled(1.0 / rho))
+    _check_e1_bound(K / rho, "K/rho")
+    eve = e1_scaled(1.0 / rho)  # also the series' f(1)
+    best = _order_stat_series(K, K, lambda m: eve if m == 1 else _e1_scaled_scalar(m / rho))
+    return _clamped(best - eve)
 
 
 def esr_tdma_high_snr(K, variant="corrected"):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _check_dual_slot, _check_user_count
-from .specfun import _check_positive_real, _is_integer, _is_positive_real, _scan_term
+from .specfun import _check_positive_real, _is_integer, _is_positive_real, _scan_group
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
@@ -318,7 +318,7 @@ def _estimate(seed, trials, K, cell):
     # nobody registered is reduced alone. A pass takes at most the cells
     # whose rates fit _RATE_DOUBLES; the rest wait for a later call. A mean
     # or the variance that is not finite raises here, at the cell's own call.
-    (group,) = _scan_term([(seed, trials, K)], lambda _: [{}])
+    group = _scan_group((seed, trials, K))
     if group.get(cell) is None:
         todo = [cell] + [c for c, s in group.items() if s is None and c != cell]
         del todo[max(1, _RATE_DOUBLES // min(trials, BATCH_TRIALS)) :]
@@ -351,7 +351,7 @@ def _scan_cells(K, cells, trials, seed):
         _check_user_count(K, least=1)
     except ValueError:
         return
-    (group,) = _scan_term([key], lambda _: [{}])
+    group = _scan_group(key)
     for n, rho in cells:
         if _is_integer(n) and 1 <= n <= K and _is_positive_real(rho):
             group.setdefault((n, rho), None)

@@ -6,12 +6,12 @@ TDMA-like slot where the strongest user transmits alone at full power.
 `evaluate` answers one such cell with any method; it is the only place that
 maps a method and a cell to an engine function. `evaluate_cells` answers a
 list of cells (a scan: every CLI mode and `select_served`); it is the only
-loop over cells and the only place that opens a scan scope. While it runs,
-high-SNR cells share their rho-free terms (each xi's dilogarithm parts and
-each (K, n)'s varpi and weights), and the Monte Carlo cells that share
-(seed, trials, K) are answered by one pass over the batches, at any trial
-count; the memo is a context variable, so it belongs to one scan in one
-thread and goes with it.
+loop over cells and the only place that opens a scan scope. It registers
+the cells of both engines that share work; then the high-SNR cells at K
+are answered by one pass over their terms (one li2 call for every xi they
+meet), and the Monte Carlo cells that share (seed, trials, K) by one pass
+over the batches, at any trial count. The memo is a context variable, so
+it belongs to one scan in one thread and goes with it.
 """
 
 import math
@@ -86,17 +86,28 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     as a list in cell order.
 
     Cells are answered one by one through `evaluate`, and each result is
-    the one a lone call returns. High-SNR cells share their rho-free terms
-    during this call only. The Monte Carlo cells are registered first, so
-    the first of them to be evaluated reduces them all in one pass over the
-    batches, each batch drawn once at any trial count; each later one reads
-    its sums, and each raises its own errors at its own call.
+    the one a lone call returns. The high-SNR and Monte Carlo cells are
+    registered first, in one step, and share work during this call only.
+    The first high-SNR cell answers every high-SNR cell in one pass over
+    their terms. The first Monte Carlo cell reduces every Monte Carlo cell
+    in one pass over the batches, each batch drawn once at any trial
+    count. Each later cell reads its value, and each raises its own errors
+    at its own call.
     """
     with _scan_scope():
-        mc = [(n, rho) for method, n, rho in cells if method == "montecarlo"]
-        if mc:
-            montecarlo._scan_cells(K, mc, trials, seed)
+        _register(K, cells, trials, seed)
         return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]
+
+
+def _register(K, cells, trials, seed):
+    # Register the cells of both engines that share work across a scan, so
+    # that each engine's first call answers all of its cells at once.
+    mc = [(n, rho) for method, n, rho in cells if method == "montecarlo"]
+    high_snr = [(n, rho) for method, n, rho in cells if method == "high_snr"]
+    if mc:
+        montecarlo._scan_cells(K, mc, trials, seed)
+    if high_snr:
+        analytic._scan_cells(K, high_snr)
 
 
 def best_served(esr_by_n):

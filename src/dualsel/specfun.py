@@ -122,8 +122,9 @@ def _as_positive_array(x, name):
 
 
 #: The work the cells of one scan share: a dict inside _scan_scope, None
-#: outside. Keys: xi floats (Upsilon parts), (K, n) pairs (high-SNR cells)
-#: and MC (seed, trials, K) triples (each Monte Carlo cell's sums).
+#: outside. It maps each engine's key to the dict of that engine's cells
+#: there: ("high_snr", K) to the high-SNR cells at K users, and a Monte
+#: Carlo (seed, trials, K) triple to the Monte Carlo cells drawn under it.
 _scan_terms = contextvars.ContextVar("dualsel_scan_terms", default=None)
 
 
@@ -138,31 +139,36 @@ def _scan_scope():
         _scan_terms.reset(token)
 
 
-def _scan_term(keys, compute):
-    # The values of keys, in order: how engines share work. compute(missing)
-    # returns the values of a list of distinct keys, and is called once, for
-    # every key that this scan (or, outside one, this call) has not computed.
+def _scan_group(key):
+    # The dict this scan keeps under key, empty when first asked for; outside
+    # a scan, a fresh dict for this one call. How engines share work.
     memo = _scan_terms.get()
-    if memo is None:
-        memo = {}
-    missing = [k for k in dict.fromkeys(keys) if k not in memo]
-    if missing:
-        memo.update(zip(missing, compute(missing)))
-    return [memo[k] for k in keys]
+    return {} if memo is None else memo.setdefault(key, {})
+
+
+#: The indices k of the power series of E1, as floats.
+_E1_SERIES_INDICES = tuple(float(k) for k in range(1, 80))
 
 
 def _e1_series(x):
     # E1(x) = -gamma - log(x) + sum_{k>=1} (-1)^(k+1) x^k / (k * k!), x <= 1.
     # On (0, 1] the total never drops below E1(1) ~ 0.2194, so a relative
-    # stopping rule is safe.
+    # stopping rule is safe. The signed x^k / k! is built with -x: negation
+    # is exact, so each term is the unsigned one's, sign flipped.
     total = -EULER_GAMMA - math.log(x)
-    pk = 1.0  # x^k / k!
-    for k in range(1, 80):
-        pk *= x / k
-        total += pk / k if k % 2 == 1 else -pk / k
-        if pk / k < 1e-17 * total:
+    pk = -1.0  # (-1)^(k+1) x^k / k!
+    minus_x = -x
+    for k in _E1_SERIES_INDICES:
+        pk *= minus_x / k
+        term = pk / k
+        total += term
+        if abs(term) < 1e-17 * total:
             break
     return total
+
+
+#: The numerators -i^2 of the continued fraction's partial fractions, i >= 1.
+_E1_CF_NUMERATORS = tuple(-float(i) * float(i) for i in range(1, 500))
 
 
 def _e1_cf_scaled(x):
@@ -174,23 +180,30 @@ def _e1_cf_scaled(x):
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 500):
-        a = -float(i) * float(i)
+    for a in _E1_CF_NUMERATORS:
         b += 2.0
         d = a * d + b
-        if abs(d) < tiny:
+        if -tiny < d < tiny:
             d = tiny
         c = b + a / c
-        if abs(c) < tiny:
+        if -tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        # |delta - 1| < 1e-16 holds for the double 1.0 alone
+        if delta == 1.0:
             return h
-    # The test above passes only at delta == 1.0 exactly, which some x never
-    # reach (delta settles one ulp away); there the array kernel answers.
+    # Some x never reach delta == 1.0 (it settles one ulp away); there the
+    # array kernel answers.
     return float(_e1_scaled_array(np.array([x]))[0])
+
+
+def _e1_scaled_scalar(x):
+    # e1_scaled at a positive finite float x, unchecked
+    if x <= 1.0:
+        return math.exp(x) * _e1_series(x)
+    return _e1_cf_scaled(x)
 
 
 def e1(x):
@@ -266,21 +279,20 @@ def e1_scaled(x):
     ~1/x; rate kernels that need e^x E1(x) at large x must go through here.
 
     A scalar goes through the power series below x = 1 and the modified
-    Lentz fraction above (relative error ~1e-14) and returns a float. An
-    array goes through a fixed-depth kernel, a few numpy calls for the
-    whole array (relative error <= 2e-15 on [1e-8, 1e12]), and returns an
-    array of its shape; one bad element rejects it whole. The two paths
-    agree to about 1e-15 but not bitwise: they sum different series and
-    fractions to different depths. The scalar path stays because the
-    closed forms feed e^x E1(x) into alternating binomial sums that amplify
-    its last bit, and their printed digits are pinned; it can retire once
-    those sums are rewritten without cancellation.
+    Lentz fraction above (relative error ~1e-14) and returns a float. The
+    closed forms that take many scalars check the largest once and call
+    that scalar kernel, _e1_scaled_scalar, unchecked. An array goes through
+    a fixed-depth kernel, a few numpy calls for the whole array (relative
+    error <= 2e-15 on [1e-8, 1e12]), and returns an array of its shape; one
+    bad element rejects it whole. The two paths agree to about 1e-15 but
+    not bitwise: they sum different series and fractions to different
+    depths. The scalar path stays because the closed forms feed e^x E1(x)
+    into alternating binomial sums that amplify its last bit, and their
+    printed digits are pinned; it can retire once those sums are rewritten
+    without cancellation.
     """
     if np.ndim(x) == 0:
-        x = _positive_scalar(x, "x")
-        if x <= 1.0:
-            return math.exp(x) * _e1_series(x)
-        return _e1_cf_scaled(x)
+        return _e1_scaled_scalar(_positive_scalar(x, "x"))
     return _e1_scaled_array(_as_positive_array(x, "x"))
 
 

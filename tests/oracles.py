@@ -162,8 +162,9 @@ def cdf_T_two_branch(t, K, n, rho):
 
 def e1_cf_lentz(x):
     """specfun's modified Lentz loop for e^x E1(x), x > 1, as it was before
-    its exhaustion path: the converged value, or None where the loop runs
-    out of steps (it stops only at delta == 1.0 exactly)."""
+    its exhaustion path and before its loop was tuned (-i^2 formed at each
+    step, abs() in every test): the converged value, or None where the loop
+    runs out of steps (it stops only at delta == 1.0 exactly)."""
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
@@ -184,6 +185,20 @@ def e1_cf_lentz(x):
         if abs(delta - 1.0) < 1e-16:
             return h
     return None
+
+
+def e1_series_loop(x):
+    """specfun's power series for E1(x), 0 < x <= 1, as it was before its
+    loop was tuned: the sign of each term chosen by k % 2, x / k and pk / k
+    formed from int k."""
+    total = -EULER_GAMMA - math.log(x)
+    pk = 1.0  # x^k / k!
+    for k in range(1, 80):
+        pk *= x / k
+        total += pk / k if k % 2 == 1 else -pk / k
+        if pk / k < 1e-17 * total:
+            break
+    return total
 
 
 def li2_series(x):

@@ -292,9 +292,13 @@ class TestExitCodes:
         # usage error (exit 2) or a RuntimeWarning (an error under pytest)
         # fails. The -26 dB and lower points overflow e^(2/rho) in the
         # analytic engine. At 3082 dB rho h overflows in the Monte Carlo
-        # rates, which take those trials in logs and answer.
+        # rates, which take those trials in logs and answer. At -3080 dB
+        # K/rho overflows in the TDMA and analytic engines; -3235 dB is the
+        # least subnormal rho (-3233.06 dB, the dB its cell is named by),
+        # where rho/2 also underflows in the high-SNR engine.
         n = K if engine == "tdma" else K - 1
-        for db in ("-3000", "-160", "-60", "-26", "-25", "0", "60", "300", "3000", "3082"):
+        for db in ("-3235", "-3080", "-3000", "-160", "-60", "-26", "-25", "0", "60", "300",
+                   "3000", "3082"):
             argv = ["--mode", "esr", "--k", str(K), "--engine", engine, f"--rho-db={db}",
                     "--manifest", str(tmp_path / "m.txt")]
             argv += ["--trials", "1000"] if engine == "mc" else []
@@ -306,7 +310,8 @@ class TestExitCodes:
                 assert math.isfinite(float(row[4])), (db, row)
             else:
                 assert code == 4, (db, err)
-                assert f"numerical error: K={K}, n={n}, rho=" in err and f"({db} dB)" in err, err
+                named = f"{10.0 * math.log10(10.0 ** (float(db) / 10.0)):.6g}"
+                assert f"numerical error: K={K}, n={n}, rho=" in err and f"({named} dB)" in err, err
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tol_is_usage_error(self, tol, tmp_path, capsys):

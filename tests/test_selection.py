@@ -209,7 +209,7 @@ class TestScanSharing:
     those of lone calls, bit for bit, and the shared work lasts exactly as
     long as the scan."""
 
-    @pytest.mark.parametrize("K", [3, 12, 20])
+    @pytest.mark.parametrize("K", range(2, 21))
     def test_select_served_cells_equal_cold_calls(self, K, high_snr_calls):
         res = select_served(K, 100.0, method="high_snr")
         assert len(high_snr_calls) == K - 1
@@ -241,11 +241,65 @@ class TestScanSharing:
             assert cli.main(argv) == 0
             assert specfun._scan_terms.get() is None
             counts.append(li2_calls[0])
-            # each of the K - 1 dual-selection cells takes its new xi in one call
-            assert li2_calls[1] <= 20 - 1
+            # the scan's first call takes the xi of every registered cell at once
+            assert li2_calls[1] == 1
         # the second scan recomputes everything: nothing outlived the first
         assert counts[0] == counts[1] == 3 * len(distinct_xi_not_one(20)) <= 378
         capsys.readouterr()
+
+    def test_tdma_sweep_takes_one_public_e1_call_per_cell(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        real = analytic.e1_scaled
+
+        def counted(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(analytic, "e1_scaled", counted)
+        argv = ["--mode", "sweep-rho", "--k", "20", "--engine", "tdma", "--rho-db", "0:60:5",
+                "--manifest", str(tmp_path / "m.txt")]
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == len(calls) == 13
+
+    def test_mixed_scan_values_equal_lone_calls(self, high_snr_calls):
+        # high-SNR cells at several n and rho, a duplicate, a Monte Carlo
+        # cell and the TDMA-like slot: each value is its lone call's
+        K, trials, seed = 9, 500, 3
+        cells = [
+            ("high_snr", 3, 100.0), ("high_snr", 7, 1e4), ("montecarlo", 4, 100.0),
+            ("high_snr", 3, 100.0), ("high_snr", 1, 10.0), ("high_snr", 9, 100.0),
+            ("high_snr", 7, 100.0),
+        ]
+        values = evaluate_cells(K, cells, trials, seed)
+        assert specfun._scan_terms.get() is None
+        for (method, n, rho), value in zip(cells, values):
+            assert value == evaluate(method, K, n, rho, trials, seed)
+        # an invalid n raises at its own turn, after the cells before it
+        high_snr_calls.clear()
+        with pytest.raises(ValueError, match="served_index must be"):
+            evaluate_cells(K, cells[:3] + [("high_snr", 0, 100.0)] + cells[3:], trials, seed)
+        assert [(cfg.served_index, cfg.transmit_snr) for cfg, _, _ in high_snr_calls] == [
+            (3, 100.0), (7, 1e4)
+        ]
+        assert specfun._scan_terms.get() is None
+
+    def test_a_cell_that_cannot_be_evaluated_raises_at_its_own_call(self, high_snr_calls):
+        # rho/2 underflows at the least subnormal rho: that cell, and no
+        # other, raises, naming itself
+        cells = [("high_snr", 2, 100.0), ("high_snr", 2, 5e-324), ("high_snr", 5, 100.0)]
+        with pytest.raises(FloatingPointError, match=r"^K=9, n=2, rho=4.94066e-324 .*rho/2"):
+            evaluate_cells(9, cells)
+        assert [value for _, value, _ in high_snr_calls] == [cold_high_snr(9, 2, 100.0)]
+        assert evaluate_cells(9, cells[::2]) == [cold_high_snr(9, n, 100.0) for n in (2, 5)]
+
+    def test_a_scan_past_one_broadcast_equals_cold_calls(self):
+        # more rho than two chunks take at K = 20, at two n
+        per_chunk = analytic._CHUNK_VALUES // (20 * 21)
+        rhos = [10.0 ** (db / 10.0) for db in np.linspace(0.0, 80.0, 2 * per_chunk + 3)]
+        cells = [("high_snr", n, rho) for rho in rhos for n in (1, 12)]
+        values = evaluate_cells(20, cells)
+        assert values == [cold_high_snr(20, n, rho) for _, n, rho in cells]
 
     def test_lone_calls_share_nothing(self, li2_calls):
         cold_high_snr(20, 10, 100.0)

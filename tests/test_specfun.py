@@ -19,7 +19,8 @@ from dualsel.specfun import (
     quad_semi_infinite,
 )
 from dualsel.specfun import _E1_CHUNK, _WG, _WGK, _XGK, _e1_fraction_coefficients
-from oracles import e1_cf_lentz, li2_loop
+from dualsel.specfun import _e1_cf_scaled, _e1_series
+from oracles import e1_cf_lentz, e1_series_loop, li2_loop
 
 
 def e1_oracle_scaled(x, tol=1e-13):
@@ -124,6 +125,20 @@ class TestE1:
                 want = float(mp.e1(x) * mp.exp(x))
                 assert e1_scaled(x) == pytest.approx(want, rel=1e-15)
         assert e1(710487372823.1483) == 0.0
+
+    def test_tuned_loops_keep_their_bits(self):
+        # the scalar kernels' loops against their untuned forms, bit for bit
+        rng = np.random.default_rng(23)
+        above = 10.0 ** rng.uniform(0.0, 12.0, 3000)
+        near = 1.0 + 10.0 ** rng.uniform(-15.0, -1.0, 500)
+        for x in above.tolist() + near.tolist() + [1.0000001, 710487372823.1483, 1e12]:
+            lentz = e1_cf_lentz(x)
+            want = e1_scaled(np.array([x]))[0] if lentz is None else lentz
+            assert _e1_cf_scaled(x) == want, x
+        below = 10.0 ** rng.uniform(-300.0, 0.0, 3000)
+        for x in below.tolist() + rng.uniform(0.0, 1.0, 1000).tolist() + [1.0, 5e-324]:
+            if x > 0.0:
+                assert _e1_series(x) == e1_series_loop(x), x
 
 
 class TestE1Array:
