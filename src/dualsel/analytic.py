@@ -21,7 +21,8 @@ import numpy as np
 
 from .specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
 from .specfun import _as_float_array, _as_positive_array, _check_positive_real, _is_integer
-from .specfun import _e1_scaled_array, _e1_scaled_scalar, _is_positive_real, _scan_group
+from .specfun import _e1_scaled_array, _e1_scaled_scalar, _first_nodes, _is_positive_real
+from .specfun import _scan_group
 
 __all__ = [
     "MAX_USERS",
@@ -381,6 +382,17 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     starts from the one panel [0, 1]: bench/reference.json pins its values,
     16 of which carry its boundary-layer miss next to u = 1, and a 2- or
     4-panel start moves some of them by more than the bench's 1e-8.
+
+    The two halves share their first integrand call: the lower half's first
+    call also evaluates the upper half's 120 first nodes (when the upper
+    half is kept), and the upper half's first call is served those values
+    when its nodes are exactly those; otherwise it evaluates its own. Each
+    node's value is independent of the rest of its call (the integrand
+    contract of quad_interval), so every bit is the one two separate calls
+    give. The halves stay two quad_interval calls, each with its own
+    tolerance, value and evaluation count: one adaptive quadrature over both
+    would split panels in another order and move the lower half's pinned
+    values.
     """
     _check_dual_slot(cfg.num_users, cfg.served_index)
     _check_variant(variant)
@@ -393,19 +405,37 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     if not log_u < _LOG_MAX:
         raise FloatingPointError(f"Psi's tail bound needs U = e^{log_u:.6g}, beyond the doubles")
 
+    points = _bisected(log_u) if log_u > 0.0 else ()
+    # ahead holds the upper half's first nodes x until the lower half's first
+    # call evaluates them too; fetched then holds x and the upper integrand
+    # there until the upper half's first call
+    ahead = [_first_nodes([0.0, *points, log_u])[1]] if points else []
+    fetched = []
+
     def f(u):  # u is a panel's node array
         return kernel(u, rho) * cdf_T(u, cfg)
 
+    def lower(u):
+        if not ahead:
+            return f(u)
+        x = ahead.pop()
+        u_ahead = np.exp(x)
+        fx = f(np.concatenate((u, u_ahead)))
+        fetched.append((x, fx[u.size:] * u_ahead))
+        return fx[: u.size]
+
     def upper(x):  # u = e^x, du = e^x dx
+        if fetched:
+            x_ahead, values = fetched.pop()
+            if np.array_equal(x, x_ahead):
+                return values
         u = np.exp(x)
         return f(u) * u
 
-    left = quad_interval(f, 0.0, 1.0, tol=0.5 * tol)
+    left = quad_interval(lower, 0.0, 1.0, tol=0.5 * tol)
     if log_u == 0.0:
         return left.value
-    right = quad_interval(
-        upper, 0.0, log_u, tol=(1.0 - _TAIL_SHARE) * 0.5 * tol, points=_bisected(log_u)
-    )
+    right = quad_interval(upper, 0.0, log_u, tol=(1.0 - _TAIL_SHARE) * 0.5 * tol, points=points)
     return left.value + right.value
 
 

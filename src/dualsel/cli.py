@@ -107,6 +107,13 @@ def _rho_linear(rho_db):
         raise _UsageError(f"--rho-db {rho_db:g} is too large for a linear SNR")
     if not rho > 0.0:  # underflowed to 0.0, or nan
         raise _UsageError(f"--rho-db {rho_db:g} has no positive linear SNR")
+    if rho < sys.float_info.min:
+        # a subnormal rho has fewer than 53 significant bits: it is not the
+        # SNR asked for, and its cells would be named by another dB
+        raise _UsageError(
+            f"--rho-db {rho_db:g} gives the subnormal linear SNR {rho:.6g}, below "
+            f"{sys.float_info.min:.6g} (about {10.0 * math.log10(sys.float_info.min):.2f} dB)"
+        )
     return rho
 
 

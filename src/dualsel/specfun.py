@@ -413,19 +413,26 @@ def _gk15_nodes(a, b):
 def _gk15_reduce(fx, half):
     # One Gauss-Kronrod panel from the list fx of its 15 integrand values, in
     # _NODES order; returns (kronrod, |kronrod - gauss|). The reduction order
-    # is fixed (centre, then the symmetric pairs outward-in), so results are
-    # reproducible.
-    fc = fx[0]
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for i in range(7):
-        s = fx[1 + i] + fx[8 + i]
-        resk += _WGK[i] * s
-        if i % 2 == 1:
-            resg += _WG[i // 2] * s
-    resk *= half
-    resg *= half
+    # is fixed (centre, then the symmetric pairs outward-in, each sum added
+    # left to right), so results are reproducible.
+    c, l1, l2, l3, l4, l5, l6, l7, r1, r2, r3, r4, r5, r6, r7 = fx
+    k1, k2, k3, k4, k5, k6, k7, kc = _WGK
+    g2, g4, g6, gc = _WG
+    s2, s4, s6 = l2 + r2, l4 + r4, l6 + r6
+    resk = (
+        kc * c + k1 * (l1 + r1) + k2 * s2 + k3 * (l3 + r3) + k4 * s4 + k5 * (l5 + r5)
+        + k6 * s6 + k7 * (l7 + r7)
+    ) * half
+    resg = (gc * c + g2 * s2 + g4 * s4 + g6 * s6) * half
     return resk, abs(resk - resg)
+
+
+def _first_nodes(edges):
+    # The half-widths of the initial panels (edges[i], edges[i + 1]) and the
+    # node array of a quadrature's first call: their 15 nodes each, in panel
+    # order
+    panels = [_gk15_nodes(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return [half for half, _ in panels], np.concatenate([x for _, x in panels])
 
 
 def _integrand_values(f, x):
@@ -455,18 +462,18 @@ def _adaptive_gk(f, edges, tol, max_evals):
     # f is called once on the 15 nodes of every initial panel (edges[i],
     # edges[i + 1]), in panel order, then once per split on the 30 nodes of
     # both halves. The initial panels enter the heap left to right.
-    panels = [_gk15_nodes(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    evals = 15 * len(panels)
+    halves, x = _first_nodes(edges)
+    evals = x.size
     if not (_is_integer(max_evals) and max_evals >= evals):
         raise ValueError(
             f"max_evals must be an integer of at least {evals}, got {max_evals!r}"
         )
-    fx = _integrand_values(f, np.concatenate([x for _, x in panels])).tolist()
+    fx = _integrand_values(f, x).tolist()
     heap = []
-    for i, (half, _) in enumerate(panels):
+    for i, half in enumerate(halves):
         val, err = _gk15_reduce(fx[15 * i : 15 * i + 15], half)
         heapq.heappush(heap, (-err, i, edges[i], edges[i + 1], val, err))
-    counter = len(panels) - 1
+    counter = len(halves) - 1
     total_err, slack = math.fsum(item[5] for item in heap), 0.0
     while True:
         if not total_err - slack > tol:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dualsel import analytic
 from dualsel.analytic import _LOG2, _upsilon_lead, xi_table
 from dualsel.montecarlo import _uniform_block, _walk
-from dualsel.specfun import EULER_GAMMA
+from dualsel.specfun import EULER_GAMMA, _WG, _WGK
 
 _PI2_6 = math.pi**2 / 6.0
 
@@ -277,3 +278,51 @@ def esr_high_snr_terms(K, n, rho):
             tail.append(table.coefficients[i, j] / i * upsilon_terms(xi, rho))
     series = order_stat_series_terms(K, n, math.log)
     return (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0 - series - math.fsum(tail)
+
+
+def psi_two_calls(cfg, tol=1e-9, variant="corrected"):
+    """analytic.psi as two independent quad_interval calls, each half
+    evaluating its own first nodes: [0, 1], then the upper half in
+    x = log u from the same eight panels and the same tail bound."""
+    analytic._check_dual_slot(cfg.num_users, cfg.served_index)
+    analytic._check_variant(variant)
+    kernel = analytic.theta_corrected if variant == "corrected" else analytic.theta
+    rho = cfg.transmit_snr
+    log_s = analytic._log_tail_end(
+        rho, math.log(analytic._TAIL_SHARE * 0.5) + math.log(tol), variant
+    )
+    log_u = log_s + math.log1p(-math.exp(-log_s)) if log_s > _LOG2 else 0.0
+    if not log_u < analytic._LOG_MAX:
+        raise FloatingPointError(f"Psi's tail bound needs U = e^{log_u:.6g}, beyond the doubles")
+
+    def f(u):
+        return kernel(u, rho) * analytic.cdf_T(u, cfg)
+
+    def upper(x):
+        u = np.exp(x)
+        return f(u) * u
+
+    left = analytic.quad_interval(f, 0.0, 1.0, tol=0.5 * tol)
+    if log_u == 0.0:
+        return left.value
+    right = analytic.quad_interval(
+        upper, 0.0, log_u, tol=(1.0 - analytic._TAIL_SHARE) * 0.5 * tol,
+        points=analytic._bisected(log_u),
+    )
+    return left.value + right.value
+
+
+def gk15_reduce_loop(fx, half):
+    """specfun._gk15_reduce as the loop it was before it was unrolled: the
+    centre, then the symmetric pairs outward-in, one update at a time."""
+    fc = fx[0]
+    resk = _WGK[7] * fc
+    resg = _WG[3] * fc
+    for i in range(7):
+        s = fx[1 + i] + fx[8 + i]
+        resk += _WGK[i] * s
+        if i % 2 == 1:
+            resg += _WG[i // 2] * s
+    resk *= half
+    resg *= half
+    return resk, abs(resk - resg)

@@ -1,5 +1,6 @@
 """Closed forms against their defining integrals, simulation, and each other."""
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from mpmath import mp
 from scipy.integrate import quad
 
-from dualsel import analytic, montecarlo
+from dualsel import analytic, montecarlo, specfun
 from dualsel.analytic import (
     CapabilityError,
     SystemConfig,
@@ -29,7 +30,13 @@ from dualsel.analytic import (
 )
 from dualsel.selection import select_served
 from dualsel.specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
-from oracles import cdf_order_stat, cdf_T_two_branch, esr_high_snr_terms, order_stat_series_terms
+from oracles import (
+    cdf_order_stat,
+    cdf_T_two_branch,
+    esr_high_snr_terms,
+    order_stat_series_terms,
+    psi_two_calls,
+)
 
 
 def cfg_of(K, n, rho):
@@ -772,6 +779,70 @@ class TestPsiLowerHalf:
         assert a1 == 0.0 and len(upper) == 7
 
 
+def outcome(fn, *args, **kwargs):
+    # fn's value as its bits, or the type and message of what it raised
+    try:
+        return fn(*args, **kwargs).hex()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def counting_cdf_T(monkeypatch):
+    # the sizes of the node arrays analytic.cdf_T is called on, one per call
+    sizes = []
+
+    def counted(t, cfg):
+        sizes.append(np.size(t))
+        return cdf_T(t, cfg)
+
+    monkeypatch.setattr(analytic, "cdf_T", counted)
+    return sizes
+
+
+class TestPsiSharedCall:
+    """The lower half's first integrand call also evaluates the upper half's
+    first nodes; the upper half's first call is served those values."""
+
+    def test_matches_two_independent_calls(self, monkeypatch):
+        # Every value bit for bit, and every failure with its type and
+        # message. The budget is capped at 20 000 evaluations so the sweep
+        # stays fast; the 26 cells that raise under it are the ones that
+        # raise under the default 200 000.
+        capped = functools.partial(quad_interval, max_evals=20_000)
+        monkeypatch.setattr(analytic, "quad_interval", capped)
+        raised = 0
+        for K in (2, 8, 12):
+            for n in sorted({1, K // 2, K - 1}):
+                for rho_db in (-25, -10, 0, 10, 20, 30, 60, 300, 3000, 3082):
+                    cfg = cfg_of(K, n, 10.0 ** (rho_db / 10.0))
+                    for variant in ("corrected", "printed"):
+                        for tol in (1e-9, 1e-12):
+                            got = outcome(psi, cfg, tol=tol, variant=variant)
+                            want = outcome(psi_two_calls, cfg, tol=tol, variant=variant)
+                            assert got == want, (K, n, rho_db, variant, tol)
+                            raised += not isinstance(got, str)
+        assert raised == 26
+
+    @pytest.mark.parametrize(
+        "move", [lambda x: np.nextafter(x, math.inf), lambda x: 0.5 * x], ids=["ulp", "halved"]
+    )
+    def test_upper_nodes_that_differ_get_the_kernels_own_values(self, monkeypatch, move):
+        # nodes fetched ahead that are not the upper half's first nodes, by
+        # an ulp or by far, are not served: the upper half evaluates its
+        # own, and psi keeps its bits
+        cfg = cfg_of(8, 7, 100.0)
+        want = psi(cfg)
+
+        def shifted(edges):
+            halves, x = specfun._first_nodes(edges)
+            return halves, move(x)
+
+        monkeypatch.setattr(analytic, "_first_nodes", shifted)
+        sizes = counting_cdf_T(monkeypatch)
+        assert psi(cfg) == want
+        assert sizes[0] == 135 and sizes.count(120) == 1
+
+
 class TestEsrExact:
     @pytest.mark.parametrize("rho_db, evaluations", [(0.0, 165), (20.0, 345), (60.0, 165)])
     def test_quadrature_evaluation_counts_are_pinned(self, monkeypatch, rho_db, evaluations):
@@ -793,6 +864,16 @@ class TestEsrExact:
         esr_exact(cfg_of(8, 7, 10.0 ** (rho_db / 10.0)))
         assert len(seen) == 2
         assert sum(seen) == evaluations
+
+    @pytest.mark.parametrize("rho_db, calls", [(0.0, 2), (20.0, 8), (60.0, 2)])
+    def test_cdf_T_calls_are_pinned(self, monkeypatch, rho_db, calls):
+        # the lower half's first call also takes the upper half's 120 first
+        # nodes, so the upper half's first call makes none: one call fewer
+        # than the two halves' 1 + 1 + (evaluations - 135) / 30
+        sizes = counting_cdf_T(monkeypatch)
+        esr_exact(cfg_of(8, 7, 10.0 ** (rho_db / 10.0)))
+        assert len(sizes) == calls
+        assert sizes[0] == 135
 
     def test_against_simulation_quick(self):
         cfg = cfg_of(4, 3, 100.0)

@@ -292,12 +292,11 @@ class TestExitCodes:
         # usage error (exit 2) or a RuntimeWarning (an error under pytest)
         # fails. The -26 dB and lower points overflow e^(2/rho) in the
         # analytic engine. At 3082 dB rho h overflows in the Monte Carlo
-        # rates, which take those trials in logs and answer. At -3080 dB
-        # K/rho overflows in the TDMA and analytic engines; -3235 dB is the
-        # least subnormal rho (-3233.06 dB, the dB its cell is named by),
-        # where rho/2 also underflows in the high-SNR engine.
+        # rates, which take those trials in logs and answer. -3076 dB is
+        # the least whole dB whose rho is a normal double; there K/rho
+        # overflows in the TDMA engine at K = 8.
         n = K if engine == "tdma" else K - 1
-        for db in ("-3235", "-3080", "-3000", "-160", "-60", "-26", "-25", "0", "60", "300",
+        for db in ("-3076", "-3000", "-160", "-60", "-26", "-25", "0", "60", "300",
                    "3000", "3082"):
             argv = ["--mode", "esr", "--k", str(K), "--engine", engine, f"--rho-db={db}",
                     "--manifest", str(tmp_path / "m.txt")]
@@ -312,6 +311,19 @@ class TestExitCodes:
                 assert code == 4, (db, err)
                 named = f"{10.0 * math.log10(10.0 ** (float(db) / 10.0)):.6g}"
                 assert f"numerical error: K={K}, n={n}, rho=" in err and f"({named} dB)" in err, err
+
+    @pytest.mark.parametrize("engine", ["analytic", "mc", "high-snr", "tdma"])
+    def test_subnormal_snr_is_usage_error(self, engine, tmp_path, capsys):
+        # a subnormal rho has fewer than 53 significant bits; at -3235 dB
+        # only the least subnormal is left, which is -3233.06 dB
+        for db, rho in (("-3080", "1e-308"), ("-3235", "4.94066e-324")):
+            argv = ["--mode", "esr", "--k", "8", "--engine", engine, f"--rho-db={db}",
+                    "--manifest", str(tmp_path / "m.txt")]
+            argv += [] if engine == "tdma" else ["--served", "7"]
+            assert main(argv) == 2
+            want = f"--rho-db {db} gives the subnormal linear SNR {rho}, below 2.22507e-308"
+            assert want in capsys.readouterr().err
+            assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tol_is_usage_error(self, tol, tmp_path, capsys):

@@ -19,8 +19,8 @@ from dualsel.specfun import (
     quad_semi_infinite,
 )
 from dualsel.specfun import _E1_CHUNK, _WG, _WGK, _XGK, _e1_fraction_coefficients
-from dualsel.specfun import _e1_cf_scaled, _e1_series
-from oracles import e1_cf_lentz, e1_series_loop, li2_loop
+from dualsel.specfun import _e1_cf_scaled, _e1_series, _gk15_reduce
+from oracles import e1_cf_lentz, e1_series_loop, gk15_reduce_loop, li2_loop
 
 
 def e1_oracle_scaled(x, tol=1e-13):
@@ -365,6 +365,29 @@ class TestQuadrature:
             except QuadratureError as err:
                 got = (err.value, err.abs_error_estimate, err.evaluations)
             assert got == node_by_node_quad(f, a, b, tol, budget)
+
+    def test_panel_reduction_matches_its_loop_bitwise(self):
+        # the unrolled reduction rounds as the loop does, in the same order:
+        # the same bits for every panel, signed zeros and nan included
+        rng = np.random.default_rng(24)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, math.inf, -math.inf, math.nan]
+
+        def draw():
+            r = rng.random()
+            if r < 0.2:
+                return special[rng.integers(len(special))]
+            if r < 0.6:
+                return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, 308.0))
+            return float(rng.normal())
+
+        def bits(x):
+            return "nan" if math.isnan(x) else x.hex()
+
+        for _ in range(5_000):
+            fx = [draw() for _ in range(15)]
+            half = abs(draw()) if rng.random() < 0.3 else float(10.0 ** rng.uniform(-320.0, 300.0))
+            got = [bits(v) for v in _gk15_reduce(fx, half)]
+            assert got == [bits(v) for v in gk15_reduce_loop(fx, half)], (fx, half)
 
     def test_one_call_on_the_first_panel_then_one_per_split(self):
         # 15 nodes on the first call, then the 30 nodes of both halves of
