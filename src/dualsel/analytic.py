@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
+from .specfun import EULER_GAMMA, _LOG2, e1_scaled, li2, quad_interval, quad_semi_infinite
 from .specfun import _as_float_array, _as_positive_array, _check_positive_real, _is_integer
 from .specfun import _e1_scaled_array, _e1_scaled_scalar, _first_nodes, _is_positive_real
 from .specfun import _scan_group
@@ -44,8 +44,6 @@ __all__ = [
     "esr_tdma_exact",
     "esr_tdma_high_snr",
 ]
-
-_LOG2 = math.log(2.0)
 
 #: Largest supported number of users. The alternating sums in the rate
 #: formulas lose roughly one decimal digit of precision per two users;
@@ -377,11 +375,12 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     exceed the doubles, raises FloatingPointError.
 
     The upper half's quadrature starts from eight equal panels of
-    [0, log U], evaluated in one integrand call, where bisection from one
-    panel would take three levels of splits to reach them. The lower half
-    starts from the one panel [0, 1]: bench/reference.json pins its values,
-    16 of which carry its boundary-layer miss next to u = 1, and a 2- or
-    4-panel start moves some of them by more than the bench's 1e-8.
+    [0, log U], with edges log(U) k / 8 rounded as written, evaluated in
+    one integrand call, where bisection from one panel would take three
+    levels of splits to reach them. The lower half starts from the one
+    panel [0, 1]: bench/reference.json pins its values, 16 of which carry
+    its boundary-layer miss next to u = 1, and a 2- or 4-panel start moves
+    some of them by more than the bench's 1e-8.
 
     The two halves share their first integrand call: the lower half's first
     call also evaluates the upper half's 120 first nodes (when the upper
@@ -405,7 +404,7 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     if not log_u < _LOG_MAX:
         raise FloatingPointError(f"Psi's tail bound needs U = e^{log_u:.6g}, beyond the doubles")
 
-    points = _bisected(log_u) if log_u > 0.0 else ()
+    points = [log_u * k / _UPPER_PANELS for k in range(1, _UPPER_PANELS)] if log_u > 0.0 else ()
     # ahead holds the upper half's first nodes x until the lower half's first
     # call evaluates them too; fetched then holds x and the upper integrand
     # there until the upper half's first call
@@ -442,21 +441,8 @@ def psi(cfg, tol=1e-9, variant="corrected"):
 #: The share of psi's upper-half tolerance that its dropped tail gets.
 _TAIL_SHARE = 1e-3
 
-#: The panels psi's upper half starts from, a power of 2.
+#: The number of equal panels psi's upper half starts from.
 _UPPER_PANELS = 8
-
-
-def _bisected(b):
-    """The interior edges of _UPPER_PANELS equal panels of [0, b], each
-    found as quad_interval splits a panel, 0.5 * (lo + hi), so that every
-    panel is one that its bisection of [0, b] makes. b * k / 8 is not
-    always: the bisection rounds twice on the way to 5/8 and 7/8, and can
-    land an ulp away from it."""
-    edges = [0.0, b]
-    while len(edges) <= _UPPER_PANELS:
-        mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
-        edges = [x for pair in zip(edges, mids) for x in pair] + [b]
-    return edges[1:-1]
 
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -650,10 +636,9 @@ def esr_high_snr(cfg):
 
 def _scan_cells(K, cells):
     """Register a scan's high-SNR cells (n, rho) at K users, so that the
-    scan's first esr_high_snr call at K answers them all. A cell that
-    esr_high_snr refuses is left out; its own call raises."""
-    if not (_is_integer(K) and 2 <= K <= MAX_USERS):
-        return
+    scan's first esr_high_snr call at K answers them all. K has passed
+    _check_user_count; a cell that esr_high_snr refuses is left out, and
+    its own call raises."""
     group = _scan_group(("high_snr", int(K)))
     for n, rho in cells:
         if _is_integer(n) and 1 <= n < K and _is_positive_real(rho) and 0.5 * rho > 0.0:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from . import __version__, selection
+from . import __version__, analytic, selection
 from .analytic import CapabilityError
 from .specfun import QuadratureError
 
@@ -162,8 +162,6 @@ def _engines_for(mode, engine):
 
 
 def _check_flags(ns, rho_values):
-    if ns.k < 2:
-        raise _UsageError(f"--k must be at least 2, got {ns.k}")
     if not (0 <= ns.seed < 1 << 64):
         raise _UsageError("--seed must be an unsigned 64-bit integer")
     if ns.trials < 1:
@@ -186,6 +184,8 @@ def _check_flags(ns, rho_values):
         raise _UsageError("--mode compare needs a dual-selection slot (served < K)")
     for rho_db in rho_values:
         _rho_linear(rho_db)
+    # last, so a usage error above still exits 2; and before any cell is built
+    analytic._check_user_count(ns.k)
 
 
 def _cells(ns, engines, rho_values):

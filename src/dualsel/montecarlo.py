@@ -344,11 +344,10 @@ def _estimate(seed, trials, K, cell):
 def _scan_cells(K, cells, trials, seed):
     """Register a scan's Monte Carlo cells (n, rho) at K users, n = K the
     TDMA-like slot, so that the scan's first estimate at (seed, trials, K)
-    reduces them all. A cell or a key that no estimator accepts is left out;
-    its own call raises."""
+    reduces them all. K has passed _check_user_count; a cell or a key that
+    no estimator accepts is left out, and its own call raises."""
     try:
         key = (_check_seed(seed), _check_count(trials, "trials"), K)
-        _check_user_count(K, least=1)
     except ValueError:
         return
     group = _scan_group(key)

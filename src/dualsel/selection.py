@@ -4,9 +4,9 @@ The jammer is pinned to the strongest user, so picking the served user is a
 scan over n = 1..K-1 (dual-selection slots) plus n = K, the degenerate
 TDMA-like slot where the strongest user transmits alone at full power.
 `evaluate` answers one such cell with any method; it is the only place that
-maps a method and a cell to an engine function. `evaluate_cells` answers a
-list of cells (a scan: every CLI mode and `select_served`); it is the only
-loop over cells and the only place that opens a scan scope. It registers
+maps a method and a cell to an engine function. `evaluate_cells` answers an
+iterable of cells (a scan: every CLI mode and `select_served`); it is the
+only loop over cells and the only place that opens a scan scope. It registers
 the cells of both engines that share work; then the high-SNR cells at K
 are answered by one pass over their terms (one li2 call for every xi they
 meet), and the Monte Carlo cells that share (seed, trials, K) by one pass
@@ -82,9 +82,11 @@ def evaluate(method, K, n, rho, trials=10_000, seed=0, tol=1e-9):
 
 
 def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
-    """The result of `evaluate` for each (method, n, rho) cell at K users,
-    as a list in cell order.
+    """The result of `evaluate` for each (method, n, rho) cell of the
+    iterable `cells` at K users, as a list in cell order.
 
+    K outside [2, MAX_USERS] raises as `evaluate` does, before `cells` is
+    read, so a refused scan builds none of its cells. `cells` is read once.
     Cells are answered one by one through `evaluate`, and each result is
     the one a lone call returns. The high-SNR and Monte Carlo cells are
     registered first, in one step, and share work during this call only.
@@ -94,6 +96,8 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     count. Each later cell reads its value, and each raises its own errors
     at its own call.
     """
+    analytic._check_user_count(K)
+    cells = list(cells)
     with _scan_scope():
         _register(K, cells, trials, seed)
         return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]
@@ -127,6 +131,6 @@ def select_served(K, rho, method="analytic", trials=10_000, seed=0, tol=1e-9):
     compared on common random numbers). Ties break toward the smallest n.
     """
     served = range(1, K + 1)
-    values = evaluate_cells(K, [(method, n, rho) for n in served], trials, seed, tol)
+    values = evaluate_cells(K, ((method, n, rho) for n in served), trials, seed, tol)
     results = tuple(zip(served, values))
     return SelectionResult(best_n=best_served(results), esr_by_n=results, method=method)

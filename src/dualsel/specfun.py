@@ -351,19 +351,15 @@ def li2(x):
     series of every argument is summed to a fixed depth in a few numpy calls.
     Absolute error <= 1e-12. A scalar returns a float; an array returns an
     array of its shape, and one element that is not finite or is > 1
-    rejects it whole. A scalar is the one-element array, so both agree to
-    the bit.
+    rejects it whole. A scalar is taken as the 0-d array, by the same
+    checks and the same arithmetic, so both agree to the bit.
     """
-    if np.ndim(x) == 0:
-        x = x[()] if isinstance(x, np.ndarray) else x
-        if not (_is_finite_real(x) and x <= 1.0):
-            raise ValueError(f"li2 requires a finite argument <= 1, got {x!r}")
-        return float(_li2_array([float(x)])[0])
     arr = _real_array(x)
     values = [] if arr is None else arr.ravel().tolist()
     if arr is None or not all(-math.inf < v <= 1.0 for v in values):  # also false for nan
         raise ValueError(f"li2 requires finite arguments <= 1, got {x!r}")
-    return _li2_array(values).reshape(arr.shape)
+    out = _li2_array(values).reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # 15-point Kronrod nodes with the embedded 7-point Gauss rule (QUADPACK dqk15).

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from dualsel import analytic
-from dualsel.analytic import _LOG2, _upsilon_lead, xi_table
+from dualsel.analytic import _upsilon_lead, xi_table
 from dualsel.montecarlo import _uniform_block, _walk
-from dualsel.specfun import EULER_GAMMA, _WG, _WGK
+from dualsel.specfun import EULER_GAMMA, _LOG2, _WG, _WGK
 
 _PI2_6 = math.pi**2 / 6.0
 
@@ -307,7 +307,7 @@ def psi_two_calls(cfg, tol=1e-9, variant="corrected"):
         return left.value
     right = analytic.quad_interval(
         upper, 0.0, log_u, tol=(1.0 - analytic._TAIL_SHARE) * 0.5 * tol,
-        points=analytic._bisected(log_u),
+        points=[log_u * k / analytic._UPPER_PANELS for k in range(1, analytic._UPPER_PANELS)],
     )
     return left.value + right.value
 

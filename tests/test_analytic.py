@@ -731,16 +731,37 @@ class TestPsiUpperHalf:
         with pytest.raises(FloatingPointError, match="beyond the doubles"):
             psi(cfg_of(8, 7, 10.0**308.2), tol=1e-310)
 
-    @pytest.mark.parametrize("b", [1e-9, 0.1, 1.0, 3.0, 37.4, 709.0])
-    def test_upper_half_starts_from_the_panels_bisection_makes(self, b):
-        # each edge is the midpoint of the two edges s apart, s = 4, 2, 1,
-        # as quad_interval computes it on a split: so every initial panel is
-        # one that three levels of bisection of [0, b] make
-        edges = [0.0, *analytic._bisected(b), b]
-        assert len(edges) == 9
-        for s in (4, 2, 1):
-            for i in range(s, 8, 2 * s):
-                assert edges[i] == 0.5 * (edges[i - s] + edges[i + s])
+    def test_upper_panels_are_increasing_inside_every_accepted_interval(self, monkeypatch):
+        # psi's breakpoints log(U) k / 8 must be strictly increasing inside
+        # (0, log U), which quad_interval checks, at every log U it accepts:
+        # from 2^-52 (the least above 0, at the double just above log S =
+        # log 2) to the double below log of the largest double
+        log_s = [math.log(2.0)]
+        for _ in range(64):
+            log_s.append(math.nextafter(log_s[-1], math.inf))
+        targets = [*np.geomspace(2.0**-50, analytic._LOG_MAX, 400)[:-1].tolist(),
+                   math.nextafter(analytic._LOG_MAX, 0.0)]
+        log_s += [t + math.log1p(math.exp(-t)) for t in targets]
+        uppers = []
+
+        def recording(f, a, b, **kwargs):
+            points = kwargs.get("points", ())
+            if points:
+                uppers.append((a, b, points))
+            return quad_interval(np.zeros_like, a, b, **kwargs)  # checks the points
+
+        monkeypatch.setattr(analytic, "quad_interval", recording)
+        cfg = cfg_of(8, 3, 100.0)
+        for value in log_s:
+            monkeypatch.setattr(analytic, "_log_tail_end", lambda *args, v=value: v)
+            psi(cfg)
+        assert len(uppers) == len(log_s) - 1  # log S = log 2 drops the upper half
+        assert min(b for _, b, _ in uppers) == 2.0**-52
+        assert max(b for _, b, _ in uppers) == math.nextafter(analytic._LOG_MAX, 0.0)
+        for a, b, points in uppers:
+            edges = [a, *points, b]
+            assert len(edges) == 9 and a == 0.0
+            assert all(lo < hi for lo, hi in zip(edges, edges[1:])), edges
 
 
 class TestPsiLowerHalf:

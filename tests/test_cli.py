@@ -5,6 +5,7 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -373,6 +374,27 @@ class TestExitCodes:
     def test_fewer_than_two_users_is_usage_error(self, args, tmp_path):
         assert main([*args, "--k", "1", "--manifest", str(tmp_path / "m.txt")]) == 2
         assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("engine", ["high-snr", "mc", "both"])
+    @pytest.mark.parametrize("mode", ["sweep-n", "select"])
+    def test_too_many_users_are_refused_before_any_cell_is_built(self, mode, engine, tmp_path):
+        # a scan over n = 1..K would hold K cells; the user count is checked first
+        tracemalloc.start()
+        try:
+            code = main(["--mode", mode, "--k", "200000", "--engine", engine,
+                         "--manifest", str(tmp_path / "m.txt")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 1 << 20, peak
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_a_usage_error_comes_before_the_user_count(self, tmp_path, capsys):
+        # the user count is the last flag check, so a usage error still exits 2
+        assert main(["--mode", "sweep-n", "--k", "21", "--trials", "0",
+                     "--manifest", str(tmp_path / "m.txt")]) == 2
+        assert "--trials must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, served", [("esr", "9"), ("sweep-rho", "4")])
     def test_served_with_tdma_engine_is_usage_error(self, mode, served, tmp_path):

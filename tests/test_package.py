@@ -73,3 +73,24 @@ def test_every_private_name_has_a_caller_in_the_package():
                 if d.startswith("_") and not d.startswith("__") and d not in used
             ]
     assert unused == []
+
+
+def test_the_user_count_rule_is_stated_once():
+    # 2 <= K <= MAX_USERS is stated in analytic._check_user_count alone;
+    # every other place that needs it calls that function
+    def names_cap(node):
+        return any(
+            isinstance(n, ast.Name) and n.id == "MAX_USERS"
+            or isinstance(n, ast.Attribute) and n.attr == "MAX_USERS"
+            for n in ast.walk(node)
+        )
+
+    where = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where += [
+                f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Compare) and names_cap(node)
+            ]
+    assert where == ["analytic._check_user_count"]

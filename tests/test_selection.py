@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,21 @@ class TestScanSharing:
         assert [value for _, value, _ in high_snr_calls] == [cold_high_snr(9, 2, 100.0)]
         assert evaluate_cells(9, cells[::2]) == [cold_high_snr(9, n, 100.0) for n in (2, 5)]
 
+    def test_one_shot_iterables_give_the_results_of_a_list(self):
+        # high-SNR cells at two rho, Monte Carlo cells with n = K among them,
+        # and an analytic cell, read once from a generator or an iterator
+        K, trials, seed = 9, 500, 3
+        cells = [
+            ("high_snr", 3, 100.0), ("montecarlo", 4, 100.0), ("high_snr", 7, 1e4),
+            ("montecarlo", 9, 100.0), ("analytic", 5, 100.0), ("high_snr", 1, 1e4),
+            ("montecarlo", 2, 1e4),
+        ]
+        want = [repr(value) for value in evaluate_cells(K, cells, trials, seed)]
+        assert len(want) == len(cells)
+        for once in ((cell for cell in cells), iter(cells)):
+            got = evaluate_cells(K, once, trials, seed)
+            assert [repr(value) for value in got] == want  # repr keeps every bit
+
     def test_a_scan_past_one_broadcast_equals_cold_calls(self):
         # more rho than two chunks take at K = 20, at two n
         per_chunk = analytic._CHUNK_VALUES // (20 * 21)
@@ -341,3 +357,29 @@ class TestScanSharing:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert threaded == serial
+
+
+class TestUserCountFirst:
+    """A scan checks K once, before it reads or builds any cell, so a refused
+    K costs neither time nor memory in K."""
+
+    @pytest.mark.parametrize("method", ["analytic", "montecarlo", "high_snr"])
+    def test_select_served_refuses_before_building_cells(self, method):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapabilityError):
+                select_served(200_000, 100.0, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("K, error", [(21, CapabilityError), (1, ValueError), (4.0, ValueError)])
+    def test_evaluate_cells_checks_K_before_reading_cells(self, K, error):
+        def cells():
+            raise AssertionError("the cells were read")
+            yield
+
+        with pytest.raises(error):
+            evaluate_cells(K, cells())
+        assert specfun._scan_terms.get() is None

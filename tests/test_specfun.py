@@ -235,7 +235,7 @@ class TestLi2:
     def test_domain_errors(self):
         # True used to return pi^2/6 and "1" to escape as a TypeError
         for bad in (1.0000001, 2.0, math.nan, math.inf, -math.inf, True, False, "1", None):
-            with pytest.raises(ValueError, match="li2 requires a finite argument <= 1"):
+            with pytest.raises(ValueError, match="li2 requires finite arguments <= 1"):
                 li2(bad)
 
     def test_array_input(self):
