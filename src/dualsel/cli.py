@@ -14,7 +14,9 @@ failing cell named).
 import argparse
 import functools
 import math
+import os
 import shlex
+import stat
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -55,6 +57,17 @@ class RunManifest:
     extras: dict = field(default_factory=dict)
 
     def write(self, path):
+        """Write one key=value per line to `path`, UTF-8 with \\n endings.
+
+        An existing file is rewritten in place: opened without O_TRUNC,
+        written whole, then cut to the written length. Truncating it to zero
+        bytes first, as open(path, "w") does, is ext4's replace-via-truncate
+        pattern (auto_da_alloc), which forces the new data to disk at close;
+        writing to a temporary file and renaming it over the path triggers
+        the same flush. A path that is not a regular file, such as
+        /dev/null, is written and not cut. A new file gets mode
+        0o666 & ~umask.
+        """
         lines = [
             f"tool_version={self.tool_version}",
             f"invocation={self.invocation}",
@@ -64,8 +77,17 @@ class RunManifest:
             f"rows_emitted={self.rows_emitted}",
         ]
         lines += [f"{k}={v}" for k, v in self.extras.items()]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # os.write may write fewer bytes than it is given
+                view = view[os.write(fd, view):]
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
 
 
 def _parse_rho_db(text):
@@ -161,7 +183,13 @@ def _engines_for(mode, engine):
     return [engine]
 
 
-def _check_flags(ns, rho_values):
+def _check_flags(ns, argv, rho_values):
+    for i, arg in enumerate(argv):
+        # the manifest records the invocation on one line, and int() and
+        # float() accept a value that ends in a newline
+        if len((arg + ".").splitlines()) > 1:
+            flag = arg.partition("=")[0] if arg.startswith("--") else argv[i - 1]
+            raise _UsageError(f"{flag} value {arg!r} contains a line break")
     if not (0 <= ns.seed < 1 << 64):
         raise _UsageError("--seed must be an unsigned 64-bit integer")
     if ns.trials < 1:
@@ -214,7 +242,7 @@ def run(ns, argv, out=None, err=None):
         started=datetime.now(timezone.utc).isoformat(),
     )
     rho_values = _parse_rho_db(ns.rho_db)
-    _check_flags(ns, rho_values)
+    _check_flags(ns, argv, rho_values)
     engines = _engines_for(ns.mode, ns.engine)
     cells = _cells(ns, engines, rho_values)
     results = selection.evaluate_cells(

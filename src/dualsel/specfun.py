@@ -77,10 +77,13 @@ def _is_integer(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x):
+    # a real number: not a bool, not a string
+    return _is_integer(x) or isinstance(x, (float, np.floating))
+
+
 def _is_finite_real(x):
-    # a real number (not a bool, not a string) that is finite
-    real = _is_integer(x) or isinstance(x, (float, np.floating))
-    return real and _isfinite(x)
+    return _is_real(x) and _isfinite(x)
 
 
 def _is_positive_real(x):
@@ -100,10 +103,19 @@ def _positive_scalar(x, name):
 
 
 def _real_array(x):
-    # x as a float array, or None unless its dtype is integer or float:
+    # x as a float array, or None unless it holds real numbers alone:
     # asarray(dtype=float) would parse strings and turn bools into 0 and 1
     arr = np.asarray(x)
-    return np.asarray(arr, dtype=float) if arr.dtype.kind in "iuf" else None
+    if arr.dtype.kind in "iuf":
+        return np.asarray(arr, dtype=float)
+    # a Python int outside the int64 range (alone or beside floats) gives
+    # dtype object; float() takes it, and refuses one beyond the float range
+    if arr.dtype.kind != "O" or not all(map(_is_real, arr.flat)):
+        return None
+    try:
+        return np.array([float(v) for v in arr.flat]).reshape(arr.shape)
+    except OverflowError:
+        return None
 
 
 def _as_float_array(t, name):

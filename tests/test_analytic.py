@@ -126,6 +126,33 @@ def test_an_int_beyond_the_float_range_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "f, x",
+    [
+        (li2, -(2**70)),
+        (li2, [-(2**70)]),
+        (li2, [-(2**70), 0.5]),
+        (functools.partial(cdf_T, cfg=cfg_of(4, 2, 10.0)), 2**70),
+        (functools.partial(cdf_T, cfg=cfg_of(4, 2, 10.0)), [2**70]),
+        (e1_scaled, [2**70, 3]),
+    ],
+    ids=["li2", "li2.list", "li2.mixed", "cdf_T", "cdf_T.list", "e1_scaled.list"],
+)
+def test_an_int_beyond_int64_is_taken_as_its_float(f, x):
+    # numpy holds such an int in an object array, which is not refused for it
+    as_float = float(x) if np.ndim(x) == 0 else [float(v) for v in x]
+    np.testing.assert_array_equal(f(x), f(as_float))
+    assert type(f(x)) is type(f(as_float))
+
+
+@pytest.mark.parametrize(
+    "x", [[2**70, True], [2**70, "1"], np.array([2**70, np.True_], dtype=object), [None]]
+)
+def test_an_object_array_of_non_numbers_is_refused(x):
+    with pytest.raises(ValueError):
+        li2(x)
+
+
 class TestXiTable:
     def test_direct_substitution_K2(self):
         t = xi_table(2, 1)

@@ -2,14 +2,17 @@
 
 import io
 import math
+import os
 import shlex
+import stat
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from dualsel.cli import CSV_HEADER, _build_parser, _parse_rho_db, main, run
+from dualsel import cli
+from dualsel.cli import CSV_HEADER, RunManifest, _build_parser, _parse_rho_db, main, run
 
 
 def run_inproc(args, manifest_path):
@@ -232,6 +235,74 @@ class TestManifest:
             assert code1 == code2 == 0
             assert out.getvalue() == out1
 
+    def test_a_longer_file_is_replaced_by_exactly_the_new_manifest(self, tmp_path):
+        manifest = RunManifest("1.0", "--manifest 'é.txt'", 7, "t0", "t1", 3, {"best_n_mc": 2})
+        want = ("tool_version=1.0\ninvocation=--manifest 'é.txt'\nseed=7\nstarted=t0\n"
+                "finished=t1\nrows_emitted=3\nbest_n_mc=2\n").encode("utf-8")
+        for old in (b"", b"x" * 5, b"x\n" * 10_000):
+            path = tmp_path / "m.txt"
+            path.write_bytes(old)
+            manifest.write(path)
+            assert path.read_bytes() == want
+        # the CLI over a longer file leaves one key=value per line
+        code, _, _ = run_inproc(["--mode", "esr", "--k", "4", "--engine", "tdma"], path)
+        assert code == 0
+        text = path.read_text(encoding="utf-8")
+        assert [line.partition("=")[0] for line in text.splitlines()] == [
+            "tool_version", "invocation", "seed", "started", "finished", "rows_emitted"
+        ]
+        assert text.endswith("rows_emitted=1\n")
+
+    def test_an_existing_manifest_is_never_truncated_to_zero(self, tmp_path, monkeypatch):
+        # truncating a file to 0 bytes and refilling it makes ext4 flush the
+        # new data at close (auto_da_alloc); the manifest is rewritten in place
+        opened, cut = [], []
+        real_open, real_ftruncate = cli.os.open, cli.os.ftruncate
+
+        def spy_open(path, flags, *args, **kwargs):
+            opened.append((str(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        def spy_ftruncate(fd, length):
+            cut.append(length)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(cli.os, "open", spy_open)
+        monkeypatch.setattr(cli.os, "ftruncate", spy_ftruncate)
+        path = tmp_path / "m.txt"
+        for old in (b"", b"x" * 5, b"x\n" * 10_000):
+            path.write_bytes(old)
+            opened.clear()
+            code, _, _ = run_inproc(["--mode", "esr", "--k", "4", "--engine", "tdma"], path)
+            assert code == 0
+            assert [flags & os.O_TRUNC for p, flags in opened if p == str(path)] == [0]
+        assert cut and 0 not in cut
+
+    def test_a_new_manifest_gets_the_default_file_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            RunManifest("1.0", "", 0, "").write(tmp_path / "m.txt")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "m.txt").stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null_as_manifest_prints_the_full_csv(self, tmp_path, capsys):
+        args = ["--mode", "sweep-n", "--k", "5", "--engine", "high-snr"]
+        assert main([*args, "--manifest", str(tmp_path / "m.txt")]) == 0
+        want = capsys.readouterr().out
+        assert main([*args, "--manifest", "/dev/null"]) == 0
+        assert capsys.readouterr().out == want
+        assert want.startswith(CSV_HEADER) and want.count("\n") == 6
+
+    def test_a_directory_as_manifest_is_usage_error(self, tmp_path):
+        code, out, err = run_inproc(
+            ["--mode", "esr", "--k", "4", "--served", "3", "--engine", "high-snr"], tmp_path
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"dualsel: cannot write manifest {tmp_path}: ")
+
 
 class TestExitCodes:
     def test_missing_served_is_usage_error(self, tmp_path):
@@ -427,6 +498,31 @@ class TestExitCodes:
                      "--rho-db", "0:1e12:1e-3", "--manifest", str(tmp_path / "m.txt")]) == 2
         assert "1000000000000001 values" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--manifest", "{tmp}/a\nb.txt"], "--manifest"),
+            (["--manifest={tmp}/a\rb.txt"], "--manifest"),
+            (["--rho-db", "20\n"], "--rho-db"),
+            (["--rho-db=20\u2028"], "--rho-db"),
+            (["--seed", "7\n"], "--seed"),
+            (["--tol", "1e-9\x0c"], "--tol"),
+        ],
+    )
+    def test_a_line_break_in_a_flag_value_is_usage_error(self, flags, named, tmp_path, capsys):
+        # int() and float() strip the break, but the manifest's invocation
+        # line would be split in two
+        flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+        argv = ["--mode", "esr", "--k", "4", "--served", "3", "--engine", "high-snr"]
+        if not any(f.startswith("--manifest") for f in flags):
+            argv += ["--manifest", str(tmp_path / "m.txt")]
+        assert main([*argv, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"dualsel: usage error: {named} value ")
+        assert "contains a line break" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_manifest_is_usage_error(self, tmp_path):
         path = tmp_path / "missing" / "m.txt"
