@@ -40,10 +40,6 @@ _METHOD_OF = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 @dataclass
 class RunManifest:
     """Everything needed to reproduce a run's CSV: version, flags, seed."""
@@ -95,28 +91,25 @@ def _parse_rho_db(text):
     if len(parts) == 1:
         return [float(parts[0])]
     if len(parts) != 3:
-        raise _UsageError(f"--rho-db expects VALUE or START:STOP:STEP, got {text!r}")
+        raise ValueError(f"--rho-db expects VALUE or START:STOP:STEP, got {text!r}")
     start, stop, step = (float(p) for p in parts)
     if not all(map(math.isfinite, (start, stop, step))):
-        raise _UsageError(f"--rho-db range needs finite values, got {text!r}")
+        raise ValueError(f"--rho-db range needs finite values, got {text!r}")
     if step <= 0 or stop < start:
-        raise _UsageError(f"--rho-db range needs stop >= start and step > 0, got {text!r}")
-    # The loop below yields floor(span) + 1 values; count them before
-    # building the list, so a huge range is refused without allocating it.
-    span = (stop + 1e-9 - start) / step
+        raise ValueError(f"--rho-db range needs stop >= start and step > 0, got {text!r}")
+    # start + k * step up to stop + 1e-9: floor(span) + 1 values, counted
+    # before the list is built, so a huge range is refused without allocating
+    # it. Rounding can move one value across the stop, so one more k is tried.
+    last = stop + 1e-9
+    span = (last - start) / step
     if span >= MAX_RHO_VALUES:
-        raise _UsageError(
+        raise ValueError(
             f"--rho-db range {text!r} expands to {span + 1:.0f} values, "
             f"more than the limit of {MAX_RHO_VALUES}"
         )
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9:
-            break
-        values.append(v)
-        k += 1
+    values = [v for k in range(int(span) + 2) if (v := start + k * step) <= last]
+    if len(set(values)) < len(values):  # the step is lost in rounding next to start
+        raise ValueError(f"--rho-db range {text!r} has a step too small to advance its values")
     return values
 
 
@@ -126,13 +119,13 @@ def _rho_linear(rho_db):
     except OverflowError:
         rho = math.inf
     if rho == math.inf:
-        raise _UsageError(f"--rho-db {rho_db:g} is too large for a linear SNR")
+        raise ValueError(f"--rho-db {rho_db:g} is too large for a linear SNR")
     if not rho > 0.0:  # underflowed to 0.0, or nan
-        raise _UsageError(f"--rho-db {rho_db:g} has no positive linear SNR")
+        raise ValueError(f"--rho-db {rho_db:g} has no positive linear SNR")
     if rho < sys.float_info.min:
         # a subnormal rho has fewer than 53 significant bits: it is not the
         # SNR asked for, and its cells would be named by another dB
-        raise _UsageError(
+        raise ValueError(
             f"--rho-db {rho_db:g} gives the subnormal linear SNR {rho:.6g}, below "
             f"{sys.float_info.min:.6g} (about {10.0 * math.log10(sys.float_info.min):.2f} dB)"
         )
@@ -168,57 +161,49 @@ def _build_parser():
     return p
 
 
-def _engines_for(mode, engine):
-    if mode == "compare":
-        if engine != "both":
-            raise _UsageError("--mode compare always runs both engines; drop --engine")
-        return ["analytic", "mc"]
-    if engine == "both":
-        return ["analytic", "mc"]
-    if mode in ("sweep-n", "select") and engine == "tdma":
-        raise _UsageError(
-            f"--engine tdma is not meaningful for --mode {mode}; "
-            "the TDMA-like slot already appears as the n = K row"
-        )
-    return [engine]
-
-
-def _check_flags(ns, argv, rho_values):
+def _plan(ns, argv):
+    """The (engine, n, rho_db, rho) cells of a run, in CSV row order:
+    engine-major for sweep-rho, rho-major for every other mode; rho is the
+    linear SNR of rho_db. A usage error raises ValueError. The user count is
+    checked last, so a usage error exits 2 at any K, and before any cell is
+    built."""
+    rho_values = _parse_rho_db(ns.rho_db)
     for i, arg in enumerate(argv):
         # the manifest records the invocation on one line, and int() and
         # float() accept a value that ends in a newline
         if len((arg + ".").splitlines()) > 1:
             flag = arg.partition("=")[0] if arg.startswith("--") else argv[i - 1]
-            raise _UsageError(f"{flag} value {arg!r} contains a line break")
+            raise ValueError(f"{flag} value {arg!r} contains a line break")
     if not (0 <= ns.seed < 1 << 64):
-        raise _UsageError("--seed must be an unsigned 64-bit integer")
+        raise ValueError("--seed must be an unsigned 64-bit integer")
     if ns.trials < 1:
-        raise _UsageError("--trials must be >= 1")
+        raise ValueError("--trials must be >= 1")
     if not (math.isfinite(ns.tol) and ns.tol > 0):
-        raise _UsageError(f"--tol must be positive and finite, got {ns.tol:g}")
+        raise ValueError(f"--tol must be positive and finite, got {ns.tol:g}")
     needs_served = ns.mode in ("esr", "sweep-rho", "compare") and ns.engine != "tdma"
     if needs_served:
         if ns.served is None:
-            raise _UsageError(f"--served is required for --mode {ns.mode}")
+            raise ValueError(f"--served is required for --mode {ns.mode}")
         if not (1 <= ns.served <= ns.k):
-            raise _UsageError(f"--served must be in [1, {ns.k}]")
+            raise ValueError(f"--served must be in [1, {ns.k}]")
     if ns.mode in ("sweep-n", "select") and ns.served is not None:
-        raise _UsageError(f"--served is not used by --mode {ns.mode}")
+        raise ValueError(f"--served is not used by --mode {ns.mode}")
     if ns.mode in ("esr", "sweep-rho") and ns.engine == "tdma" and ns.served is not None:
-        raise _UsageError("--served is not used by --engine tdma; it evaluates n = K")
+        raise ValueError("--served is not used by --engine tdma; it evaluates n = K")
     if ns.mode in ("esr", "select") and len(rho_values) != 1:
-        raise _UsageError(f"--mode {ns.mode} needs a single --rho-db value")
+        raise ValueError(f"--mode {ns.mode} needs a single --rho-db value")
     if ns.mode == "compare" and ns.served == ns.k:
-        raise _UsageError("--mode compare needs a dual-selection slot (served < K)")
-    for rho_db in rho_values:
-        _rho_linear(rho_db)
-    # last, so a usage error above still exits 2; and before any cell is built
+        raise ValueError("--mode compare needs a dual-selection slot (served < K)")
+    snrs = [(rho_db, _rho_linear(rho_db)) for rho_db in rho_values]
+    if ns.mode == "compare" and ns.engine != "both":
+        raise ValueError("--mode compare always runs both engines; drop --engine")
+    if ns.mode in ("sweep-n", "select") and ns.engine == "tdma":
+        raise ValueError(
+            f"--engine tdma is not meaningful for --mode {ns.mode}; "
+            "the TDMA-like slot already appears as the n = K row"
+        )
     analytic._check_user_count(ns.k)
-
-
-def _cells(ns, engines, rho_values):
-    """The (engine, n, rho_db) cells of a run, in CSV row order: engine-major
-    for sweep-rho, rho-major for every other mode."""
+    engines = ["analytic", "mc"] if ns.engine == "both" else [ns.engine]
 
     def served(engine):
         if ns.mode in ("sweep-n", "select"):
@@ -226,8 +211,8 @@ def _cells(ns, engines, rho_values):
         return [ns.k if engine == "tdma" else ns.served]
 
     if ns.mode == "sweep-rho":
-        return [(e, n, r) for e in engines for r in rho_values for n in served(e)]
-    return [(e, n, r) for r in rho_values for e in engines for n in served(e)]
+        return [(e, n, *snr) for e in engines for snr in snrs for n in served(e)]
+    return [(e, n, *snr) for snr in snrs for e in engines for n in served(e)]
 
 
 def run(ns, argv, out=None, err=None):
@@ -241,22 +226,20 @@ def run(ns, argv, out=None, err=None):
         seed=ns.seed,
         started=datetime.now(timezone.utc).isoformat(),
     )
-    rho_values = _parse_rho_db(ns.rho_db)
-    _check_flags(ns, argv, rho_values)
-    engines = _engines_for(ns.mode, ns.engine)
-    cells = _cells(ns, engines, rho_values)
+    cells = _plan(ns, argv)
     results = selection.evaluate_cells(
-        ns.k, [(_METHOD_OF[e], n, _rho_linear(r)) for e, n, r in cells], ns.trials, ns.seed, ns.tol
+        ns.k, [(_METHOD_OF[e], n, rho) for e, n, _, rho in cells], ns.trials, ns.seed, ns.tol
     )
     rows = list(zip(cells, results))
 
     if ns.mode == "select":
-        for engine in engines:
-            best_n = selection.best_served([(n, res) for (e, n, _), res in rows if e == engine])
+        rho_db = cells[0][2]
+        for engine in dict.fromkeys(cell[0] for cell in cells):
+            best_n = selection.best_served([(n, res) for (e, n, *_), res in rows if e == engine])
             manifest.extras[f"best_n_{engine.replace('-', '_')}"] = best_n
             print(
                 f"select[{engine}]: best served index n = {best_n} "
-                f"(K={ns.k}, rho={rho_values[0]:g} dB)",
+                f"(K={ns.k}, rho={rho_db:g} dB)",
                 file=err,
             )
     elif ns.mode == "compare":
@@ -264,7 +247,7 @@ def run(ns, argv, out=None, err=None):
         worst_diff = 0.0
         any_flagged = False
         # rho-major cells alternate analytic, mc at each rho
-        for ((_, n, rho_db), exact), (_, est) in zip(rows[0::2], rows[1::2]):
+        for ((_, n, rho_db, _), exact), (_, est) in zip(rows[0::2], rows[1::2]):
             diff = abs(exact.value - est.esr)
             sigma = diff / est.std_error if est.std_error > 0 else math.inf
             flagged = sigma > 3.0
@@ -293,11 +276,11 @@ def run(ns, argv, out=None, err=None):
 
 
 def _emit_csv(rows, K, units, out):
-    """One CSV line per ((engine, n, rho_db), result) pair; only mc rows
-    fill the stderr, trials and seed columns."""
+    """One CSV line per ((engine, n, rho_db, rho), result) pair; only mc
+    rows fill the stderr, trials and seed columns."""
     scale = 1.0 / math.log(2.0) if units == "bits" else 1.0
     out.write(CSV_HEADER + "\n")
-    for (engine, n, rho_db), res in rows:
+    for (engine, n, rho_db, _), res in rows:
         if engine == "mc":
             esr, mc_cols = res.esr, [f"{res.std_error * scale:.6g}", str(res.trials), str(res.seed)]
         else:
@@ -315,9 +298,6 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return run(ns, argv)
-    except _UsageError as exc:
-        print(f"dualsel: usage error: {exc}", file=sys.stderr)
-        return 2
     except CapabilityError as exc:
         print(f"dualsel: capability error: {exc}", file=sys.stderr)
         return 3

@@ -3,11 +3,13 @@
 import io
 import math
 import os
+import re
 import shlex
 import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -47,21 +49,45 @@ class TestRhoParsing:
         assert _parse_rho_db("0:1:0.5") == [0.0, 0.5, 1.0]
 
     def test_bad_specs(self):
-        from dualsel.cli import _UsageError
-
         for bad in ("1:2", "5:1:1", "1:5:0", "1:5:-1", "a:b:c", "0:inf:1", "nan:1:1"):
-            with pytest.raises((_UsageError, ValueError)):
+            with pytest.raises(ValueError):
                 _parse_rho_db(bad)
 
     def test_range_longer_than_the_cap_is_refused_before_expansion(self):
         # counted arithmetically, so the 1e15-value range is never built
-        from dualsel.cli import MAX_RHO_VALUES, _UsageError
+        from dualsel.cli import MAX_RHO_VALUES
 
-        with pytest.raises(_UsageError, match="1000000000000001 values"):
+        with pytest.raises(ValueError, match="1000000000000001 values"):
             _parse_rho_db("0:1e12:1e-3")
         assert len(_parse_rho_db(f"1:{MAX_RHO_VALUES}:1")) == MAX_RHO_VALUES
-        with pytest.raises(_UsageError, match=str(MAX_RHO_VALUES + 1)):
+        with pytest.raises(ValueError, match=str(MAX_RHO_VALUES + 1)):
             _parse_rho_db(f"0:{MAX_RHO_VALUES}:1")
+
+    @pytest.mark.parametrize(
+        "text",
+        # at 1e21 a step of 1 is below half the spacing of doubles, so
+        # start + k * step never passes the stop; near 3000 the 6 669 values
+        # of the second range hold 2 200 distinct floats
+        ["1e21:1e21:1", "3000:3000:1.5e-13"],
+    )
+    def test_a_step_lost_in_rounding_is_refused(self, text):
+        with pytest.raises(ValueError, match="step too small to advance its values"):
+            _parse_rho_db(text)
+
+
+def test_readme_flag_table_lists_the_parser_flags():
+    # README's flag table names every flag the parser defines and no other,
+    # and its --mode and --engine rows name every choice
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(--[a-z-]+)` \| (.*) \|$", readme, re.MULTILINE))
+    flags = {
+        action.option_strings[-1]
+        for action in _build_parser()._actions
+        if action.dest != "help"
+    }
+    assert set(rows) == flags
+    for flag, choices in (("--mode", cli._MODES), ("--engine", cli._ENGINES)):
+        assert all(f"`{choice}`" in rows[flag] for choice in choices), flag
 
 
 def test_negative_range_is_written_with_an_equals_sign(tmp_path):
@@ -461,11 +487,72 @@ class TestExitCodes:
         assert peak < 1 << 20, peak
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mode", "esr", "--served", "3", "--seed", "7\n"],
+             "--seed value '7\\n' contains a line break"),
+            (["--mode", "esr", "--served", "3", "--seed=-1"],
+             "--seed must be an unsigned 64-bit integer"),
+            (["--mode", "esr", "--served", "3", "--seed", "18446744073709551616"],
+             "--seed must be an unsigned 64-bit integer"),
+            (["--mode", "esr", "--served", "3", "--trials", "0"], "--trials must be >= 1"),
+            (["--mode", "esr", "--served", "3", "--tol", "0"],
+             "--tol must be positive and finite, got 0"),
+            (["--mode", "esr"], "--served is required for --mode esr"),
+            (["--mode", "sweep-rho"], "--served is required for --mode sweep-rho"),
+            (["--mode", "compare"], "--served is required for --mode compare"),
+            (["--mode", "esr", "--served", "0"], "--served must be in [1, 4]"),
+            (["--mode", "compare", "--served", "5"], "--served must be in [1, 4]"),
+            (["--mode", "sweep-n", "--served", "2"], "--served is not used by --mode sweep-n"),
+            (["--mode", "select", "--served", "2"], "--served is not used by --mode select"),
+            (["--mode", "esr", "--engine", "tdma", "--served", "4"],
+             "--served is not used by --engine tdma; it evaluates n = K"),
+            (["--mode", "esr", "--served", "3", "--rho-db", "0:10:10"],
+             "--mode esr needs a single --rho-db value"),
+            (["--mode", "select", "--rho-db", "0:10:10"],
+             "--mode select needs a single --rho-db value"),
+            (["--mode", "compare", "--served", "4"],
+             "--mode compare needs a dual-selection slot (served < K)"),
+            (["--mode", "compare", "--served", "3", "--engine", "mc"],
+             "--mode compare always runs both engines; drop --engine"),
+            (["--mode", "compare", "--engine", "high-snr", "--served", "3"],
+             "--mode compare always runs both engines; drop --engine"),
+            (["--mode", "sweep-n", "--engine", "tdma"],
+             "--engine tdma is not meaningful for --mode sweep-n; "
+             "the TDMA-like slot already appears as the n = K row"),
+            (["--mode", "select", "--engine", "tdma"],
+             "--engine tdma is not meaningful for --mode select; "
+             "the TDMA-like slot already appears as the n = K row"),
+        ],
+    )
+    def test_each_usage_rule_exits_2_with_its_message(self, flags, message, tmp_path, capsys):
+        # one case per flag rule; the --rho-db values have tests of their own
+        assert main(["--k", "4", *flags, "--manifest", str(tmp_path / "m.txt")]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"dualsel: usage error: {message}\n")
+        assert not (tmp_path / "m.txt").exists()
+
     def test_a_usage_error_comes_before_the_user_count(self, tmp_path, capsys):
         # the user count is the last flag check, so a usage error still exits 2
-        assert main(["--mode", "sweep-n", "--k", "21", "--trials", "0",
-                     "--manifest", str(tmp_path / "m.txt")]) == 2
-        assert "--trials must be >= 1" in capsys.readouterr().err
+        for args, message in (
+            (["--mode", "sweep-n", "--trials", "0"], "--trials must be >= 1"),
+            (["--mode", "sweep-n", "--engine", "tdma"], "--engine tdma is not meaningful"),
+            (["--mode", "select", "--engine", "tdma"], "--engine tdma is not meaningful"),
+            (["--mode", "compare", "--engine", "mc", "--served", "3"],
+             "--mode compare always runs both engines"),
+        ):
+            assert main([*args, "--k", "21", "--manifest", str(tmp_path / "m.txt")]) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("db",["1e21:1e21:1", "3000:3000:1.5e-13"])
+    def test_a_step_that_does_not_advance_is_usage_error(self, db, tmp_path, capsys):
+        assert main(["--mode", "sweep-rho", "--k", "4", "--served", "3", "--engine", "high-snr",
+                     "--rho-db", db, "--manifest", str(tmp_path / "m.txt")]) == 2
+        message = f"--rho-db range {db!r} has a step too small to advance its values"
+        assert capsys.readouterr() == ("", f"dualsel: usage error: {message}\n")
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("mode, served", [("esr", "9"), ("sweep-rho", "4")])
     def test_served_with_tdma_engine_is_usage_error(self, mode, served, tmp_path):

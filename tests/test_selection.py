@@ -328,6 +328,26 @@ class TestScanSharing:
             evaluate_cells(4, [("high_snr", 1, 100.0), ("bogus", 2, 100.0)])
         assert specfun._scan_terms.get() is None
 
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [(0, 3, "trials must be a positive integer, got 0"),
+         (500, -1, "seed must be an unsigned 64-bit integer, got -1")],
+        ids=["trials", "seed"],
+    )
+    def test_a_refused_monte_carlo_key_raises_at_its_own_cell(
+        self, trials, seed, message, high_snr_calls
+    ):
+        # the scan registers no Monte Carlo cell under a key no estimator
+        # takes; the estimator's own check raises at the Monte Carlo cell's
+        # turn, after the high-SNR cell before it has run
+        cells = [("high_snr", 3, 100.0), ("montecarlo", 4, 100.0)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_cells(9, cells, trials, seed)
+        assert [(cfg.served_index, res) for cfg, res, _ in high_snr_calls] == [
+            (3, cold_high_snr(9, 3, 100.0))
+        ]
+        assert specfun._scan_terms.get() is None
+
     @pytest.mark.parametrize("method", ["high_snr", "montecarlo"])
     def test_threads_scan_independently(self, method):
         # more threads than cores, switching often, each scanning at its own
