@@ -125,13 +125,9 @@ def xi_table(K, n):
     """
     _check_user_count(K)
     _check_dual_slot(K, n)
-    lead = n * math.comb(K, n)
-    coeff = np.empty((K - n + 1, n))
-    for i in range(K - n + 1):
-        ci = math.comb(K - n, i)
-        for j in range(n):
-            sign = -1.0 if (i + j) % 2 else 1.0
-            coeff[i, j] = sign * lead * ci * math.comb(n - 1, j)
+    rows = [(-1) ** i * math.comb(K - n, i) for i in range(K - n + 1)]
+    cols = [(-1) ** j * math.comb(n - 1, j) for j in range(n)]
+    coeff = np.outer(rows, cols) * float(n * math.comb(K, n))
     coeff.setflags(write=False)
     return XiTable(K=int(K), n=int(n), coefficients=coeff)
 
@@ -372,7 +368,8 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     half's tolerance and the quadrature the rest: a bound can be nearly
     reached, while the quadrature's error estimate is pessimistic. Where the
     bound meets its share from U = 1, the upper half is 0; where U would
-    exceed the doubles, raises FloatingPointError.
+    exceed the doubles, or a tol so small that the halves' shares round to
+    0 is asked for, raises FloatingPointError.
 
     The upper half's quadrature starts from eight equal panels of
     [0, log U], with edges log(U) k / 8 rounded as written, evaluated in
@@ -396,6 +393,9 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     _check_dual_slot(cfg.num_users, cfg.served_index)
     _check_variant(variant)
     _check_positive_real(tol, "tol")
+    upper_tol = (1.0 - _TAIL_SHARE) * 0.5 * tol  # the smaller of the halves' shares
+    if not upper_tol > 0.0:
+        raise FloatingPointError(f"tol = {tol!r} is too small to split between Psi's halves")
     kernel = theta_corrected if variant == "corrected" else theta
     rho = cfg.transmit_snr
     log_s = _log_tail_end(rho, math.log(_TAIL_SHARE * 0.5) + math.log(tol), variant)
@@ -434,7 +434,7 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     left = quad_interval(lower, 0.0, 1.0, tol=0.5 * tol)
     if log_u == 0.0:
         return left.value
-    right = quad_interval(upper, 0.0, log_u, tol=(1.0 - _TAIL_SHARE) * 0.5 * tol, points=points)
+    right = quad_interval(upper, 0.0, log_u, tol=upper_tol, points=points)
     return left.value + right.value
 
 

@@ -180,6 +180,8 @@ def _plan(ns, argv):
         raise ValueError("--trials must be >= 1")
     if not (math.isfinite(ns.tol) and ns.tol > 0):
         raise ValueError(f"--tol must be positive and finite, got {ns.tol:g}")
+    if ns.tol < sys.float_info.min:  # fewer than 53 bits, and psi's halves may round to 0
+        raise ValueError(f"--tol {ns.tol:g} is subnormal, below {sys.float_info.min:.6g}")
     needs_served = ns.mode in ("esr", "sweep-rho", "compare") and ns.engine != "tdma"
     if needs_served:
         if ns.served is None:

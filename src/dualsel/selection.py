@@ -98,20 +98,12 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     """
     analytic._check_user_count(K)
     cells = list(cells)
-    with _scan_scope():
-        _register(K, cells, trials, seed)
-        return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]
-
-
-def _register(K, cells, trials, seed):
-    # Register the cells of both engines that share work across a scan, so
-    # that each engine's first call answers all of its cells at once.
     mc = [(n, rho) for method, n, rho in cells if method == "montecarlo"]
     high_snr = [(n, rho) for method, n, rho in cells if method == "high_snr"]
-    if mc:
+    with _scan_scope():
         montecarlo._scan_cells(K, mc, trials, seed)
-    if high_snr:
         analytic._scan_cells(K, high_snr)
+        return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]
 
 
 def best_served(esr_by_n):

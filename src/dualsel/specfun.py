@@ -186,21 +186,18 @@ _E1_CF_NUMERATORS = tuple(-float(i) * float(i) for i in range(1, 500))
 def _e1_cf_scaled(x):
     # Modified Lentz evaluation of the continued fraction
     #   e^x E1(x) = 1 / (x + 1 - 1^2 / (x + 3 - 2^2 / (x + 5 - ...))),
-    # which stays O(1/x) for large x and so never overflows.
-    tiny = 1e-300
+    # which stays O(1/x) for large x and so never overflows. Lentz's guard
+    # against a zero denominator is not needed: for x > 0 both D_k = b_k -
+    # k^2 / D_(k-1) (D_0 = x + 1) and C_k = b_k - k^2 / C_(k-1) (C_1 = b_1)
+    # stay >= x + k + 1, since k^2 / (x + k) <= k.
     b = x + 1.0
-    c = 1.0 / tiny
+    c = math.inf  # C_0, so that C_1 = b_1
     d = 1.0 / b
     h = d
     for a in _E1_CF_NUMERATORS:
         b += 2.0
-        d = a * d + b
-        if -tiny < d < tiny:
-            d = tiny
+        d = 1.0 / (a * d + b)
         c = b + a / c
-        if -tiny < c < tiny:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         h *= delta
         # |delta - 1| < 1e-16 holds for the double 1.0 alone

@@ -29,10 +29,19 @@ from dualsel.analytic import (
     xi_table,
 )
 from dualsel.selection import select_served
-from dualsel.specfun import EULER_GAMMA, e1_scaled, li2, quad_interval, quad_semi_infinite
+from dualsel.specfun import (
+    EULER_GAMMA,
+    QuadratureError,
+    e1_scaled,
+    li2,
+    quad_interval,
+    quad_semi_infinite,
+)
 from oracles import (
     cdf_order_stat,
     cdf_T_two_branch,
+    corr_a,
+    esr_exact_positive,
     esr_high_snr_terms,
     order_stat_series_terms,
     psi_two_calls,
@@ -183,6 +192,18 @@ class TestXiTable:
                 c = xi_table(K, n).coefficients
                 s = math.fsum(c[0, j] / (K - n + 1 + j) for j in range(n))
                 assert s == pytest.approx(1.0, abs=1e-9)
+
+    def test_every_entry_is_its_exact_integer(self):
+        # each entry is an integer below 2^53, so the table holds it exactly
+        for K in range(2, 21):
+            for n in range(1, K):
+                c = xi_table(K, n).coefficients
+                assert c.shape == (K - n + 1, n) and c.dtype == np.float64
+                assert not c.flags.writeable
+                for i in range(K - n + 1):
+                    for j in range(n):
+                        want = (-1) ** (i + j) * n * math.comb(K, n) * math.comb(K - n, i)
+                        assert c[i, j] == want * math.comb(n - 1, j), (K, n, i, j)
 
     def test_bounds(self):
         with pytest.raises(CapabilityError):
@@ -758,6 +779,16 @@ class TestPsiUpperHalf:
         with pytest.raises(FloatingPointError, match="beyond the doubles"):
             psi(cfg_of(8, 7, 10.0**308.2), tol=1e-310)
 
+    def test_a_tol_too_small_to_split_raises(self):
+        # Each half's share of the least subnormal tol rounds to 0, which
+        # quad_interval used to refuse as a ValueError about a tol of 0.0.
+        # exp_ce takes Psi to tol e^(-2/rho), which at 1e-300 and -14.3 dB
+        # is that least subnormal.
+        with pytest.raises(FloatingPointError, match="tol = 5e-324 is too small to split"):
+            psi(cfg_of(2, 1, 100.0), tol=5e-324)
+        with pytest.raises(FloatingPointError, match="tol = 5e-324 is too small to split"):
+            exp_ce(cfg_of(2, 1, 10.0**-1.43), tol=1e-300)
+
     def test_upper_panels_are_increasing_inside_every_accepted_interval(self, monkeypatch):
         # psi's breakpoints log(U) k / 8 must be strictly increasing inside
         # (0, log U), which quad_interval checks, at every log U it accepts:
@@ -946,6 +977,61 @@ class TestEsrExact:
         a = esr_exact(cfg_of(4, 3, rho)).value
         b = esr_exact(cfg_of(4, 3, rho_rt)).value
         assert a == pytest.approx(b, abs=1e-9)
+
+
+class TestPositiveForm:
+    """The exact ESR as one positive expectation over (h_n, M = h_K - h_n):
+    the eavesdropper's conditional rate Corr_a in closed form, and the
+    oracle esr_exact_positive built on it."""
+
+    @pytest.mark.parametrize("rho_db", [0, 20, 40])
+    def test_corr_is_the_corrected_kernels_tail_integral(self, rho_db):
+        # Corr_a(t) = e^a int_t^inf theta_corrected du, the integral by scipy
+        # in x = log u on pieces up to u = e^60; beyond, the tail is below 1e-24
+        rho = 10.0 ** (rho_db / 10.0)
+        a = 2.0 / rho
+
+        def f(x):
+            u = math.exp(x)
+            return theta_corrected(u, rho) * u
+
+        for t in (0.3, 0.999, 1.0, 1.5, 30.0):
+            edges = [math.log(t)] + [e for e in (0.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0)
+                                     if e > math.log(t)]
+            tail = math.fsum(
+                quad(f, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+                for lo, hi in zip(edges, edges[1:])
+            )
+            assert abs(corr_a(np.array([t]), a)[0] - math.exp(a) * tail) <= 1e-13, t
+
+    def test_oracle_matches_the_30_digit_reference(self):
+        # (12, 11, 30 dB) by 30-digit mpmath, on which two routes agree
+        assert abs(esr_exact_positive(12, 11, 1000.0) - 4.05075122346296564) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "K, n, rho_db",
+        [
+            (4, 3, 20),
+            (8, 7, 20),
+            (8, 1, 40),
+            (12, 6, 40),
+            pytest.param(12, 11, 30, marks=pytest.mark.xfail(
+                strict=True,
+                reason="Psi's lower half misses the boundary layer next to u = 1 "
+                "(ROADMAP item 12): esr_exact is 1.42e-6 above the oracle",
+            )),
+            pytest.param(20, 10, 20, marks=pytest.mark.xfail(
+                strict=True,
+                raises=QuadratureError,
+                reason="the alternating Xi-sum of F_T cancels at K = 20 (ROADMAP item 1), "
+                "and Psi's quadrature runs out of its budget",
+            )),
+        ],
+    )
+    def test_esr_exact_matches_the_oracle(self, K, n, rho_db):
+        rho = 10.0 ** (rho_db / 10.0)
+        got = esr_exact(cfg_of(K, n, rho)).unclamped
+        assert abs(got - esr_exact_positive(K, n, rho)) <= 1e-9
 
 
 class TestUpsilon:

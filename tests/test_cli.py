@@ -431,6 +431,23 @@ class TestExitCodes:
         assert f"--tol must be positive and finite, got {tol}" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    def test_subnormal_tol_is_usage_error(self, tmp_path, capsys):
+        # psi could not split it between its two halves
+        assert main(["--mode", "esr", "--k", "2", "--served", "1", "--engine", "analytic",
+                     "--tol", "5e-324", "--manifest", str(tmp_path / "m.txt")]) == 2
+        want = "usage error: --tol 4.94066e-324 is subnormal, below 2.22507e-308"
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_tol_too_small_to_split_names_its_cell(self, tmp_path, capsys):
+        # exp_ce takes Psi to tol e^(-2/rho), the least subnormal here, which
+        # used to reach quad_interval as a tol of 0.0 and exit 2
+        assert main(["--mode", "esr", "--k", "2", "--served", "1", "--engine", "analytic",
+                     "--tol", "1e-300", "--rho-db=-14.3",
+                     "--manifest", str(tmp_path / "m.txt")]) == 4
+        err = capsys.readouterr().err
+        assert "numerical error: K=2, n=1, rho=0.0371535 (-14.3 dB): tol = 5e-324" in err, err
+
     def test_one_process_reuses_its_parser(self, tmp_path, capsys):
         # cli.main builds its parser once per process; no call may leave a
         # trace on it that changes a later call's CSV or exit code

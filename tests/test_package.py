@@ -15,6 +15,8 @@ ORACLES = (
     "slot_rates",
     "cdf_order_stat",
     "walked_gains",
+    "corr_a",
+    "esr_exact_positive",
 )
 SRC = Path(dualsel.__file__).parent
 
