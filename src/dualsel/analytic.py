@@ -287,13 +287,8 @@ def theta(u, rho):
 
     Accepts a scalar (returns a float) or an array of positive finite u.
     """
-    _check_positive_real(rho, "rho")
-    scalar = np.ndim(u) == 0
-    u = _as_positive_array(u, "u")
-    up1 = u + 1.0
+    scalar, u, up1, w, phi = _kernel_terms(u, rho, 1)
     with np.errstate(all="ignore"):  # (u+1)^2 may overflow; inf w is set below
-        w = _kernel_w(u, up1, rho, 1)
-        phi = _e1_scaled_array(w)
         log1p_u = np.log1p(u)
         first = (phi + 1.0 - log1p_u) / (up1 * up1)
         second = (2.0 / rho) * phi / (u * up1)
@@ -322,32 +317,30 @@ def theta_corrected(u, rho):
 
     Accepts a scalar (returns a float) or an array of positive finite u.
     """
-    _check_positive_real(rho, "rho")
-    scalar = np.ndim(u) == 0
-    u = _as_positive_array(u, "u")
-    up1 = u + 1.0
+    scalar, u, up1, w, phi = _kernel_terms(u, rho, 2)
     with np.errstate(all="ignore"):  # (u+1)^2 may overflow; inf w is set below
-        w = _kernel_w(u, up1, rho, 2)
-        phi = _e1_scaled_array(w)
         bracket = 1.0 / (up1 * up1) + phi * (1.0 / (up1 * up1) - 2.0 / (rho * u * up1))
         out = np.exp(-2.0 * up1 / rho) * bracket
     out[w == math.inf] = 0.0
     return float(out[0]) if scalar else out
 
 
-def _kernel_w(u, up1, rho, power):
-    # w = 2 (u+1)^power / (rho u), the argument of e^w E1(w) in the theta
-    # kernels, rounded as written. Where that leaves the positive finite
-    # doubles ((u+1)^2 or rho u overflowing, rho u underflowing), w is
-    # rebuilt from the mantissas and exponents of u+1, rho and u, which
-    # cannot overflow; a w beyond the doubles comes out as inf. Runs under
-    # the caller's np.errstate(all="ignore").
-    w = 2.0 * up1**power / (rho * u)
-    bad = ~((w > 0.0) & (w < math.inf))  # a nan fails both
-    if bad.any():
-        (mp, ep), (mr, er), (mu, eu) = np.frexp(up1[bad]), np.frexp(rho), np.frexp(u[bad])
-        w[bad] = np.ldexp(2.0 * mp**power / (mr * mu), power * ep - er - eu)
-    return w
+def _kernel_terms(u, rho, power):
+    # The theta kernels' common terms: the scalar flag, the checked nodes u,
+    # u + 1, w = 2 (u+1)^power / (rho u) and e^w E1(w). Where w as written
+    # leaves the positive finite doubles, it is rebuilt from the mantissas and
+    # exponents of u+1, rho and u, which cannot overflow; past them it is inf.
+    _check_positive_real(rho, "rho")
+    scalar = np.ndim(u) == 0
+    u = _as_positive_array(u, "u")
+    up1 = u + 1.0
+    with np.errstate(all="ignore"):
+        w = 2.0 * up1**power / (rho * u)
+        bad = ~((w > 0.0) & (w < math.inf))  # a nan fails both
+        if bad.any():
+            (mp, ep), (mr, er), (mu, eu) = np.frexp(up1[bad]), np.frexp(rho), np.frexp(u[bad])
+            w[bad] = np.ldexp(2.0 * mp**power / (mr * mu), power * ep - er - eu)
+        return scalar, u, up1, w, _e1_scaled_array(w)
 
 
 def psi(cfg, tol=1e-9, variant="corrected"):

@@ -345,13 +345,6 @@ def _li2_reduce(x):
     return y, outer, -sign, inner
 
 
-def _li2_array(x):
-    # Li2 at each element of a list x of finite floats <= 1, as an array
-    y, outer, sign, inner = np.array([_li2_reduce(v) for v in x]).reshape(-1, 4).T
-    # + inner also turns a -0.0 series total into 0.0, as a sum from 0.0 does
-    return outer + sign * (_li2_series(y) + inner)
-
-
 def li2(x):
     """Real dilogarithm Li2(x) = -int_0^x log(1-t)/t dt for x <= 1.
 
@@ -367,7 +360,9 @@ def li2(x):
     values = [] if arr is None else arr.ravel().tolist()
     if arr is None or not all(-math.inf < v <= 1.0 for v in values):  # also false for nan
         raise ValueError(f"li2 requires finite arguments <= 1, got {x!r}")
-    out = _li2_array(values).reshape(arr.shape)
+    y, outer, sign, inner = np.array([_li2_reduce(v) for v in values]).reshape(-1, 4).T
+    # + inner also turns a -0.0 series total into 0.0, as a sum from 0.0 does
+    out = (outer + sign * (_li2_series(y) + inner)).reshape(arr.shape)
     return float(out) if out.ndim == 0 else out
 
 

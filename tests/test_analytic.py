@@ -1026,6 +1026,18 @@ class TestPositiveForm:
                 reason="the alternating Xi-sum of F_T cancels at K = 20 (ROADMAP item 1), "
                 "and Psi's quadrature runs out of its budget",
             )),
+            pytest.param(20, 19, 60, marks=pytest.mark.xfail(
+                strict=True,
+                reason="exp_cb's alternating order-statistic series (ROADMAP item 1) is "
+                "2.07e-9 above a 40-digit quadrature of E[log1p(rho h_n / 2)]: "
+                "esr_exact is 1.83e-9 above the oracle",
+            )),
+            pytest.param(20, 19, 40, marks=pytest.mark.xfail(
+                strict=True,
+                reason="Psi's lower half misses the boundary layer next to u = 1 (ROADMAP "
+                "item 12), and exp_cb's series is 3.69e-9 below a 40-digit quadrature "
+                "(item 1): esr_exact is 1.21e-8 above the oracle",
+            )),
         ],
     )
     def test_esr_exact_matches_the_oracle(self, K, n, rho_db):

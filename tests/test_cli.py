@@ -224,6 +224,18 @@ class TestCompareMode:
         assert "sigma" in err
         assert "compare_max_sigma=" in (tmp_path / "m.txt").read_text()
 
+    def test_a_zero_stderr_is_flagged(self, tmp_path):
+        # one trial has stderr 0, so any difference is inf sigma
+        code, _, err = run_inproc(
+            ["--mode", "compare", "--k", "4", "--served", "2", "--trials", "1"], tmp_path / "m.txt"
+        )
+        assert code == 0
+        assert err.startswith("compare[FLAG] K=4 n=2 rho=20 dB: ")
+        assert err.endswith(" (inf sigma)\n")
+        manifest = dict(l.split("=", 1) for l in (tmp_path / "m.txt").read_text().splitlines())
+        assert manifest["compare_max_sigma"] == "inf"
+        assert manifest["compare_flagged"] == "1"
+
 
 class TestManifest:
     def test_manifest_contents(self, tmp_path):
