@@ -2,8 +2,8 @@
 
 The base station must decode the jamming signal before it can cancel it, so
 the whole scheme rides on this ratio of a maximum to a lower order statistic.
-Its closed-form CDF has two branches glued at t = 1; at high SNR all mass
-moves above 1 because the strongest gain cannot trail the n-th.
+Its closed-form CDF is one formula for every t, continuous at t = 1; at high
+SNR all mass moves above 1 because the strongest gain cannot trail the n-th.
 
 The script overlays the closed form on a million simulated slots and prints
 the Kolmogorov-Smirnov distance, then shows the high-SNR limit taking over.

@@ -87,12 +87,15 @@ class RunManifest:
 
 
 def _parse_rho_db(text):
-    parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    try:
+        values = [float(p) for p in text.split(":")]
+    except ValueError:  # a part that is not a number
+        values = []
+    if len(values) not in (1, 3):
         raise ValueError(f"--rho-db expects VALUE or START:STOP:STEP, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"--rho-db range needs finite values, got {text!r}")
     if step <= 0 or stop < start:

@@ -25,7 +25,7 @@ a tie sends its block of trials through a stable sort, so tied users stay in
 user order with their eavesdropper gains, and no bit depends on the host's
 sort implementation.
 
-The walk draws a large batch as two halves of its trials on two threads:
+The walk draws every batch as two halves of its trials on two threads:
 the calling thread draws, orders and rates the lower half, one worker thread
 the upper half, each from its own Philox counter offset, and each writes its
 rates into its own columns of the batch's (cells, trials) buffers. Once
@@ -52,13 +52,6 @@ __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T"
 BATCH_TRIALS = 1 << 16
 
 _U64 = 1 << 64
-
-#: Fewest gains (trials * K) in a batch drawn as two halves on two threads.
-#: Starting and joining the worker costs about 0.1 ms, and the threads wait
-#: on each other for the interpreter lock between numpy calls. On 2 vCPUs
-#: the split drew faster at every K from 2 to 20 from 24 000 gains up and
-#: slower at most K below 16 000; at 20 000 (a 1 ms draw) it broke even.
-_SPLIT_GAINS = 20_000
 
 #: Most doubles in each of a reduction's two rate buffers (16 MiB): a
 #: scan's cells beyond as many rows reduce in a later pass.
@@ -126,7 +119,7 @@ def _gains_from_uniforms(u, K):
     user order and the eavesdropper gains still pair with their owners.
 
     Every stage works trial by trial, so the gains of a trial do not depend
-    on the other trials in u: `_walk` runs this on each half of a large
+    on the other trials in u: `_walk` runs this on each half of every
     batch, one half per thread.
     """
     h = _exponentials(u[:, :K])
@@ -161,20 +154,20 @@ def _rank_major(order):
 def _walk(seed, trials, K, each_half, each_batch):
     """Draw trials [0, trials) in the fixed batches of BATCH_TRIALS, in
     order, each batch made when the walk reaches it. A batch of m trials
-    from start is handed out in halves that cover it, each_half(h, g,
-    start, m, lo, hi) getting the sorted gains of trials [start + lo,
-    start + hi); then each_batch(start, m) runs in the calling thread. h
-    and g are (hi - lo, K) views of rank-major buffers, so h[:, j] and
-    g[:, j] are contiguous, and their content is that of a stable sort (see
-    `_gains_from_uniforms`).
+    from start is handed out in two halves, each_half(h, g, start, m, lo,
+    hi) getting the sorted gains of trials [start + lo, start + hi); then
+    each_batch(start, m) runs in the calling thread. h and g are (hi - lo,
+    K) views of rank-major buffers, so h[:, j] and g[:, j] are contiguous,
+    and their content is that of a stable sort (see `_gains_from_uniforms`).
 
-    A batch of at least _SPLIT_GAINS gains is split: the calling thread
-    draws and hands out the lower half, and one worker thread, fed one half
-    per batch, the upper. The worker exits after its last half and is
-    joined before the walk returns or raises; its exception is raised here.
+    The calling thread draws and hands out the lower half [0, m // 2) of
+    every batch, and the walk's one worker thread, started before the first
+    batch and fed one half per batch, the upper [m // 2, m); a 1-trial
+    batch has an empty lower half. The worker exits after its last half and
+    is joined before the walk returns or raises; its exception is raised
+    here.
     """
     tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
-    worker = None
 
     def half(start, m, lo, hi):
         h, g = _gains_from_uniforms(_uniform_block(seed, start + lo, hi - lo, K), K)
@@ -189,32 +182,24 @@ def _walk(seed, trials, K, each_half, each_batch):
             else:
                 done.put(None)
 
-    def splits(start):  # False past the last batch
-        return min(BATCH_TRIALS, trials - start) * K >= _SPLIT_GAINS
-
+    worker = threading.Thread(target=serve)
+    worker.start()
     try:
         for start in range(0, trials, BATCH_TRIALS):
             m = min(BATCH_TRIALS, trials - start)
-            if splits(start):
-                if worker is None:
-                    worker = threading.Thread(target=serve)
-                    worker.start()
-                tasks.put((start, m))
-                if not splits(start + m):  # the worker's last half
-                    tasks.put(None)
-                try:
-                    half(start, m, 0, m // 2)
-                finally:
-                    error = done.get()
-                if error is not None:
-                    raise error
-            else:
-                half(start, m, 0, m)
+            tasks.put((start, m))
+            if start + m == trials:  # the worker's last half
+                tasks.put(None)
+            try:
+                half(start, m, 0, m // 2)
+            finally:
+                error = done.get()
+            if error is not None:
+                raise error
             each_batch(start, m)
     finally:
-        if worker is not None:
-            tasks.put(None)
-            worker.join()
+        tasks.put(None)
+        worker.join()
 
 
 def _slot_rates(hT, gT, n, rho, cb, ce, wide):

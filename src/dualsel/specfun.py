@@ -63,15 +63,6 @@ class QuadratureResult:
     evaluations: int
 
 
-def _isfinite(x):
-    # math.isfinite, except that an int beyond the float range counts as not
-    # finite instead of raising OverflowError
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 def _is_integer(x):
     # bool subclasses int, but True is neither a count, an index nor a seed
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -83,7 +74,12 @@ def _is_real(x):
 
 
 def _is_finite_real(x):
-    return _is_real(x) and _isfinite(x)
+    # an int beyond the float range is not finite: math.isfinite raises
+    # OverflowError on it
+    try:
+        return _is_real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _is_positive_real(x):
@@ -574,7 +570,6 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
     """
     if not _is_finite_real(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
-    _check_positive_real(tol, "tol")
 
     def g(v):
         # v is the panel's node array; the map and its Jacobian act on it
@@ -584,4 +579,4 @@ def quad_semi_infinite(f, a, tol=1e-9, max_evals=200_000):
         w = np.maximum(1.0 - v, _BELOW_ONE_GAP)
         return _integrand_values(f, a + v / w) / (w * w)
 
-    return _adaptive_gk(g, [0.0, 1.0], tol, max_evals)
+    return quad_interval(g, 0.0, 1.0, tol=tol, max_evals=max_evals)

@@ -553,6 +553,12 @@ class TestExitCodes:
             (["--mode", "select", "--engine", "tdma"],
              "--engine tdma is not meaningful for --mode select; "
              "the TDMA-like slot already appears as the n = K row"),
+            (["--mode", "esr", "--served", "3", "--rho-db=abc"],
+             "--rho-db expects VALUE or START:STOP:STEP, got 'abc'"),
+            (["--mode", "esr", "--served", "3", "--rho-db="],
+             "--rho-db expects VALUE or START:STOP:STEP, got ''"),
+            (["--mode", "sweep-rho", "--served", "3", "--rho-db=1:2:x"],
+             "--rho-db expects VALUE or START:STOP:STEP, got '1:2:x'"),
         ],
     )
     def test_each_usage_rule_exits_2_with_its_message(self, flags, message, tmp_path, capsys):

@@ -721,7 +721,8 @@ class TestBatchMemo:
         assert "numerical error: K=5, n=3, rho=100 (20 dB): the means nan" in err
 
     def test_a_reduction_keeps_one_worker(self, monkeypatch):
-        # three split batches and a short one, one worker thread for all
+        # one worker thread for all of a walk's batches, however few its
+        # trials: three full batches and a short one, or a single trial
         started = []
         thread = threading.Thread
 
@@ -734,7 +735,9 @@ class TestBatchMemo:
         estimate_esr(cfg_of(8, 4, 10.0), 3 * BATCH_TRIALS + 1, 1)
         select_served(8, 10.0, "montecarlo", 3 * BATCH_TRIALS + 1, 1)
         empirical_cdf_T(cfg_of(8, 4, 10.0), 3 * BATCH_TRIALS + 1, 1)
-        assert len(started) == 3
+        estimate_esr(cfg_of(2, 1, 10.0), 1, 1)
+        empirical_cdf_T(cfg_of(8, 4, 10.0), 100, 1)
+        assert len(started) == 5
         assert not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize(
