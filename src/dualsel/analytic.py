@@ -28,7 +28,6 @@ __all__ = [
     "MAX_USERS",
     "CapabilityError",
     "SystemConfig",
-    "XiTable",
     "EsrValue",
     "xi_table",
     "cdf_T",
@@ -46,8 +45,10 @@ __all__ = [
 ]
 
 #: Largest supported number of users. The alternating sums in the rate
-#: formulas lose roughly one decimal digit of precision per two users;
-#: beyond 20 users double precision can fail silently, so we refuse.
+#: formulas lose roughly one decimal digit of precision per two users, so
+#: larger K is refused. Below the cap the exact engine still returns some
+#: cells more than tol off and raises QuadratureError at others (README,
+#: "Supported sizes").
 MAX_USERS = 20
 
 
@@ -67,13 +68,23 @@ def _check_user_count(K, least=2):
         )
 
 
+def _check_dual_slot(K, n):
+    # n names a dual-selection slot: 1 <= n <= K - 1
+    if not _is_integer(n) or not (1 <= n <= K - 1):
+        raise ValueError(
+            f"served index must be in [1, {K - 1}], got {n!r}; n = K is the TDMA-like "
+            "slot, answered by esr_tdma_exact, esr_tdma_high_snr and estimate_esr_tdma"
+        )
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    """One scenario: K users, served index n, linear transmit SNR rho.
+    """One dual-selection slot: K users, served index n, linear transmit SNR.
 
-    The jamming user is always the strongest user (index K); served_index
-    may equal K, which denotes the degenerate TDMA-like slot where the best
-    user transmits alone at full power and nobody jams.
+    The jamming user is always the strongest user (index K), so n is in
+    [1, K-1]. The TDMA-like slot n = K, where the strongest user transmits
+    alone at full power and nobody jams, depends only on (K, rho):
+    esr_tdma_exact, esr_tdma_high_snr and estimate_esr_tdma take those.
     """
 
     num_users: int
@@ -82,22 +93,8 @@ class SystemConfig:
 
     def __post_init__(self):
         _check_user_count(self.num_users)
-        n = self.served_index
-        if not _is_integer(n) or not (1 <= n <= self.num_users):
-            raise ValueError(
-                f"served_index must be an integer in [1, {self.num_users}], got {n!r}"
-            )
+        _check_dual_slot(self.num_users, self.served_index)
         _check_positive_real(self.transmit_snr, "transmit_snr")
-
-
-@dataclass(frozen=True)
-class XiTable:
-    """Signed coefficients of the jamming-decode SNR CDF, indexed [i, j]
-    with i in [0, K-n] and j in [0, n-1]."""
-
-    K: int
-    n: int
-    coefficients: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,9 @@ def _clamped(unclamped):
 
 @lru_cache(maxsize=None, typed=True)  # typed: True must not hit the entry for 1
 def xi_table(K, n):
-    """Coefficient table Xi[i, j] = (-1)^(i+j) n C(K,n) C(K-n,i) C(n-1,j).
+    """Coefficient table Xi[i, j] = (-1)^(i+j) n C(K,n) C(K-n,i) C(n-1,j),
+    as a read-only (K-n+1, n) float array indexed [i, j], i in [0, K-n] and
+    j in [0, n-1]. Repeated calls return the same cached array.
 
     Exact in double precision for K <= 20 (all binomials are exact
     integers well below 2^53). Requires 1 <= n <= K-1: the table only
@@ -129,7 +128,7 @@ def xi_table(K, n):
     cols = [(-1) ** j * math.comb(n - 1, j) for j in range(n)]
     coeff = np.outer(rows, cols) * float(n * math.comb(K, n))
     coeff.setflags(write=False)
-    return XiTable(K=int(K), n=int(n), coefficients=coeff)
+    return coeff
 
 
 #: Points per cdf_T broadcast, which bounds its (points, i, j) temporaries.
@@ -142,7 +141,7 @@ def _cdf_T(t, K, n, rho):
     # Each row i is summed over j, then the rows are added in order of i by
     # a cumsum, so every value has the bits of a loop that adds one row i at
     # a time.
-    c = xi_table(K, n).coefficients
+    c = xi_table(K, n)
     scalar = np.ndim(t) == 0
     arr = _as_float_array(t, "t")
     b = np.arange(K - n + 1, K + 1, dtype=float)  # K - n + 1 + j
@@ -196,15 +195,6 @@ def cdf_T_high_snr(t, K, n):
     from t = 1 on. So it is zero below t = 1 (the strongest gain can never
     trail the n-th) and rational from t = 1 on."""
     return _cdf_T(t, K, n, math.inf)
-
-
-def _check_dual_slot(K, n):
-    # n names a dual-selection slot: 1 <= n <= K - 1
-    if not _is_integer(n) or not (1 <= n <= K - 1):
-        raise ValueError(
-            f"served index must be in [1, {K - 1}], got {n!r}; n = K is the TDMA-like "
-            "slot, answered by esr_tdma_exact, esr_tdma_high_snr and estimate_esr_tdma"
-        )
 
 
 def _check_variant(variant):
@@ -266,7 +256,6 @@ def exp_cb(cfg):
     FloatingPointError.
     """
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
-    _check_dual_slot(K, n)
     _check_e1_bound(2.0 * K / rho, "2K/rho")
     return _order_stat_series(K, n, lambda m: _e1_scaled_scalar(2.0 * m / rho))
 
@@ -383,7 +372,6 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     would split panels in another order and move the lower half's pinned
     values.
     """
-    _check_dual_slot(cfg.num_users, cfg.served_index)
     _check_variant(variant)
     _check_positive_real(tol, "tol")
     upper_tol = (1.0 - _TAIL_SHARE) * 0.5 * tol  # the smaller of the halves' shares
@@ -617,7 +605,6 @@ def esr_high_snr(cfg):
     and a cell's errors are raised at its own call.
     """
     K, n, rho = int(cfg.num_users), int(cfg.served_index), cfg.transmit_snr
-    _check_dual_slot(K, n)
     cell = (n, rho)
     group = _scan_group(("high_snr", K))  # (n, rho) -> unclamped, None until computed
     if group.get(cell) is None:
@@ -665,7 +652,7 @@ def _high_snr_pass(K, group):
             place[i * (K + 1) + p] = distinct.setdefault(p / i - 1.0, len(distinct))
     parts = np.array(_upsilon_parts(list(distinct)))[place].T.reshape(5, K, K + 1)
     i_col = np.arange(1, K)[:, None]
-    weights = {n: xi_table(K, n).coefficients[1:] / i_col[:K - n] for n in ns}
+    weights = {n: xi_table(K, n)[1:] / i_col[:K - n] for n in ns}
     logs = np.array([math.log(m) for m in range(1, K + 1)])
     series = dict(zip(ns, _order_stat_sums(K, ns, logs)))
     rhos = list(ns_at)

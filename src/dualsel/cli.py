@@ -18,14 +18,13 @@ import os
 import shlex
 import stat
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__, analytic, selection
 from .analytic import CapabilityError
 from .specfun import QuadratureError
 
-__all__ = ["main", "run", "RunManifest", "CSV_HEADER"]
+__all__ = ["main", "run", "CSV_HEADER"]
 
 CSV_HEADER = "mode,K,n,rho_db,esr_nats,stderr,trials,seed"
 
@@ -40,50 +39,29 @@ _METHOD_OF = {
 }
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run's CSV: version, flags, seed."""
+def _write_manifest(path, fields):
+    """Write one key=value line per (key, value) pair of `fields` to `path`,
+    UTF-8 with \\n endings.
 
-    tool_version: str
-    invocation: str
-    seed: int
-    started: str
-    finished: str = ""
-    rows_emitted: int = 0
-    extras: dict = field(default_factory=dict)
-
-    def write(self, path):
-        """Write one key=value per line to `path`, UTF-8 with \\n endings.
-
-        An existing file is rewritten in place: opened without O_TRUNC,
-        written whole, then cut to the written length. Truncating it to zero
-        bytes first, as open(path, "w") does, is ext4's replace-via-truncate
-        pattern (auto_da_alloc), which forces the new data to disk at close;
-        writing to a temporary file and renaming it over the path triggers
-        the same flush. A path that is not a regular file, such as
-        /dev/null, is written and not cut. A new file gets mode
-        0o666 & ~umask.
-        """
-        lines = [
-            f"tool_version={self.tool_version}",
-            f"invocation={self.invocation}",
-            f"seed={self.seed}",
-            f"started={self.started}",
-            f"finished={self.finished}",
-            f"rows_emitted={self.rows_emitted}",
-        ]
-        lines += [f"{k}={v}" for k, v in self.extras.items()]
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        try:
-            view = memoryview(data)
-            while view:  # os.write may write fewer bytes than it is given
-                view = view[os.write(fd, view):]
-            st = os.fstat(fd)
-            if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
-                os.ftruncate(fd, len(data))
-        finally:
-            os.close(fd)
+    An existing file is rewritten in place: opened without O_TRUNC, written
+    whole, then cut to the written length. Truncating it to zero bytes
+    first, as open(path, "w") does, is ext4's replace-via-truncate pattern
+    (auto_da_alloc), which forces the new data to disk at close; writing to
+    a temporary file and renaming it over the path triggers the same flush.
+    A path that is not a regular file, such as /dev/null, is written and not
+    cut. A new file gets mode 0o666 & ~umask.
+    """
+    data = "".join(f"{k}={v}\n" for k, v in fields).encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # os.write may write fewer bytes than it is given
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _parse_rho_db(text):
@@ -225,23 +203,19 @@ def run(ns, argv, out=None, err=None):
     and write the manifest. Returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    manifest = RunManifest(
-        tool_version=__version__,
-        invocation=shlex.join(argv),
-        seed=ns.seed,
-        started=datetime.now(timezone.utc).isoformat(),
-    )
+    started = datetime.now(timezone.utc).isoformat()
     cells = _plan(ns, argv)
     results = selection.evaluate_cells(
         ns.k, [(_METHOD_OF[e], n, rho) for e, n, _, rho in cells], ns.trials, ns.seed, ns.tol
     )
     rows = list(zip(cells, results))
 
+    extras = []  # the mode's (key, value) manifest lines
     if ns.mode == "select":
         rho_db = cells[0][2]
         for engine in dict.fromkeys(cell[0] for cell in cells):
             best_n = selection.best_served([(n, res) for (e, n, *_), res in rows if e == engine])
-            manifest.extras[f"best_n_{engine.replace('-', '_')}"] = best_n
+            extras.append((f"best_n_{engine.replace('-', '_')}", best_n))
             print(
                 f"select[{engine}]: best served index n = {best_n} "
                 f"(K={ns.k}, rho={rho_db:g} dB)",
@@ -263,14 +237,23 @@ def run(ns, argv, out=None, err=None):
                 f"|diff|={diff:.3e} ({sigma:.2f} sigma)",
                 file=err,
             )
-        manifest.extras["compare_max_abs_diff"] = f"{worst_diff:.6e}"
-        manifest.extras["compare_max_sigma"] = f"{worst_sigma:.3f}"
-        manifest.extras["compare_flagged"] = int(worst_sigma > 3.0)
+        extras += [
+            ("compare_max_abs_diff", f"{worst_diff:.6e}"),
+            ("compare_max_sigma", f"{worst_sigma:.3f}"),
+            ("compare_flagged", int(worst_sigma > 3.0)),
+        ]
 
-    manifest.rows_emitted = len(rows)
-    manifest.finished = datetime.now(timezone.utc).isoformat()
+    fields = [
+        ("tool_version", __version__),
+        ("invocation", shlex.join(argv)),
+        ("seed", ns.seed),
+        ("started", started),
+        ("finished", datetime.now(timezone.utc).isoformat()),
+        ("rows_emitted", len(rows)),
+        *extras,
+    ]
     try:
-        manifest.write(ns.manifest)
+        _write_manifest(ns.manifest, fields)
     except OSError as exc:
         print(f"dualsel: cannot write manifest {ns.manifest}: {exc.strerror or exc}", file=err)
         return 2

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _check_dual_slot, _check_user_count
+from .analytic import _check_user_count
 from .specfun import _check_positive_real, _is_integer, _is_positive_real, _scan_group
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
@@ -350,7 +350,6 @@ def estimate_esr(cfg, trials, seed):
     seed = _check_seed(seed)
     trials = _check_count(trials, "trials")
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
-    _check_dual_slot(K, n)
     return _estimate(seed, trials, K, (n, rho))
 
 
@@ -375,7 +374,6 @@ def empirical_cdf_T(cfg, samples, seed):
     seed = _check_seed(seed)
     samples = _check_count(samples, "samples")
     K, n, rho = cfg.num_users, cfg.served_index, cfg.transmit_snr
-    _check_dual_slot(K, n)
     inv = 2.0 / rho
     t = np.empty(samples)
 

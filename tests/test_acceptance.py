@@ -164,7 +164,7 @@ def test_criterion_06_coefficient_identity():
     worst = 0.0
     for K in range(2, 13):
         for n in range(1, K):
-            c = xi_table(K, n).coefficients
+            c = xi_table(K, n)
             s = math.fsum(c[0, j] / (K - n + 1 + j) for j in range(n))
             worst = max(worst, abs(s - 1.0))
     report(6, worst <= 1e-9, f"normalization identity worst deviation {worst:.2e} (<=1e-9)")

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import random
 import re
 import shlex
 import stat
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from dualsel import cli
-from dualsel.cli import CSV_HEADER, RunManifest, _build_parser, _parse_rho_db, main, run
+from dualsel.cli import CSV_HEADER, _build_parser, _parse_rho_db, _write_manifest, main, run
 
 
 def run_inproc(args, manifest_path):
@@ -274,13 +275,16 @@ class TestManifest:
             assert out.getvalue() == out1
 
     def test_a_longer_file_is_replaced_by_exactly_the_new_manifest(self, tmp_path):
-        manifest = RunManifest("1.0", "--manifest 'é.txt'", 7, "t0", "t1", 3, {"best_n_mc": 2})
+        fields = [
+            ("tool_version", "1.0"), ("invocation", "--manifest 'é.txt'"), ("seed", 7),
+            ("started", "t0"), ("finished", "t1"), ("rows_emitted", 3), ("best_n_mc", 2),
+        ]
         want = ("tool_version=1.0\ninvocation=--manifest 'é.txt'\nseed=7\nstarted=t0\n"
                 "finished=t1\nrows_emitted=3\nbest_n_mc=2\n").encode("utf-8")
         for old in (b"", b"x" * 5, b"x\n" * 10_000):
             path = tmp_path / "m.txt"
             path.write_bytes(old)
-            manifest.write(path)
+            _write_manifest(path, fields)
             assert path.read_bytes() == want
         # the CLI over a longer file leaves one key=value per line
         code, _, _ = run_inproc(["--mode", "esr", "--k", "4", "--engine", "tdma"], path)
@@ -319,7 +323,7 @@ class TestManifest:
     def test_a_new_manifest_gets_the_default_file_mode(self, tmp_path):
         old = os.umask(0o027)
         try:
-            RunManifest("1.0", "", 0, "").write(tmp_path / "m.txt")
+            _write_manifest(tmp_path / "m.txt", [("tool_version", "1.0")])
         finally:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "m.txt").stat().st_mode) == 0o640
@@ -645,6 +649,53 @@ class TestExitCodes:
         assert err.startswith(f"dualsel: usage error: {named} value ")
         assert "contains a line break" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_seeded_argv_never_escapes_main(self, tmp_path, capsys):
+        # Flag lists drawn over every mode and engine (and no --engine), K on
+        # both sides of the supported range, --served in and out of range,
+        # SNRs from -400 to 3200 dB and short ranges of them, and edge values
+        # of --trials, --tol, --units and --seed. Each run returns 0, 2, 3 or
+        # 4 and raises nothing; an exit 4 names its cell, and an exit 0
+        # prints the header and the rows its manifest counts.
+        rng = random.Random(11)
+        manifest = tmp_path / "m.txt"
+        codes = []
+        for _ in range(60):
+            K = rng.choice([1, 2, 3, 5, 8, 12, 20, 21])
+            mode = rng.choice(cli._MODES)
+            argv = ["--mode", mode, "--k", str(K)]
+            # mostly flags the mode accepts; a tenth of each choice is not
+            engine = rng.choice([*cli._ENGINES, None])
+            if mode == "compare" and rng.random() < 0.9:
+                engine = None
+            argv += [] if engine is None else ["--engine", engine]
+            wants_served = mode in ("esr", "sweep-rho", "compare") and engine != "tdma"
+            if wants_served != (rng.random() < 0.1):
+                argv += ["--served", str(rng.choice([rng.randint(1, K)] * 3 + [0, K + 1]))]
+            start = round(rng.uniform(-400.0, 3200.0), 2)
+            if (mode in ("esr", "select")) != (rng.random() < 0.1):
+                argv.append(f"--rho-db={start:g}")
+            else:
+                argv.append(f"--rho-db={start:g}:{start + rng.choice([0, 5, 10]):g}:5")
+            argv += ["--trials", str(rng.choice([1, 2, 7, 300]))]
+            if rng.random() < 0.3:
+                argv += ["--tol", rng.choice(["1e-6", "1e-12", "1e-6", "1e-12", "0", "1e-320"])]
+            if rng.random() < 0.3:
+                argv += ["--units", "bits"]
+            if rng.random() < 0.3:
+                argv += ["--seed", str(rng.choice([0, 1, 2**64 - 1, 0, 1, 2**64 - 1, 2**64, -1]))]
+            manifest.unlink(missing_ok=True)
+            code = main([*argv, "--manifest", str(manifest)])
+            out, err = capsys.readouterr()
+            codes.append(code)
+            assert code in (0, 2, 3, 4), (argv, code, err)
+            if code == 4:
+                assert re.search(r"K=\d+, n=\d+, rho=", err), (argv, err)
+            if code == 0:
+                rows = int(re.search(r"^rows_emitted=(\d+)$", manifest.read_text(), re.M)[1])
+                assert out.splitlines()[0] == CSV_HEADER, argv
+                assert len(out.splitlines()) == rows + 1, argv
+        assert set(codes) == {0, 2, 3, 4}
 
     def test_unwritable_manifest_is_usage_error(self, tmp_path):
         path = tmp_path / "missing" / "m.txt"

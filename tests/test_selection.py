@@ -278,7 +278,7 @@ class TestScanSharing:
             assert value == evaluate(method, K, n, rho, trials, seed)
         # an invalid n raises at its own turn, after the cells before it
         high_snr_calls.clear()
-        with pytest.raises(ValueError, match="served_index must be"):
+        with pytest.raises(ValueError, match="served index must be"):
             evaluate_cells(K, cells[:3] + [("high_snr", 0, 100.0)] + cells[3:], trials, seed)
         assert [(cfg.served_index, cfg.transmit_snr) for cfg, _, _ in high_snr_calls] == [
             (3, 100.0), (7, 1e4)
