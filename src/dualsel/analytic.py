@@ -361,16 +361,15 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     its boundary-layer miss next to u = 1, and a 2- or 4-panel start moves
     some of them by more than the bench's 1e-8.
 
-    The two halves share their first integrand call: the lower half's first
-    call also evaluates the upper half's 120 first nodes (when the upper
-    half is kept), and the upper half's first call is served those values
-    when its nodes are exactly those; otherwise it evaluates its own. Each
-    node's value is independent of the rest of its call (the integrand
-    contract of quad_interval), so every bit is the one two separate calls
-    give. The halves stay two quad_interval calls, each with its own
-    tolerance, value and evaluation count: one adaptive quadrature over both
-    would split panels in another order and move the lower half's pinned
-    values.
+    A kept upper half shares the lower half's first integrand call, which
+    also evaluates the upper half's 120 first nodes x0; the upper half's
+    first call is served those values when its nodes are exactly x0, and
+    otherwise evaluates its own. Each node's value is independent of the
+    rest of its call (the integrand contract of quad_interval), so every bit
+    is the one two separate calls give. The halves stay two quad_interval
+    calls, each with its own tolerance, value and evaluation count: one
+    adaptive quadrature over both would split panels in another order and
+    move the lower half's pinned values.
     """
     _check_variant(variant)
     _check_positive_real(tol, "tol")
@@ -385,36 +384,35 @@ def psi(cfg, tol=1e-9, variant="corrected"):
     if not log_u < _LOG_MAX:
         raise FloatingPointError(f"Psi's tail bound needs U = e^{log_u:.6g}, beyond the doubles")
 
-    points = [log_u * k / _UPPER_PANELS for k in range(1, _UPPER_PANELS)] if log_u > 0.0 else ()
-    # ahead holds the upper half's first nodes x until the lower half's first
-    # call evaluates them too; fetched then holds x and the upper integrand
-    # there until the upper half's first call
-    ahead = [_first_nodes([0.0, *points, log_u])[1]] if points else []
-    fetched = []
-
     def f(u):  # u is a panel's node array
         return kernel(u, rho) * cdf_T(u, cfg)
 
+    if log_u == 0.0:
+        return quad_interval(f, 0.0, 1.0, tol=0.5 * tol).value
+    points = [log_u * k / _UPPER_PANELS for k in range(1, _UPPER_PANELS)]
+    x0 = _first_nodes([0.0, *points, log_u])[1]
+    # pending holds e^x0 until the lower half's first call evaluates it too;
+    # served then holds the upper integrand at x0 until the upper half's first call
+    pending = [np.exp(x0)]
+    served = []
+
     def lower(u):
-        if not ahead:
+        if not pending:
             return f(u)
-        x = ahead.pop()
-        u_ahead = np.exp(x)
-        fx = f(np.concatenate((u, u_ahead)))
-        fetched.append((x, fx[u.size:] * u_ahead))
+        u0 = pending.pop()
+        fx = f(np.concatenate((u, u0)))
+        served.append(fx[u.size:] * u0)
         return fx[: u.size]
 
     def upper(x):  # u = e^x, du = e^x dx
-        if fetched:
-            x_ahead, values = fetched.pop()
-            if np.array_equal(x, x_ahead):
+        if served:
+            values = served.pop()
+            if np.array_equal(x, x0):
                 return values
         u = np.exp(x)
         return f(u) * u
 
     left = quad_interval(lower, 0.0, 1.0, tol=0.5 * tol)
-    if log_u == 0.0:
-        return left.value
     right = quad_interval(upper, 0.0, log_u, tol=upper_tol, points=points)
     return left.value + right.value
 

@@ -209,6 +209,7 @@ def run(ns, argv, out=None, err=None):
         ns.k, [(_METHOD_OF[e], n, rho) for e, n, _, rho in cells], ns.trials, ns.seed, ns.tol
     )
     rows = list(zip(cells, results))
+    scale = 1.0 / math.log(2.0) if ns.units == "bits" else 1.0  # nats to --units
 
     extras = []  # the mode's (key, value) manifest lines
     if ns.mode == "select":
@@ -233,12 +234,12 @@ def run(ns, argv, out=None, err=None):
             worst_diff = max(worst_diff, diff)
             print(
                 f"compare[{'FLAG' if flagged else 'ok'}] K={ns.k} n={n} rho={rho_db:g} dB: "
-                f"analytic={exact.value:.6f} mc={est.esr:.6f} "
-                f"|diff|={diff:.3e} ({sigma:.2f} sigma)",
+                f"analytic={exact.value * scale:.6f} mc={est.esr * scale:.6f} "
+                f"|diff|={diff * scale:.3e} ({sigma:.2f} sigma)",
                 file=err,
             )
         extras += [
-            ("compare_max_abs_diff", f"{worst_diff:.6e}"),
+            ("compare_max_abs_diff", f"{worst_diff * scale:.6e}"),
             ("compare_max_sigma", f"{worst_sigma:.3f}"),
             ("compare_flagged", int(worst_sigma > 3.0)),
         ]
@@ -257,14 +258,13 @@ def run(ns, argv, out=None, err=None):
     except OSError as exc:
         print(f"dualsel: cannot write manifest {ns.manifest}: {exc.strerror or exc}", file=err)
         return 2
-    _emit_csv(rows, ns.k, ns.units, out)
+    _emit_csv(rows, ns.k, scale, out)
     return 0
 
 
-def _emit_csv(rows, K, units, out):
-    """One CSV line per ((engine, n, rho_db, rho), result) pair; only mc
-    rows fill the stderr, trials and seed columns."""
-    scale = 1.0 / math.log(2.0) if units == "bits" else 1.0
+def _emit_csv(rows, K, scale, out):
+    """One CSV line per ((engine, n, rho_db, rho), result) pair, rates in
+    nats times scale; only mc rows fill the stderr, trials and seed columns."""
     out.write(CSV_HEADER + "\n")
     for (engine, n, rho_db, _), res in rows:
         if engine == "mc":

@@ -327,15 +327,15 @@ def _estimate(seed, trials, K, cell):
 
 
 def _scan_cells(K, cells, trials, seed):
-    """Register a scan's Monte Carlo cells (n, rho) at K users, n = K the
-    TDMA-like slot, so that the scan's first estimate at (seed, trials, K)
-    reduces them all. K has passed _check_user_count; a cell or a key that
-    no estimator accepts is left out, and its own call raises."""
-    try:
-        key = (_check_seed(seed), _check_count(trials, "trials"), K)
-    except ValueError:
+    """Register a scan's Monte Carlo cells (n, rho) at K users (K checked),
+    n = K the TDMA-like slot, under (seed, trials, K) as given, so that the
+    scan's first estimate there reduces them all; numpy integers hash and
+    compare as the ints the estimators take. A cell no estimator accepts,
+    or a seed or trial count that is not an integer (it may not hash), is
+    left out, and its own call raises."""
+    if not (_is_integer(seed) and _is_integer(trials)):
         return
-    group = _scan_group(key)
+    group = _scan_group((seed, trials, K))
     for n, rho in cells:
         if _is_integer(n) and 1 <= n <= K and _is_positive_real(rho):
             group.setdefault((n, rho), None)

@@ -28,13 +28,12 @@ _METHODS = ("analytic", "montecarlo", "high_snr")
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of the search: the winning served index, the per-candidate
-    rates (analytic EsrValue or Monte Carlo EsrEstimate, one per n in
-    [1, K]), and the evaluation method."""
+    """Outcome of the search: the winning served index and the
+    per-candidate rates, (n, result) pairs in increasing n over [1, K],
+    each result an analytic EsrValue or a Monte Carlo EsrEstimate."""
 
     best_n: int
     esr_by_n: tuple
-    method: str
 
     def esr_of(self, n):
         for cand, result in self.esr_by_n:
@@ -125,4 +124,4 @@ def select_served(K, rho, method="analytic", trials=10_000, seed=0, tol=1e-9):
     served = range(1, K + 1)
     values = evaluate_cells(K, ((method, n, rho) for n in served), trials, seed, tol)
     results = tuple(zip(served, values))
-    return SelectionResult(best_n=best_served(results), esr_by_n=results, method=method)
+    return SelectionResult(best_n=best_served(results), esr_by_n=results)

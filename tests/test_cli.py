@@ -237,6 +237,29 @@ class TestCompareMode:
         assert manifest["compare_max_sigma"] == "inf"
         assert manifest["compare_flagged"] == "1"
 
+    def test_units_bits_reach_the_report(self, tmp_path):
+        # the stderr line and compare_max_abs_diff are in the CSV's units;
+        # sigma is a ratio of two rates and reads the same in both
+        args = ["--mode", "compare", "--k", "4", "--served", "2", "--trials", "500", "--seed", "11"]
+        sigmas = {}
+        for units in ("nats", "bits"):
+            path = tmp_path / f"{units}.txt"
+            code, out, err = run_inproc([*args, "--units", units], path)
+            assert code == 0
+            esr = [float(row[4]) for row in parse_rows(out)]
+            line = re.fullmatch(
+                r"compare\[ok\] K=4 n=2 rho=20 dB: analytic=(\S+) mc=(\S+) "
+                r"\|diff\|=(\S+) \((\S+) sigma\)\n",
+                err,
+            )
+            assert [float(line[1]), float(line[2])] == pytest.approx(esr, abs=5e-7)
+            diff = abs(esr[0] - esr[1])
+            assert float(line[3]) == pytest.approx(diff, rel=1e-3)
+            manifest = dict(l.split("=", 1) for l in path.read_text().splitlines())
+            assert float(manifest["compare_max_abs_diff"]) == pytest.approx(diff, rel=1e-6)
+            sigmas[units] = line[4], manifest["compare_max_sigma"]
+        assert sigmas["bits"] == sigmas["nats"]
+
 
 class TestManifest:
     def test_manifest_contents(self, tmp_path):

@@ -17,6 +17,7 @@ ORACLES = (
     "walked_gains",
     "corr_a",
     "esr_exact_positive",
+    "esr_tdma_positive",
 )
 SRC = Path(dualsel.__file__).parent
 

@@ -35,7 +35,6 @@ class TestSearch:
     def test_covers_every_candidate_once(self):
         res = select_served(5, 10.0, method="analytic")
         assert [n for n, _ in res.esr_by_n] == [1, 2, 3, 4, 5]
-        assert res.method == "analytic"
         # n = K evaluated as the TDMA-like slot
         tdma = analytic.esr_tdma_exact(5, 10.0)
         assert res.esr_of(5).value == tdma.value
@@ -347,6 +346,16 @@ class TestScanSharing:
             (3, cold_high_snr(9, 3, 100.0))
         ]
         assert specfun._scan_terms.get() is None
+
+    def test_a_seed_that_does_not_hash_is_refused_only_where_it_is_used(self):
+        # the Monte Carlo scan key is built from the seed and trials as
+        # given; one that cannot be a dict key must not break a scan that
+        # ignores it, nor turn the estimator's refusal into a TypeError
+        assert select_served(4, 10.0, method="high_snr", seed=[1]) == select_served(4, 10.0, "high_snr")
+        with pytest.raises(ValueError, match=r"^seed must be an unsigned 64-bit integer, got \[1\]$"):
+            select_served(4, 10.0, method="montecarlo", trials=50, seed=[1])
+        with pytest.raises(ValueError, match=r"^trials must be a positive integer, got \{\}$"):
+            select_served(4, 10.0, method="montecarlo", trials={}, seed=1)
 
     @pytest.mark.parametrize("method", ["high_snr", "montecarlo"])
     def test_threads_scan_independently(self, method):
