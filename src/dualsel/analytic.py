@@ -15,14 +15,14 @@ to the presentation layer.
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .specfun import EULER_GAMMA, _LOG2, e1_scaled, li2, quad_interval, quad_semi_infinite
 from .specfun import _as_float_array, _as_positive_array, _check_positive_real, _is_integer
 from .specfun import _e1_scaled_array, _e1_scaled_scalar, _first_nodes, _is_positive_real
-from .specfun import _scan_group
+from .specfun import _scan_value
 
 __all__ = [
     "MAX_USERS",
@@ -596,47 +596,42 @@ def esr_high_snr(cfg):
     FloatingPointError.
 
     Only lead = log(rho/2) + 1 - gamma depends on rho. Within one scan
-    (selection.evaluate_cells), the first call at K answers every cell
-    (n, rho) the scan registered at K in one pass (see _high_snr_pass),
-    and each later call reads its own value; outside one, a call is that
-    pass over its one cell. Either way the value is the same to the bit,
-    and a cell's errors are raised at its own call.
+    (selection.evaluate_cells), the first call at K answers every cell the
+    scan declared at K (see _scan_cells) in one _high_snr_values pass, and
+    later calls read theirs; a lone call is that pass over its one cell.
+    Either way the value is the same to the bit, and a cell's errors are
+    raised at its own call. The Xi*Upsilon sum cancels, leaving rounding
+    noise of about 2e-9 at K = 12 and 2.6e-4 at K = 20 (see the README).
     """
     K, n, rho = int(cfg.num_users), int(cfg.served_index), cfg.transmit_snr
-    cell = (n, rho)
-    group = _scan_group(("high_snr", K))  # (n, rho) -> unclamped, None until computed
-    if group.get(cell) is None:
-        _upsilon_lead(rho)  # a rho/2 that underflows raises here, at this cell alone
-        group[cell] = None
-        _high_snr_pass(K, group)
-    return _clamped(group[cell])
+    return _clamped(_scan_value(("high_snr", K), (n, rho), partial(_high_snr_values, K)))
 
 
 def _scan_cells(K, cells):
-    """Register a scan's high-SNR cells (n, rho) at K users, so that the
-    scan's first esr_high_snr call at K answers them all. K has passed
-    _check_user_count; a cell that esr_high_snr refuses is left out, and
-    its own call raises."""
-    group = _scan_group(("high_snr", int(K)))
-    for n, rho in cells:
-        if _is_integer(n) and 1 <= n < K and _is_positive_real(rho) and 0.5 * rho > 0.0:
-            group.setdefault((int(n), rho), None)
+    """The (key, cells) pairs of a scan's high-SNR cells (n, rho) at K
+    users, which the scan's first esr_high_snr call at K answers together.
+    K has passed _check_user_count; a cell that esr_high_snr refuses is
+    left out, and its own call raises."""
+    cells = [(int(n), rho) for n, rho in cells
+             if _is_integer(n) and 1 <= n < K and _is_positive_real(rho) and 0.5 * rho > 0.0]
+    return [(("high_snr", int(K)), cells)]
 
 
-def _high_snr_pass(K, group):
-    """Answer, in place and in one pass, every cell (n, rho) of group (see
-    esr_high_snr) whose unclamped value is None. The terms of n are the
+def _high_snr_values(K, cells):
+    """The unclamped value of esr_high_snr at each cell (n, rho) of the list
+    cells at K users, in cell order, in one pass. The terms of n are the
     (i, p), p = K - n + 1 + j, with i <= K - n < p <= K, at xi = p/i - 1;
     one _upsilon_parts call (so one li2 call) takes the distinct xi of
     every (i, p) that some n among the cells takes, and varpi's row of
     log m is shared across n. Per chunk of rho, Upsilon over the (i, p)
     grid is one broadcast, each n's tails (Xi_ij / i) Upsilon_ij at those
     rho are one product, and each cell's tail is then an exact fsum. So
-    every value has the bits of its cell's term-by-term evaluation."""
+    every value has the bits of its cell's term-by-term evaluation. A rho
+    whose rho/2 underflows raises FloatingPointError."""
     ns_at = {}
-    for n, rho in [cell for cell, value in group.items() if value is None]:
+    for n, rho in cells:
         ns_at.setdefault(rho, []).append(n)
-    ns = list(dict.fromkeys(n for at in ns_at.values() for n in at))
+    ns = list(dict.fromkeys(n for n, _ in cells))
     # (i, p) is a term of some n when i <= m < p for some m = K - n, that
     # is when p exceeds the least such m that is >= i
     ms = sorted({K - n for n in ns})
@@ -653,7 +648,7 @@ def _high_snr_pass(K, group):
     weights = {n: xi_table(K, n)[1:] / i_col[:K - n] for n in ns}
     logs = np.array([math.log(m) for m in range(1, K + 1)])
     series = dict(zip(ns, _order_stat_sums(K, ns, logs)))
-    rhos = list(ns_at)
+    rhos, values = list(ns_at), {}
     step = max(1, _CHUNK_VALUES // max(K * (K + 1), sum((K - n) * n for n in ns)))
     for s in range(0, len(rhos), step):
         chunk = rhos[s:s + step]
@@ -666,7 +661,8 @@ def _high_snr_pass(K, group):
         for r, rho in enumerate(chunk):
             lead = (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0
             for n in ns_at[rho]:
-                group[n, rho] = lead - series[n] - math.fsum(tails[n][r])
+                values[n, rho] = lead - series[n] - math.fsum(tails[n][r])
+    return [values[cell] for cell in cells]
 
 
 #: Most (rho, i, p) Upsilon values, and most (rho, term) tails, per chunk

@@ -14,7 +14,7 @@ its callers: `empirical_cdf_T` and the reducer. One reducer (`_reduce`)
 answers every estimate: it walks the batches of a (seed, trials, K) key
 once and computes the rates of several cells on each batch. Within one
 scan (selection.evaluate_cells), the first estimate at a key reduces every
-Monte Carlo cell the scan registered there, at any trial count, and the
+Monte Carlo cell the scan declared there, at any trial count, and the
 scan's later calls read their sums; a lone call reduces its one cell. No
 batch outlives the reduction that drew it.
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _check_user_count
-from .specfun import _check_positive_real, _is_integer, _is_positive_real, _scan_group
+from .specfun import _check_positive_real, _is_integer, _is_positive_real, _scan_value
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
@@ -296,19 +296,15 @@ def _reduce(seed, trials, K, cells):
 
 
 def _estimate(seed, trials, K, cell):
-    # The estimate of one cell (n, rho). The scan memo holds, under (seed,
-    # trials, K), the sums of the cells a scan registered there (None until
-    # computed; see _scan_cells), so the first call reduces them all and the
-    # later ones read theirs; outside a scan the dict is fresh, and a cell
-    # nobody registered is reduced alone. A pass takes at most the cells
-    # whose rates fit _RATE_DOUBLES; the rest wait for a later call. A mean
-    # or the variance that is not finite raises here, at the cell's own call.
-    group = _scan_group((seed, trials, K))
-    if group.get(cell) is None:
-        todo = [cell] + [c for c, s in group.items() if s is None and c != cell]
-        del todo[max(1, _RATE_DOUBLES // min(trials, BATCH_TRIALS)) :]
-        group.update(zip(todo, _reduce(seed, trials, K, todo)))
-    sum_cb, sum_ce, sum_d2 = group[cell]
+    # The estimate of one cell (n, rho), whose sums a scan shares through its
+    # memo with the cells it declared under (seed, trials, K) (see
+    # _scan_cells); a pass reduces at most the cells whose rates fit
+    # _RATE_DOUBLES. A mean or the variance that is not finite raises here,
+    # at the cell's own call.
+    limit = max(1, _RATE_DOUBLES // min(trials, BATCH_TRIALS))
+    sum_cb, sum_ce, sum_d2 = _scan_value(
+        (seed, trials, K), cell, lambda cells: _reduce(seed, trials, K, cells[:limit])
+    )
     mean_cb = sum_cb / trials
     mean_ce = sum_ce / trials
     diff = mean_cb - mean_ce
@@ -327,18 +323,17 @@ def _estimate(seed, trials, K, cell):
 
 
 def _scan_cells(K, cells, trials, seed):
-    """Register a scan's Monte Carlo cells (n, rho) at K users (K checked),
-    n = K the TDMA-like slot, under (seed, trials, K) as given, so that the
-    scan's first estimate there reduces them all; numpy integers hash and
-    compare as the ints the estimators take. A cell no estimator accepts,
-    or a seed or trial count that is not an integer (it may not hash), is
-    left out, and its own call raises."""
+    """The (key, cells) pairs of a scan's Monte Carlo cells (n, rho) at K
+    users (K checked), n = K the TDMA-like slot, keyed (seed, trials, K) as
+    given: numpy integers hash and compare as the ints the estimators take.
+    A cell no estimator accepts is left out, and so is every cell under a
+    seed or trial count that is not an integer (it may not hash); their own
+    calls raise."""
     if not (_is_integer(seed) and _is_integer(trials)):
-        return
-    group = _scan_group((seed, trials, K))
-    for n, rho in cells:
-        if _is_integer(n) and 1 <= n <= K and _is_positive_real(rho):
-            group.setdefault((n, rho), None)
+        return []
+    cells = [(n, rho) for n, rho in cells
+             if _is_integer(n) and 1 <= n <= K and _is_positive_real(rho)]
+    return [((seed, trials, K), cells)]
 
 
 def estimate_esr(cfg, trials, seed):

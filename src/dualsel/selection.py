@@ -6,8 +6,8 @@ TDMA-like slot where the strongest user transmits alone at full power.
 `evaluate` answers one such cell with any method; it is the only place that
 maps a method and a cell to an engine function. `evaluate_cells` answers an
 iterable of cells (a scan: every CLI mode and `select_served`); it is the
-only loop over cells and the only place that opens a scan scope. It registers
-the cells of both engines that share work; then the high-SNR cells at K
+only loop over cells and the only place that opens a scan scope, on the
+cells that the two work-sharing engines declare; then the high-SNR cells at K
 are answered by one pass over their terms (one li2 call for every xi they
 meet), and the Monte Carlo cells that share (seed, trials, K) by one pass
 over the batches, at any trial count. The memo is a context variable, so
@@ -88,7 +88,7 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     read, so a refused scan builds none of its cells. `cells` is read once.
     Cells are answered one by one through `evaluate`, and each result is
     the one a lone call returns. The high-SNR and Monte Carlo cells are
-    registered first, in one step, and share work during this call only.
+    declared first, in one step, and share work during this call only.
     The first high-SNR cell answers every high-SNR cell in one pass over
     their terms. The first Monte Carlo cell reduces every Monte Carlo cell
     in one pass over the batches, each batch drawn once at any trial
@@ -99,9 +99,8 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     cells = list(cells)
     mc = [(n, rho) for method, n, rho in cells if method == "montecarlo"]
     high_snr = [(n, rho) for method, n, rho in cells if method == "high_snr"]
-    with _scan_scope():
-        montecarlo._scan_cells(K, mc, trials, seed)
-        analytic._scan_cells(K, high_snr)
+    pending = montecarlo._scan_cells(K, mc, trials, seed) + analytic._scan_cells(K, high_snr)
+    with _scan_scope(pending):
         return [evaluate(method, K, n, rho, trials, seed, tol) for method, n, rho in cells]
 
 

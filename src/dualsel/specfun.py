@@ -10,8 +10,9 @@ must return an array of the same shape, or the quadrature raises ValueError.
 
 Everything downstream (rate formulas, CDFs, the high-SNR corollary) reduces to
 these three primitives, so they are kept self-contained and individually
-testable against independent oracles. The private input checks and the scan
-scope (`_scan_scope`) that both engines share live here too.
+testable against independent oracles. The private input checks live here
+too, and so does the scan memo that both engines share: `_scan_scope` holds
+the cells they declare for a scan, and `_scan_value` alone reads and writes it.
 """
 
 import contextvars
@@ -130,28 +131,36 @@ def _as_positive_array(x, name):
 
 
 #: The work the cells of one scan share: a dict inside _scan_scope, None
-#: outside. It maps each engine's key to the dict of that engine's cells
-#: there: ("high_snr", K) to the high-SNR cells at K users, and a Monte
-#: Carlo (seed, trials, K) triple to the Monte Carlo cells drawn under it.
+#: outside. It maps each engine's key to its cells there, each to its value
+#: or None until answered: ("high_snr", K) to the high-SNR cells at K users,
+#: and a Monte Carlo (seed, trials, K) to the cells drawn under it.
 _scan_terms = contextvars.ContextVar("dualsel_scan_terms", default=None)
 
 
 @contextmanager
-def _scan_scope():
-    """Let the engine calls inside the block share work; each value is the
-    one computed alone. The memo belongs to this thread and ends with the block."""
-    token = _scan_terms.set({})
+def _scan_scope(pending):
+    """Let the engine calls inside the block share work on the cells of the
+    (key, cells) pairs of pending, one pair per key; each value is the one
+    computed alone. The memo belongs to this thread and ends with the block."""
+    token = _scan_terms.set({key: dict.fromkeys(cells) for key, cells in pending})
     try:
         yield
     finally:
         _scan_terms.reset(token)
 
 
-def _scan_group(key):
-    # The dict this scan keeps under key, empty when first asked for; outside
-    # a scan, a fresh dict for this one call. How engines share work.
+def _scan_value(key, cell, answer):
+    # cell's value, where answer(cells) returns the values of a prefix of the
+    # list cells, cells[0] always among them. In a scan, a miss asks for cell
+    # and the key's unanswered cells at once and keeps what comes back.
     memo = _scan_terms.get()
-    return {} if memo is None else memo.setdefault(key, {})
+    if memo is None:
+        return answer([cell])[0]
+    group = memo.setdefault(key, {})
+    if group.get(cell) is None:
+        todo = [cell] + [c for c, value in group.items() if value is None and c != cell]
+        group.update(zip(todo, answer(todo)))
+    return group[cell]
 
 
 #: The indices k of the power series of E1, as floats.

@@ -8,12 +8,16 @@ code must reproduce them to the last bit. cdf_T_two_branch is the Xi-sum
 CDF as it was evaluated before its two branches became one formula.
 esr_exact_positive and esr_tdma_positive are the exact ESRs by another
 route than the library's, one that sums no alternating series.
+esr_high_snr_mp is the high-SNR closed form evaluated in mpmath, where its
+cancelling sums lose no digit that a double would keep.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from mpmath import mp
 
 from dualsel import analytic
 from dualsel.analytic import _upsilon_lead, xi_table
@@ -281,6 +285,59 @@ def esr_high_snr_terms(K, n, rho):
             tail.append(table[i, j] / i * upsilon_terms(xi, rho))
     series = order_stat_series_terms(K, n, math.log)
     return (math.log(0.5 * rho) - 1.0 - EULER_GAMMA) / 2.0 - series - math.fsum(tail)
+
+
+#: mpmath digits of esr_high_snr_mp. Its terms reach 3e9 at K = 20, so
+#: at 30 digits every double it returns at K = 16 and 20 is the one 60 give.
+_HIGH_SNR_DPS = 30
+
+
+@lru_cache(maxsize=None)
+def _upsilon_parts_mp(p, i):
+    """(A, B) with Upsilon = lead * A + B at xi = p/i - 1, the rho-free parts
+    of the closed form of analytic.upsilon_from_xi, at _HIGH_SNR_DPS
+    mpmath digits."""
+    with mp.workdps(_HIGH_SNR_DPS):
+        xi, log2 = mp.mpf(p - i) / i, mp.log(2)
+        if p == 2 * i:
+            return mp.mpf(1) / 8, log2 / 4 - mp.mpf(3) / 8
+        om2 = (1 - xi) ** 2
+        if xi < 1:
+            zeta = 2 * log2 * mp.log((xi + 1) / xi) - log2**2
+        else:
+            zeta = (
+                2 * log2 * mp.log((xi + 1) / (xi - 1))
+                + mp.log((xi - 1) / xi) ** 2
+                - mp.log((xi - 1) / (2 * xi)) ** 2
+            )
+        # Li2 is real on (-inf, 1]; mpmath may return it with a zero imaginary part
+        l1, l2, l3 = (mp.re(mp.polylog(2, z)) for z in ((xi - 1) / xi, (xi - 1) / (2 * xi), -xi))
+        mu = (2 * (l1 - l2) - l3 + zeta) / om2
+        a = xi - 1 + 2 * mp.log(2 / (1 + xi))
+        d = (mp.pi**2 + 12 * log2**2) / (12 * om2)
+        return a / (2 * om2), 1 / (1 - xi) - d + mu
+
+
+def esr_high_snr_mp(K, n, rho):
+    """The unclamped high-SNR ESR of analytic.esr_high_snr at 30 mpmath
+    digits, rounded to a double: exact Xi_ij from math.comb, each Upsilon
+    from its rho-free parts (cached per (p, i), xi = p/i - 1) and varpi from
+    the exact binomial weights of _order_stat_series(K, n, log)."""
+    with mp.workdps(_HIGH_SNR_DPS):
+        lead = mp.log(mp.mpf(rho) / 2) + 1 - mp.euler
+        series = mp.fsum(
+            (-1) ** (i + 1) * math.comb(K, i) * mp.log(i) for i in range(1, K + 1)
+        ) - mp.fsum(
+            (-1) ** j * math.comb(K, i) * math.comb(i, j) * mp.log(K + j - i)
+            for i in range(n, K) for j in range(i + 1)
+        )
+        tail, scale = [], n * math.comb(K, n)
+        for i in range(1, K - n + 1):
+            for j in range(n):
+                xi_ij = (-1) ** (i + j) * scale * math.comb(K - n, i) * math.comb(n - 1, j)
+                a, b = _upsilon_parts_mp(K - n + 1 + j, i)
+                tail.append(mp.mpf(xi_ij) / i * (lead * a + b))
+        return float((lead - 2) / 2 - series - mp.fsum(tail))
 
 
 def psi_two_calls(cfg, tol=1e-9, variant="corrected"):

@@ -40,10 +40,12 @@ from dualsel.specfun import (
 )
 from envelope_sweep import draw_cells, judge
 from oracles import (
+    _upsilon_parts_mp,
     cdf_order_stat,
     cdf_T_two_branch,
     corr_a,
     esr_exact_positive,
+    esr_high_snr_mp,
     esr_high_snr_terms,
     esr_tdma_positive,
     order_stat_series_terms,
@@ -1141,6 +1143,46 @@ class TestEsrHighSnr:
                     rho = 10.0 ** (db / 10.0)
                     got = esr_high_snr(cfg_of(K, n, rho)).unclamped
                     assert got == esr_high_snr_terms(K, n, rho), (K, n, db)
+
+    @pytest.mark.parametrize(
+        "K, db",
+        [
+            pytest.param(K, db, marks=pytest.mark.xfail(strict=True, reason=(
+                "the Xi*Upsilon sum cancels: its terms reach 3e9 at K = 20, and rounding "
+                "leaves 2.1e-9 at K = 12 and 2.6e-4 at K = 20 (ROADMAP item 6)"
+            )))
+            if K >= {20: 12, 40: 13}[db] else (K, db)
+            for K in range(2, 21) for db in (20, 40)
+        ],
+    )
+    def test_every_n_is_within_1e_9_of_a_30_digit_evaluation(self, K, db):
+        # the closed form itself, evaluated in mpmath: the worst miss over n
+        # is 7.0e-10 at K = 11 (20 dB), 7.7e-10 at K = 12 (40 dB), 2.1e-9
+        # at K = 12 (20 dB), 1.1e-6 at K = 16 and 2.8e-4 at K = 20
+        rho = 10.0 ** (db / 10.0)
+        for n in range(1, K):
+            got = esr_high_snr(cfg_of(K, n, rho)).unclamped
+            assert got == pytest.approx(esr_high_snr_mp(K, n, rho), abs=1e-9), n
+
+    def test_the_30_digit_upsilon_matches_its_integral(self):
+        # the oracle transcribes the closed form; its Upsilon must be the
+        # defining integral's, on both sides of xi = 1 and at it
+        with mp.workdps(30):
+            lead = mp.log(mp.mpf(100.0) / 2) + 1 - mp.euler
+            for p, i in ((2, 1), (20, 1), (3, 2), (4, 2), (12, 7), (20, 19)):
+                x = mp.mpf(p - i) / i
+                ref = mp.quad(
+                    lambda u: (lead + mp.log(u / (u + 1) ** 2)) / ((u + 1) ** 2 * (u + x)),
+                    [1, 2, 10, mp.inf],
+                )
+                a, b = _upsilon_parts_mp(p, i)
+                assert abs(lead * a + b - ref) < mp.mpf(10) ** -25, (p, i)
+
+    def test_a_lone_call_where_rho_over_2_underflows_raises(self):
+        # rho/2 underflows at the least subnormal rho; the cell raises alone,
+        # outside any scan, before any value is read
+        with pytest.raises(FloatingPointError, match=r"^log\(rho/2\) is taken at rho/2 .*underflows"):
+            esr_high_snr(cfg_of(2, 1, 5e-324))
 
     def test_affine_log_slope(self):
         # the closed form is affine in log(rho/2); its slope must match the

@@ -388,7 +388,7 @@ def test_multi_batch_run_holds_one_batch_at_a_time(fn):
         for trials in (BATCH_TRIALS, 3 * BATCH_TRIALS + 1):
             tracemalloc.start()
             try:
-                with scope():
+                with scope(()):
                     fn(cfg, trials, 1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -612,7 +612,7 @@ class TestBatchMemo:
             (estimate_esr_tdma, 4, 10.0, 3_000, 11),
             (estimate_esr_tdma, 6, 10.0, 3_000, 11),
         ]
-        with specfun._scan_scope():
+        with specfun._scan_scope(()):
             warm = [fn(*args) for fn, *args in calls]
         assert warm == [fn(*args) for fn, *args in calls]
 
@@ -674,7 +674,7 @@ class TestBatchMemo:
         estimate_esr(cfg, 10, 5)  # first-call allocations of numpy
         tracemalloc.start()
         try:
-            with specfun._scan_scope():
+            with specfun._scan_scope(()):
                 before = tracemalloc.get_traced_memory()[0]
                 estimate_esr(cfg, 1_000, 5)
                 estimate_esr(cfg, 3 * BATCH_TRIALS + 1, 5)

@@ -18,6 +18,7 @@ ORACLES = (
     "corr_a",
     "esr_exact_positive",
     "esr_tdma_positive",
+    "esr_high_snr_mp",
 )
 SRC = Path(dualsel.__file__).parent
 
@@ -97,3 +98,28 @@ def test_the_user_count_rule_is_stated_once():
                 if isinstance(node, ast.Compare) and names_cap(node)
             ]
     assert where == ["analytic._check_user_count"]
+
+
+def test_the_scan_memo_protocol_is_stated_once():
+    # specfun alone reads and writes the scan memo (_scan_terms); selection
+    # opens a scan with _scan_scope on the cells each engine's _scan_cells
+    # declares, and the engines reach the memo through _scan_value alone
+    # (a def is not a Name: the engines' _scan_cells count where called)
+    names = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                found = [node.id]
+            elif isinstance(node, ast.Attribute):
+                found = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                found = [alias.name for alias in node.names]
+            else:
+                continue
+            names.setdefault(path.stem, set()).update(f for f in found if f.startswith("_scan"))
+    assert "_scan_terms" in names.pop("specfun")
+    assert {module: sorted(found) for module, found in names.items() if found} == {
+        "analytic": ["_scan_value"],
+        "montecarlo": ["_scan_value"],
+        "selection": ["_scan_cells", "_scan_scope"],
+    }
