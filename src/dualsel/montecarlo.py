@@ -25,13 +25,13 @@ a tie sends its block of trials through a stable sort, so tied users stay in
 user order with their eavesdropper gains, and no bit depends on the host's
 sort implementation.
 
-The walk draws every batch as two halves of its trials on two threads:
-the calling thread draws, orders and rates the lower half, one worker thread
-the upper half, each from its own Philox counter offset, and each writes its
-rates into its own columns of the batch's (cells, trials) buffers. Once
-both are done, the calling thread sums each cell's full row, so no value
-depends on the split. A walk keeps one worker for all its batches, fed one
-half per batch, and holds one batch at a time.
+The walk cuts every batch along numpy's pairwise-summation tree (see
+`_walk`): the calling thread draws, orders and rates the lower part, one
+worker thread the upper, each in leaves of a bounded uniform block drawn
+from their own Philox counter offsets, and each leaf sums its own rates.
+Leaf sums are added up the tree, so every cell's batch sum has the bits of
+numpy's sum over the batch's full row. A walk keeps one worker for all its
+batches, fed one part per batch, and holds one batch at a time.
 """
 
 import math
@@ -53,9 +53,13 @@ BATCH_TRIALS = 1 << 16
 
 _U64 = 1 << 64
 
-#: Most doubles in each of a reduction's two rate buffers (16 MiB): a
-#: scan's cells beyond as many rows reduce in a later pass.
+#: Most doubles in each of a leaf's two rate buffers (16 MiB): a scan's
+#: cells beyond as many rows of a full batch reduce in a later pass.
 _RATE_DOUBLES = 32 * BATCH_TRIALS
+
+#: Most doubles in a leaf's uniform block (1 MiB); a longer part of a batch
+#: is cut again along the pairwise tree.
+_LEAF_DOUBLES = 1 << 17
 
 #: Least rho at which a rate kernel takes overflowing products in logs. No
 #: drawn gain exceeds 53 ln 2 < 64 (the largest uniform is 1 - 2**-53), so
@@ -119,8 +123,8 @@ def _gains_from_uniforms(u, K):
     user order and the eavesdropper gains still pair with their owners.
 
     Every stage works trial by trial, so the gains of a trial do not depend
-    on the other trials in u: `_walk` runs this on each half of every
-    batch, one half per thread.
+    on the other trials in u: `_walk` runs this on each leaf of every
+    batch, in the thread that drew it.
     """
     h = _exponentials(u[:, :K])
     g = _exponentials(u[:, K:])
@@ -151,61 +155,77 @@ def _rank_major(order):
     return idx
 
 
-def _walk(seed, trials, K, each_half, each_batch):
-    """Draw trials [0, trials) in the fixed batches of BATCH_TRIALS, in
-    order, each batch made when the walk reaches it. A batch of m trials
-    from start is handed out in two halves, each_half(h, g, start, m, lo,
-    hi) getting the sorted gains of trials [start + lo, start + hi); then
-    each_batch(start, m) runs in the calling thread. h and g are (hi - lo,
-    K) views of rank-major buffers, so h[:, j] and g[:, j] are contiguous,
-    and their content is that of a stable sort (see `_gains_from_uniforms`).
+def _pairwise_split(m):
+    # numpy sums a contiguous row of m > 128 doubles as the sum of its first
+    # _pairwise_split(m) plus the sum of the rest, and a row of 128 or fewer
+    # in one piece
+    return m // 2 - (m // 2) % 8
 
-    The calling thread draws and hands out the lower half [0, m // 2) of
-    every batch, and the walk's one worker thread, started before the first
-    batch and fed one half per batch, the upper [m // 2, m); a 1-trial
-    batch has an empty lower half. The worker exits after its last half and
-    is joined before the walk returns or raises; its exception is raised
-    here.
+
+def _walk(seed, trials, K, each_leaf):
+    """Draw trials [0, trials) in the fixed batches of BATCH_TRIALS, in
+    order, each batch made when the walk reaches it; return each batch's
+    total of each_leaf's results, in batch order.
+
+    A batch of m > 128 trials is cut where numpy's pairwise sum cuts a row
+    of m (`_pairwise_split`): the calling thread takes the lower part and
+    the walk's one worker thread, started before the first batch and fed
+    one part per batch, the upper. A part is cut again by the same rule
+    while it holds more than 128 trials and its uniform block more than
+    _LEAF_DOUBLES doubles; a batch of 128 or fewer is one leaf of the
+    calling thread. each_leaf(h, g, lo) gets the sorted gains of trials
+    [lo, lo + len(h)) in the thread that drew them, as (trials, K) views
+    of rank-major buffers (h[:, j] is contiguous) holding a stable sort's
+    content (see `_gains_from_uniforms`), and returns an array; these add
+    left + right up the tree, then lower + upper. So leaves that return
+    np.sum over rows of values >= +0 total numpy's sums over the batch's
+    full rows, bit for bit: the bits rest on numpy's blocking, which a
+    test checks. The worker exits after its last part and is joined before
+    the walk returns or raises; its exception is raised here.
     """
     tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def half(start, m, lo, hi):
-        h, g = _gains_from_uniforms(_uniform_block(seed, start + lo, hi - lo, K), K)
-        each_half(h, g, start, m, lo, hi)
+    def part(lo, hi):
+        if hi - lo > 128 and (hi - lo) * 2 * K > _LEAF_DOUBLES:
+            mid = lo + _pairwise_split(hi - lo)
+            return part(lo, mid) + part(mid, hi)
+        return each_leaf(*_gains_from_uniforms(_uniform_block(seed, lo, hi - lo, K), K), lo)
 
     def serve():
-        for start, m in iter(tasks.get, None):
+        for lo, hi in iter(tasks.get, None):
             try:
-                half(start, m, m // 2, m)
+                done.put(part(lo, hi))
             except BaseException as exc:  # raised again in the calling thread
                 done.put(exc)
-            else:
-                done.put(None)
 
     worker = threading.Thread(target=serve)
     worker.start()
+    totals = []
     try:
         for start in range(0, trials, BATCH_TRIALS):
-            m = min(BATCH_TRIALS, trials - start)
-            tasks.put((start, m))
-            if start + m == trials:  # the worker's last half
+            end = min(start + BATCH_TRIALS, trials)
+            mid = start + _pairwise_split(end - start) if end - start > 128 else end
+            if mid < end:
+                tasks.put((mid, end))
+            if end == trials:  # the worker's last part
                 tasks.put(None)
             try:
-                half(start, m, 0, m // 2)
+                lower = part(start, mid)
             finally:
-                error = done.get()
-            if error is not None:
-                raise error
-            each_batch(start, m)
+                upper = done.get() if mid < end else None
+            if isinstance(upper, BaseException):
+                raise upper
+            totals.append(lower if upper is None else lower + upper)
     finally:
         tasks.put(None)
         worker.join()
+    return totals
 
 
 def _slot_rates(hT, gT, n, rho, cb, ce, wide):
     """Rates of the dual-selection slots n, n + 1, ..., n + len(cb) - 1 at
-    one rho, written into the rows of cb and ce. hT and gT are a half
-    batch's rank-major gains, shape (K, trials); each row of cb and ce is
+    one rho, written into the rows of cb and ce. hT and gT are a leaf's
+    rank-major gains, shape (K, trials); each row of cb and ce is
     contiguous. wide takes overflowing products in logs (see `_widen`)."""
     K = len(hT)
     inv, scale = 2.0 / rho, 0.5 * rho
@@ -251,12 +271,12 @@ def _reduce(seed, trials, K, cells):
     [0, trials) of each of the distinct cells (n, rho), in cell order; n = K
     is the TDMA-like slot. Each sum is the fsum of per-batch pairwise sums.
 
-    One walk (see `_walk`) draws every batch once for all cells. Each half
-    writes its rates into its columns of the batch's (cells, trials)
-    buffers, in the thread that drew it, one kernel call per run of
-    consecutive n at one rho; once both halves are in, the calling thread
-    sums each full row, so a cell's batch sums are those of its rates
-    alone. A reduction holds one batch and its buffers at a time.
+    One walk (see `_walk`) draws every batch once for all cells. Each leaf
+    writes its rates into its own (cells, leaf) buffers, in the thread that
+    drew it, one kernel call per run of consecutive n at one rho, and
+    returns their three row sums; the walk adds these up the batch's
+    pairwise tree, so a cell's batch sums are numpy's sums of its full
+    rows of rates alone. A reduction holds one batch's leaves at a time.
     """
     blocks = []  # [first row, end row, first n, rho, kernel]
     for row, (n, rho) in enumerate(cells):
@@ -265,33 +285,17 @@ def _reduce(seed, trials, K, cells):
             last[1] = row + 1
         else:
             blocks.append([row, row + 1, n, rho, _tdma_rates if n == K else _slot_rates])
-    size = len(cells) * min(trials, BATCH_TRIALS)
-    buffers, lock, sums = [], threading.Lock(), []
 
-    def batch_rows(m):
-        # (C_b, C_e) rows of a batch of m trials. The first half ready to
-        # write allocates the buffers, so they never sit beside two draws.
-        with lock:
-            if not buffers:
-                buffers.extend((np.empty(size), np.empty(size)))
-        return [buf[: len(cells) * m].reshape(len(cells), m) for buf in buffers]
-
-    def rates(h, g, start, m, lo, hi):
-        cb, ce = batch_rows(m)
+    def leaf_sums(h, g, lo):
+        cb, ce = np.empty((len(cells), len(h))), np.empty((len(cells), len(h)))
         with np.errstate(over="ignore", invalid="ignore"):
             for first, end, n, rho, kernel in blocks:
-                out = cb[first:end, lo:hi], ce[first:end, lo:hi]
-                kernel(h.T, g.T, n, rho, *out, rho >= _WIDE_RHO)
-
-    def row_sums(start, m):
-        cb, ce = batch_rows(m)
-        with np.errstate(over="ignore", invalid="ignore"):
+                kernel(h.T, g.T, n, rho, cb[first:end], ce[first:end], rho >= _WIDE_RHO)
             sum_cb, sum_ce = np.sum(cb, axis=1), np.sum(ce, axis=1)
             np.square(np.subtract(cb, ce, out=cb), out=cb)
-            sums.append((sum_cb, sum_ce, np.sum(cb, axis=1)))
+            return np.array((sum_cb, sum_ce, np.sum(cb, axis=1)))
 
-    _walk(seed, trials, K, rates, row_sums)
-    sums = np.array(sums)  # (batch, which sum, cell)
+    sums = np.array(_walk(seed, trials, K, leaf_sums))  # (batch, which sum, cell)
     return [tuple(math.fsum(col) for col in sums[:, :, row].T) for row in range(len(cells))]
 
 
@@ -372,10 +376,11 @@ def empirical_cdf_T(cfg, samples, seed):
     inv = 2.0 / rho
     t = np.empty(samples)
 
-    def decode_snr(h, g, start, m, lo, hi):
-        np.divide(h[:, K - 1], h[:, n - 1] + inv, out=t[start + lo : start + hi])
+    def decode_snr(h, g, lo):
+        np.divide(h[:, K - 1], h[:, n - 1] + inv, out=t[lo : lo + len(h)])
+        return 0.0  # nothing to add up
 
-    _walk(seed, samples, K, decode_snr, lambda start, m: None)
+    _walk(seed, samples, K, decode_snr)
     t.sort()
     return t
 

@@ -13,6 +13,7 @@ cancelling sums lose no digit that a double would keep.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,18 +58,27 @@ def stable_sorted_gains(u, K):
     return np.take_along_axis(h, order, axis=1), np.take_along_axis(g, order, axis=1)
 
 
+def walked_leaves(seed, trials, K):
+    """The leaves of the library's batch walk over trials [0, trials), in
+    trial order: (first trial, h, g, drawn by the calling thread), h and g
+    the (trials, K) views of rank-major buffers the walk handed out."""
+    leaves = []  # appended by either thread
+    caller = threading.get_ident()
+
+    def leaf(h, g, lo):
+        leaves.append((lo, h, g, threading.get_ident() == caller))
+        return 0.0
+
+    _walk(seed, trials, K, leaf)
+    return sorted(leaves, key=lambda leaf: leaf[0])
+
+
 def walked_gains(seed, trials, K):
     """The sorted gains (h, g) of trials [0, trials) as the library's batch
-    walk draws them, its halves and batches joined in trial order:
-    read-only (trials, K) views of rank-major buffers."""
-    halves = []  # (first trial, hT, gT), appended by either thread
-    _walk(
-        seed, trials, K,
-        lambda h, g, start, m, lo, hi: halves.append((start + lo, h.T, g.T)),
-        lambda start, m: None,
-    )
-    halves.sort(key=lambda half: half[0])
-    joined = [np.concatenate(parts, axis=1).T for parts in list(zip(*halves))[1:]]
+    walk draws them, its leaves joined in trial order: read-only (trials,
+    K) views of rank-major buffers."""
+    leaves = walked_leaves(seed, trials, K)
+    joined = [np.concatenate([leaf[i].T for leaf in leaves], axis=1).T for i in (1, 2)]
     for arr in joined:
         arr.setflags(write=False)
     return tuple(joined)

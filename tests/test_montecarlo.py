@@ -31,6 +31,7 @@ from oracles import (
     slot_rates,
     stable_sorted_gains,
     walked_gains,
+    walked_leaves,
 )
 
 #: float.hex pins of Monte Carlo estimates, recorded from the stable-sort draw
@@ -86,6 +87,16 @@ class TestDrawRealization:
         assert ks_distance(hn, cdf_order_stat(hn, 4, 2)) <= 0.005
 
 
+def pairwise_leaves(lo, hi, limit):
+    """The nodes of numpy's pairwise-summation tree over a row's elements
+    [lo, hi) that hold at most max(128, limit) elements and whose parent
+    holds more, in order."""
+    if hi - lo <= max(128, limit):
+        return [(lo, hi)]
+    mid = lo + montecarlo._pairwise_split(hi - lo)
+    return pairwise_leaves(lo, mid, limit) + pairwise_leaves(mid, hi, limit)
+
+
 def same_bits(a, b):
     # tobytes reads in C order whatever the layout, and tells -0.0 from 0.0
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -124,47 +135,77 @@ class TestSortedGains:
 
     @pytest.mark.parametrize("K", [1, 2, 8, 20])
     def test_rank_columns_are_contiguous(self, K):
-        drawn = (
-            walked_gains(3, 2_000, K),
-            _gains_from_uniforms(tied_block(K), K),  # the stable path, for K > 1
-        )
+        # every leaf the walk hands out (eight of them at K = 20), and the
+        # stable path, for K > 1
+        drawn = [leaf[1:3] for leaf in walked_leaves(3, 20_000, K)]
+        assert sum(len(h) for h, _ in drawn) == 20_000
+        drawn.append(_gains_from_uniforms(tied_block(K), K))
+        assert drawn[-1][0].shape == (2_000, K)
         for h, g in drawn:
-            assert h.shape == g.shape == (2_000, K)
+            assert h.shape == g.shape and h.shape[1] == K
             for j in range(K):
                 assert h[:, j].flags.c_contiguous and g[:, j].flags.c_contiguous
 
 
 class TestSplitDraw:
-    """A batch large enough to be drawn as two halves on two threads equals
-    the stable sort of its whole uniform block bit for bit, with contiguous
-    rank columns, and no thread outlives the call that started it."""
+    """A batch cut into leaves on two threads equals the stable sort of its
+    whole uniform block bit for bit, with contiguous rank columns in every
+    leaf, and no thread outlives the call that started it."""
 
     @pytest.mark.parametrize("K", range(1, 21))
     def test_equals_stable_sort(self, K):
         # the walk's trials from 5 on are those of a block drawn from trial 5
-        for trials in (1, 2, 3, 7, 10_000, BATCH_TRIALS):
+        for trials in (1, 2, 3, 7, 129, 10_000, BATCH_TRIALS):
             for start in (0, 5):
-                h, g = (a[start:] for a in walked_gains(4, start + trials, K))
+                leaves = walked_leaves(4, start + trials, K)
+                h, g = (np.concatenate([leaf[i] for leaf in leaves])[start:] for i in (1, 2))
                 h_ref, g_ref = stable_sorted_gains(_uniform_block(4, start, trials, K), K)
                 assert same_bits(h, h_ref) and same_bits(g, g_ref), (trials, start)
-                for j in range(K):
-                    assert h[:, j].flags.c_contiguous and g[:, j].flags.c_contiguous
+                for _, h, g, _ in leaves:
+                    for j in range(K):
+                        assert h[:, j].flags.c_contiguous and g[:, j].flags.c_contiguous
+
+    @pytest.mark.parametrize("K", [2, 8, 20])
+    def test_leaves_tile_each_batch_along_the_pairwise_tree(self, K):
+        # the calling thread takes the lower part of numpy's first cut, the
+        # worker the upper, and each cuts its part until a leaf's uniform
+        # block holds at most _LEAF_DOUBLES doubles
+        limit = montecarlo._LEAF_DOUBLES // (2 * K)
+        for trials in (1, 128, 129, 10_000, BATCH_TRIALS + 200):
+            want = []
+            for start in range(0, trials, BATCH_TRIALS):
+                end = min(start + BATCH_TRIALS, trials)
+                if end - start <= 128:
+                    want.append((start, end, True))
+                    continue
+                mid = start + montecarlo._pairwise_split(end - start)
+                want += [(lo, hi, True) for lo, hi in pairwise_leaves(start, mid, limit)]
+                want += [(lo, hi, False) for lo, hi in pairwise_leaves(mid, end, limit)]
+            got = [(lo, lo + len(h), mine) for lo, h, _, mine in walked_leaves(6, trials, K)]
+            assert got == want, trials
 
     @pytest.mark.parametrize("tied_half", [0, 1])
     @pytest.mark.parametrize("K", [2, 8, 20])
     def test_a_tie_in_one_half_is_sorted_stably(self, monkeypatch, K, tied_half):
+        # the tied trials fall in the calling thread's first leaf or in the
+        # worker's last one
         trials = 20_000
+        tied = (0, 2_000) if tied_half == 0 else (trials - 2_000, trials)
         u = _uniform_block(9, 0, trials, K).copy()
-        u[tied_half * (trials - 2_000) :][:2_000] = tied_block(K)
-        starts = []
+        u[tied[0] : tied[1]] = tied_block(K)
+        caller, drawn = threading.get_ident(), []
 
         def crafted_block(seed, start, n, K):
-            starts.append(start)
+            drawn.append((start, start + n, threading.get_ident() == caller))
             return u[start : start + n]
 
         monkeypatch.setattr(montecarlo, "_uniform_block", crafted_block)
         h, g = walked_gains(9, trials, K)
-        assert sorted(starts) == [0, trials // 2]
+        drawn.sort()
+        assert [lo for lo, _, _ in drawn] == [0] + [hi for _, hi, _ in drawn[:-1]]
+        assert drawn[-1][1] == trials
+        (leaf,) = [d for d in drawn if d[0] <= tied[0] and tied[1] <= d[1]]
+        assert leaf[2] == (tied_half == 0)
         h_ref, g_ref = stable_sorted_gains(u, K)
         assert same_bits(h, h_ref) and same_bits(g, g_ref)
 
@@ -199,7 +240,7 @@ class TestSplitDraw:
         assert got == want
 
     def test_every_worker_is_joined(self, monkeypatch):
-        # a worker that has had its last half may still be running when the
+        # a worker that has had its last part may still be running when the
         # walk returns; only the join makes it gone, on the error path too
         started, joined = [], []
 
@@ -214,25 +255,27 @@ class TestSplitDraw:
 
         monkeypatch.setattr(threading, "Thread", Recorded)
         estimate_esr(cfg_of(8, 4, 10.0), 2 * BATCH_TRIALS + 1, 1)
-        monkeypatch.setattr(montecarlo, "_slot_rates", None)  # each half raises
+        monkeypatch.setattr(montecarlo, "_slot_rates", None)  # each leaf raises
         with pytest.raises(TypeError):
             estimate_esr(cfg_of(8, 4, 10.0), 10_000, 1)
         assert len(started) == 2 and joined == started
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_an_error_in_either_half_is_raised_after_the_join(self, monkeypatch, failing):
-        # the worker draws the upper half, the one that starts past trial 0
+        # every leaf the failing thread draws raises; at K = 20 each thread
+        # draws two leaves of the batch
         boom = RuntimeError(f"{failing} half")
+        caller = threading.get_ident()
 
         def failing_block(seed, start, n, K):
-            if (start > 0) == (failing == "worker"):
+            if (threading.get_ident() != caller) == (failing == "worker"):
                 raise boom
             return _uniform_block(seed, start, n, K)
 
         monkeypatch.setattr(montecarlo, "_uniform_block", failing_block)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            walked_gains(3, 10_000, 8)
+            walked_gains(3, 10_000, 20)
         assert info.value is boom
         assert threading.active_count() == before
 
@@ -429,6 +472,38 @@ def test_a_cold_scan_peaks_below_9_mib():
     assert peak < 9 * 2**20
 
 
+def test_a_multi_batch_scan_holds_no_batch_wide_buffers():
+    # each leaf rates its own trials in (cells, leaf) buffers, so three full
+    # K = 20 batches and one trial peak near one leaf per thread; two
+    # (cells, batch) rate buffers alone would be 20 MiB
+    select_served(20, 100.0, "montecarlo", 10, 7)  # first-call allocations of numpy
+    tracemalloc.start()
+    try:
+        select_served(20, 100.0, "montecarlo", 3 * BATCH_TRIALS + 1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("rows", [1, 19])
+@pytest.mark.parametrize("n", [129, 136, 1_000, 9_999, 10_000, 65_535, 65_536])
+def test_leaf_sums_added_up_the_pairwise_tree_are_numpys_row_sums(n, rows):
+    # every Monte Carlo sum keeps its bits only because numpy sums a
+    # contiguous row of n > 128 doubles as the sum of its first
+    # _pairwise_split(n) plus the sum of the rest; a numpy that blocks its
+    # sums otherwise fails here
+    x = 10.0 ** np.random.Generator(np.random.Philox(key=n * rows)).uniform(-5.0, 5.0, (rows, n))
+
+    def tree_sum(lo, hi, limit):
+        # each leaf summed on its own buffer, as a walk's leaf sums its rates
+        if hi - lo <= max(128, limit):
+            return np.sum(np.ascontiguousarray(x[:, lo:hi]), axis=1)
+        mid = lo + montecarlo._pairwise_split(hi - lo)
+        return tree_sum(lo, mid, limit) + tree_sum(mid, hi, limit)
+
+    for limit in (129, 1_250, 3_276, n):
+        assert same_bits(tree_sum(0, n, limit), np.sum(x, axis=1)), limit
 @pytest.mark.parametrize(
     "call",
     [
@@ -517,14 +592,18 @@ def test_rates_stay_finite_at_3082_db(K, n):
 
 
 def test_the_wide_path_moves_only_overflowing_rates():
+    # on the gains of each leaf, as the walk hands them to _reduce
     rho = 10.0**308.2
-    h, g = walked_gains(0, 5000, 8)
+    leaves = walked_leaves(0, 5000, 8)
 
     def rates(kernel, n, wide):
-        cb, ce = np.empty((1, 5000)), np.empty((1, 5000))
-        with np.errstate(over="ignore"):  # as _reduce runs them
-            kernel(h.T, g.T, n, rho, cb, ce, wide)
-        return cb, ce
+        out = []
+        for _, h, g, _ in leaves:
+            cb, ce = np.empty((1, len(h))), np.empty((1, len(h)))
+            with np.errstate(over="ignore"):  # as _reduce runs them
+                kernel(h.T, g.T, n, rho, cb, ce, wide)
+            out.append((cb, ce))
+        return [np.concatenate(side, axis=1) for side in zip(*out)]
 
     pairs = [
         (rates(montecarlo._slot_rates, 7, False), rates(montecarlo._slot_rates, 7, True)),
@@ -562,9 +641,10 @@ class TestBatchMemo:
     @pytest.fixture
     def draws(self, monkeypatch):
         """The batches drawn, in order, as (seed, start_trial, n_trials, K).
-        A batch draws its uniforms in one _uniform_block call or in one per
-        half, in either order; each of its trials must be drawn exactly once,
-        and no uniforms may be drawn outside a batch."""
+        A batch draws its uniforms in one _uniform_block call per leaf, on
+        either thread; its leaves must tile it, each of its trials drawn
+        exactly once, every leaf drawn before the next batch's, and no
+        uniforms may be drawn outside a leaf."""
         batches, ranges = [], []
         walk = montecarlo._walk
 
@@ -572,21 +652,23 @@ class TestBatchMemo:
             ranges.append((start, start + n))
             return _uniform_block(seed, start, n, K)
 
-        def counting_walk(seed, trials, K, each_half, each_batch):
-            def half(h, g, start, m, lo, hi):
-                # this half was drawn, and nothing outside its batch
-                assert (start + lo, start + hi) in ranges
-                assert all(start <= a and b <= start + m for a, b in ranges)
-                each_half(h, g, start, m, lo, hi)
+        def counting_walk(seed, trials, K, each_leaf):
+            def leaf(h, g, lo):
+                assert (lo, lo + len(h)) in ranges  # this leaf was drawn
+                return each_leaf(h, g, lo)
 
-            def batch(start, m):
-                lows, highs = zip(*sorted(ranges))
-                assert (*lows, start + m) == (start, *highs)
-                ranges.clear()
-                batches.append((seed, start, m, K))
-                each_batch(start, m)
-
-            walk(seed, trials, K, half, batch)
+            totals = walk(seed, trials, K, leaf)
+            # draw order: batch by batch, no leaf across a batch's end
+            index = [lo // BATCH_TRIALS for lo, _ in ranges]
+            assert index == sorted(index)
+            assert all((hi - 1) // BATCH_TRIALS == i for (_, hi), i in zip(ranges, index))
+            lows, highs = zip(*sorted(ranges))
+            assert (*lows, trials) == (0, *highs)
+            ranges.clear()
+            starts = range(0, trials, BATCH_TRIALS)
+            assert sorted(set(index)) == list(range(len(starts))) and len(totals) == len(starts)
+            batches.extend((seed, start, min(BATCH_TRIALS, trials - start), K) for start in starts)
+            return totals
 
         monkeypatch.setattr(montecarlo, "_uniform_block", counting_block)
         monkeypatch.setattr(montecarlo, "_walk", counting_walk)

@@ -15,6 +15,7 @@ ORACLES = (
     "slot_rates",
     "cdf_order_stat",
     "walked_gains",
+    "walked_leaves",
     "corr_a",
     "esr_exact_positive",
     "esr_tdma_positive",
