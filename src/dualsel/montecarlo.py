@@ -13,10 +13,10 @@ One walk over the fixed batches (`_walk`) draws every trial, for both of
 its callers: `empirical_cdf_T` and the reducer. One reducer (`_reduce`)
 answers every estimate: it walks the batches of a (seed, trials, K) key
 once and computes the rates of several cells on each batch. Within one
-scan (selection.evaluate_cells), the first estimate at a key reduces every
-Monte Carlo cell the scan declared there, at any trial count, and the
-scan's later calls read their sums; a lone call reduces its one cell. No
-batch outlives the reduction that drew it.
+scan (selection.evaluate_cells), the first estimate at a key makes the one
+walk that answers every Monte Carlo cell the scan declared there, at any
+count and any trial count, and the scan's later calls read their sums; a
+lone call reduces its one cell. No batch outlives the reduction that drew it.
 
 A batch's sorted gains are (trials, K) views of rank-major buffers, so the
 row of each rank, the one a rate kernel reads, is contiguous. They are
@@ -28,7 +28,8 @@ sort implementation.
 The walk cuts every batch along numpy's pairwise-summation tree (see
 `_walk`): the calling thread draws, orders and rates the lower part, one
 worker thread the upper, each in leaves of a bounded uniform block drawn
-from their own Philox counter offsets, and each leaf sums its own rates.
+from their own Philox counter offsets, and each leaf sums its own rates,
+in parts of cells whose two rate buffers hold at most _LEAF_DOUBLES doubles.
 Leaf sums are added up the tree, so every cell's batch sum has the bits of
 numpy's sum over the batch's full row. A walk keeps one worker for all its
 batches, fed one part per batch, and holds one batch at a time.
@@ -39,6 +40,7 @@ import queue
 import sys
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,12 +55,9 @@ BATCH_TRIALS = 1 << 16
 
 _U64 = 1 << 64
 
-#: Most doubles in each of a leaf's two rate buffers (16 MiB): a scan's
-#: cells beyond as many rows of a full batch reduce in a later pass.
-_RATE_DOUBLES = 32 * BATCH_TRIALS
-
-#: Most doubles in a leaf's uniform block (1 MiB); a longer part of a batch
-#: is cut again along the pairwise tree.
+#: Most doubles in a leaf's uniform block (1 MiB), a longer part of a batch
+#: cut again along the pairwise tree, and in the two rate buffers of one of
+#: a leaf's parts of cells together.
 _LEAF_DOUBLES = 1 << 17
 
 #: Least rho at which a rate kernel takes overflowing products in logs. No
@@ -271,29 +270,36 @@ def _reduce(seed, trials, K, cells):
     [0, trials) of each of the distinct cells (n, rho), in cell order; n = K
     is the TDMA-like slot. Each sum is the fsum of per-batch pairwise sums.
 
-    One walk (see `_walk`) draws every batch once for all cells. Each leaf
-    writes its rates into its own (cells, leaf) buffers, in the thread that
-    drew it, one kernel call per run of consecutive n at one rho, and
-    returns their three row sums; the walk adds these up the batch's
-    pairwise tree, so a cell's batch sums are numpy's sums of its full
-    rows of rates alone. A reduction holds one batch's leaves at a time.
+    One walk (see `_walk`) draws every batch once for all cells, at any
+    count. Each leaf of L trials rates the cells in parts of at most
+    _LEAF_DOUBLES // (2 L) cells, in the thread that drew it: a part's two
+    (part, L) buffers take one kernel call per run of consecutive n at one
+    rho, and give their three row sums. The walk adds these up the batch's
+    pairwise tree, so a cell's batch sums are numpy's sums of its full rows
+    of rates alone. A reduction holds one batch's leaves at a time.
     """
-    blocks = []  # [first row, end row, first n, rho, kernel]
-    for row, (n, rho) in enumerate(cells):
-        last = blocks[-1] if blocks else None
-        if last and last[3] == rho and n < K and n - last[2] == row - last[0]:
-            last[1] = row + 1
-        else:
-            blocks.append([row, row + 1, n, rho, _tdma_rates if n == K else _slot_rates])
+    def blocks(part):
+        runs = []  # [first row, end row, first n, rho, kernel]
+        for row, (n, rho) in enumerate(part):
+            last = runs[-1] if runs else None
+            if last and last[3] == rho and n < K and n - last[2] == row - last[0]:
+                last[1] = row + 1
+            else:
+                runs.append([row, row + 1, n, rho, _tdma_rates if n == K else _slot_rates])
+        return runs
 
     def leaf_sums(h, g, lo):
-        cb, ce = np.empty((len(cells), len(h))), np.empty((len(cells), len(h)))
+        rows, sums = _LEAF_DOUBLES // (2 * len(h)), []  # rows >= K (see _walk)
         with np.errstate(over="ignore", invalid="ignore"):
-            for first, end, n, rho, kernel in blocks:
-                kernel(h.T, g.T, n, rho, cb[first:end], ce[first:end], rho >= _WIDE_RHO)
-            sum_cb, sum_ce = np.sum(cb, axis=1), np.sum(ce, axis=1)
-            np.square(np.subtract(cb, ce, out=cb), out=cb)
-            return np.array((sum_cb, sum_ce, np.sum(cb, axis=1)))
+            for top in range(0, len(cells), rows):
+                part = cells[top : top + rows]
+                cb, ce = np.empty((len(part), len(h))), np.empty((len(part), len(h)))
+                for first, end, n, rho, kernel in blocks(part):
+                    kernel(h.T, g.T, n, rho, cb[first:end], ce[first:end], rho >= _WIDE_RHO)
+                sum_cb, sum_ce = np.sum(cb, axis=1), np.sum(ce, axis=1)
+                np.square(np.subtract(cb, ce, out=cb), out=cb)
+                sums.append(np.array((sum_cb, sum_ce, np.sum(cb, axis=1))))
+        return np.concatenate(sums, axis=1)
 
     sums = np.array(_walk(seed, trials, K, leaf_sums))  # (batch, which sum, cell)
     return [tuple(math.fsum(col) for col in sums[:, :, row].T) for row in range(len(cells))]
@@ -302,13 +308,9 @@ def _reduce(seed, trials, K, cells):
 def _estimate(seed, trials, K, cell):
     # The estimate of one cell (n, rho), whose sums a scan shares through its
     # memo with the cells it declared under (seed, trials, K) (see
-    # _scan_cells); a pass reduces at most the cells whose rates fit
-    # _RATE_DOUBLES. A mean or the variance that is not finite raises here,
-    # at the cell's own call.
-    limit = max(1, _RATE_DOUBLES // min(trials, BATCH_TRIALS))
-    sum_cb, sum_ce, sum_d2 = _scan_value(
-        (seed, trials, K), cell, lambda cells: _reduce(seed, trials, K, cells[:limit])
-    )
+    # _scan_cells): one reduction answers them all, at any count. A mean or
+    # the variance that is not finite raises here, at the cell's own call.
+    sum_cb, sum_ce, sum_d2 = _scan_value((seed, trials, K), cell, partial(_reduce, seed, trials, K))
     mean_cb = sum_cb / trials
     mean_ce = sum_ce / trials
     diff = mean_cb - mean_ce

@@ -91,9 +91,9 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     declared first, in one step, and share work during this call only.
     The first high-SNR cell answers every high-SNR cell in one pass over
     their terms. The first Monte Carlo cell reduces every Monte Carlo cell
-    in one pass over the batches, each batch drawn once at any trial
-    count. Each later cell reads its value, and each raises its own errors
-    at its own call.
+    in one walk over the batches, each batch drawn once at any count of
+    cells and trials. Each later cell reads its value, and each raises its
+    own errors at its own call.
     """
     analytic._check_user_count(K)
     cells = list(cells)

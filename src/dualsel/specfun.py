@@ -150,13 +150,11 @@ def _scan_scope(pending):
 
 
 def _scan_value(key, cell, answer):
-    # cell's value, where answer(cells) returns the values of a prefix of the
-    # list cells, cells[0] always among them. In a scan, a miss asks for cell
-    # and the key's unanswered cells at once and keeps what comes back.
+    # cell's value, where answer(cells) returns the values of every cell of
+    # the list cells. In a scan, a miss asks for cell and the key's
+    # unanswered cells at once and keeps them; a lone call asks for cell.
     memo = _scan_terms.get()
-    if memo is None:
-        return answer([cell])[0]
-    group = memo.setdefault(key, {})
+    group = {} if memo is None else memo.setdefault(key, {})
     if group.get(cell) is None:
         todo = [cell] + [c for c, value in group.items() if value is None and c != cell]
         group.update(zip(todo, answer(todo)))

@@ -731,24 +731,47 @@ class TestBatchMemo:
             cold = cold_cell(6, n, 10.0 ** (float(row[3]) / 10.0), trials, 4)
             assert row[4:6] == [f"{cold.esr:.12g}", f"{cold.std_error:.6g}"]
 
-    def test_a_multi_rho_scan_equals_cold_cells(self):
+    def test_a_multi_rho_scan_equals_cold_cells(self, monkeypatch):
         # several runs of n at each rho, repeats, the TDMA slot and a wide rho
         rhos = (1.0, 100.0, 10.0**308.2)
         cells = [("montecarlo", n, rho) for rho in rhos for n in (6, 1, 2, 8, 4, 5, 2)]
         cells += [("analytic", 7, 100.0), ("montecarlo", 3, 1.0)]
-        for trials in (3, 10_000, BATCH_TRIALS + 5):
+
+        def check(trials):
             got = evaluate_cells(8, cells, trials, 9)
             for (method, n, rho), value in zip(cells, got):
                 if method == "montecarlo":
                     assert value == cold_cell(8, n, rho, trials, 9), (trials, n, rho)
 
-    def test_a_long_scan_reduces_in_passes_of_bounded_buffers(self, draws, monkeypatch):
-        # five cells per pass: the eight cells of one rho take two passes
-        monkeypatch.setattr(montecarlo, "_RATE_DOUBLES", 5 * 1_000)
-        scan = select_served(8, 100.0, "montecarlo", 1_000, 2)
-        assert draws == [(2, 0, 1_000, 8)] * 2
-        for n, est in scan.esr_by_n:
-            assert est == cold_cell(8, n, 100.0, 1_000, 2)
+        for trials in (3, 10_000, BATCH_TRIALS + 5):
+            check(trials)
+        # at 1 000 trials, leaves of 496 and 504 trials rate parts of 14
+        # cells, and row 14 of the scan's distinct cells cuts its (1, 2) run
+        # at 10**308.2 between two parts
+        monkeypatch.setattr(montecarlo, "_LEAF_DOUBLES", 14_400)
+        lower = montecarlo._pairwise_split(1_000)
+        assert {14_400 // (2 * m) for m in (lower, 1_000 - lower)} == {14}
+        mc = [(n, rho) for method, n, rho in cells if method == "montecarlo"]
+        (n0, rho0), (n1, rho1) = list(dict.fromkeys(mc))[13:15]
+        assert rho0 == rho1 and n1 == n0 + 1 < 8
+        check(1_000)
+
+    def test_a_long_scan_draws_each_batch_once_in_bounded_buffers(self, draws):
+        # 601 rho at one n: one walk answers every cell, each leaf rating
+        # them in parts whose two rate buffers fit _LEAF_DOUBLES
+        cells = [("montecarlo", 4, 10 ** (k / 100)) for k in range(601)]
+        evaluate_cells(8, cells[:1], 10, 2)  # first-call allocations of numpy
+        draws.clear()
+        tracemalloc.start()
+        try:
+            got = evaluate_cells(8, cells, 10_000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws == [(2, 0, 10_000, 8)]
+        assert peak < 8 * 2**20
+        for (_, n, rho), value in list(zip(cells, got))[::50]:
+            assert value == cold_cell(8, n, rho, 10_000, 2)
 
     def test_memo_holds_sums_not_batches(self):
         K = 4
