@@ -6,37 +6,37 @@ per-slot rates into ergodic secrecy rate estimates and empirical CDFs.
 
 Reproducibility contract: every trial owns a fixed slice of a counter-based
 Philox stream keyed by the seed, so trial i yields bit-identical gains no
-matter how trials are batched, ordered, or distributed across workers.
-Reductions run in trial order with exact (fsum) accumulation across batches.
+matter how trials are split, ordered, or distributed across workers. Each
+cell's three sums are numpy's np.sum over the run's full row of rates, so
+a result depends only on (seed, trials, K, cell).
 
-One walk over the fixed batches (`_walk`) draws every trial, for both of
-its callers: `empirical_cdf_T` and the reducer. One reducer (`_reduce`)
-answers every estimate: it walks the batches of a (seed, trials, K) key
-once and computes the rates of several cells on each batch. Within one
-scan (selection.evaluate_cells), the first estimate at a key makes the one
-walk that answers every Monte Carlo cell the scan declared there, at any
-count and any trial count, and the scan's later calls read their sums; a
-lone call reduces its one cell. No batch outlives the reduction that drew it.
+One walk (`_walk`) draws every trial, for both of its callers:
+`empirical_cdf_T` and the reducer. One reducer (`_reduce`) answers every
+estimate: it walks the trials of a (seed, trials, K) key once and computes
+the rates of several cells on each leaf. Within one scan
+(selection.evaluate_cells), the first estimate at a key makes the one walk
+that answers every Monte Carlo cell the scan declared there, at any count
+and any trial count, and the scan's later calls read their sums; a lone
+call reduces its one cell. No leaf outlives the reduction that drew it.
 
-A batch's sorted gains are (trials, K) views of rank-major buffers, so the
+A leaf's sorted gains are (trials, K) views of rank-major buffers, so the
 row of each rank, the one a rate kernel reads, is contiguous. They are
 ordered by numpy's unstable argsort behind an exact tie guard: a trial with
 a tie sends its block of trials through a stable sort, so tied users stay in
 user order with their eavesdropper gains, and no bit depends on the host's
 sort implementation.
 
-The walk cuts every batch along numpy's pairwise-summation tree (see
+The walk cuts the whole run along numpy's pairwise-summation tree (see
 `_walk`): the calling thread draws, orders and rates the lower part, one
 worker thread the upper, each in leaves of a bounded uniform block drawn
 from their own Philox counter offsets, and each leaf sums its own rates,
 in parts of cells whose two rate buffers hold at most _LEAF_DOUBLES doubles.
-Leaf sums are added up the tree, so every cell's batch sum has the bits of
-numpy's sum over the batch's full row. A walk keeps one worker for all its
-batches, fed one part per batch, and holds one batch at a time.
+Leaf sums are added up the tree, so every cell's sum has the bits of
+numpy's sum over the run's full row, and a walk holds at most one leaf per
+thread.
 """
 
 import math
-import queue
 import sys
 import threading
 from dataclasses import dataclass
@@ -49,13 +49,9 @@ from .specfun import _check_positive_real, _is_integer, _is_positive_real, _scan
 
 __all__ = ["EsrEstimate", "estimate_esr", "estimate_esr_tdma", "empirical_cdf_T", "ks_distance"]
 
-#: Trials per vectorized batch. Fixed by the library, never by the caller or
-#: by worker topology, so batching cannot influence results.
-BATCH_TRIALS = 1 << 16
-
 _U64 = 1 << 64
 
-#: Most doubles in a leaf's uniform block (1 MiB), a longer part of a batch
+#: Most doubles in a leaf's uniform block (1 MiB), a longer part of a run
 #: cut again along the pairwise tree, and in the two rate buffers of one of
 #: a leaf's parts of cells together.
 _LEAF_DOUBLES = 1 << 17
@@ -122,8 +118,8 @@ def _gains_from_uniforms(u, K):
     user order and the eavesdropper gains still pair with their owners.
 
     Every stage works trial by trial, so the gains of a trial do not depend
-    on the other trials in u: `_walk` runs this on each leaf of every
-    batch, in the thread that drew it.
+    on the other trials in u: `_walk` runs this on each leaf, in the thread
+    that drew it.
     """
     h = _exponentials(u[:, :K])
     g = _exponentials(u[:, K:])
@@ -161,64 +157,61 @@ def _pairwise_split(m):
     return m // 2 - (m // 2) % 8
 
 
-def _walk(seed, trials, K, each_leaf):
-    """Draw trials [0, trials) in the fixed batches of BATCH_TRIALS, in
-    order, each batch made when the walk reaches it; return each batch's
-    total of each_leaf's results, in batch order.
+class _Stopped(Exception):
+    """Raised in a draw thread at its next leaf once the other has failed."""
 
-    A batch of m > 128 trials is cut where numpy's pairwise sum cuts a row
-    of m (`_pairwise_split`): the calling thread takes the lower part and
-    the walk's one worker thread, started before the first batch and fed
-    one part per batch, the upper. A part is cut again by the same rule
-    while it holds more than 128 trials and its uniform block more than
-    _LEAF_DOUBLES doubles; a batch of 128 or fewer is one leaf of the
-    calling thread. each_leaf(h, g, lo) gets the sorted gains of trials
-    [lo, lo + len(h)) in the thread that drew them, as (trials, K) views
-    of rank-major buffers (h[:, j] is contiguous) holding a stable sort's
-    content (see `_gains_from_uniforms`), and returns an array; these add
-    left + right up the tree, then lower + upper. So leaves that return
-    np.sum over rows of values >= +0 total numpy's sums over the batch's
-    full rows, bit for bit: the bits rest on numpy's blocking, which a
-    test checks. The worker exits after its last part and is joined before
-    the walk returns or raises; its exception is raised here.
+
+def _walk(seed, trials, K, each_leaf):
+    """Draw trials [0, trials), cut along numpy's pairwise-summation tree,
+    and return the total of each_leaf's results.
+
+    A run of m > 128 trials is cut where numpy's pairwise sum cuts a row of
+    m (`_pairwise_split`): the calling thread takes the lower part and the
+    walk's one worker thread the upper. A part is cut again by the same
+    rule while it holds more than 128 trials and its uniform block more
+    than _LEAF_DOUBLES doubles; a run of 128 or fewer is one leaf of the
+    calling thread, and no thread starts. each_leaf(h, g, lo) gets the
+    sorted gains of trials [lo, lo + len(h)) in the thread that drew them,
+    as (trials, K) views of rank-major buffers (h[:, j] is contiguous)
+    holding a stable sort's content (see `_gains_from_uniforms`), and
+    returns an array; these add left + right up the tree, then lower +
+    upper. So leaves that return np.sum over rows of values >= +0 total
+    numpy's sums over the run's full rows, bit for bit: the bits rest on
+    numpy's blocking, which a test checks. A thread that fails stops the
+    other at its next leaf; the worker is joined, and the first exception
+    raised in either thread is raised here.
     """
-    tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
+    stop = threading.Event()
 
     def part(lo, hi):
         if hi - lo > 128 and (hi - lo) * 2 * K > _LEAF_DOUBLES:
             mid = lo + _pairwise_split(hi - lo)
             return part(lo, mid) + part(mid, hi)
+        if stop.is_set():
+            raise _Stopped
         return each_leaf(*_gains_from_uniforms(_uniform_block(seed, lo, hi - lo, K), K), lo)
 
-    def serve():
-        for lo, hi in iter(tasks.get, None):
-            try:
-                done.put(part(lo, hi))
-            except BaseException as exc:  # raised again in the calling thread
-                done.put(exc)
+    if trials <= 128:
+        return part(0, trials)
+    mid, totals, errors = _pairwise_split(trials), {}, []
 
-    worker = threading.Thread(target=serve)
+    def run(lo, hi):
+        try:
+            totals[lo] = part(lo, hi)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+            stop.set()
+
+    worker = threading.Thread(target=run, args=(mid, trials))
     worker.start()
-    totals = []
     try:
-        for start in range(0, trials, BATCH_TRIALS):
-            end = min(start + BATCH_TRIALS, trials)
-            mid = start + _pairwise_split(end - start) if end - start > 128 else end
-            if mid < end:
-                tasks.put((mid, end))
-            if end == trials:  # the worker's last part
-                tasks.put(None)
-            try:
-                lower = part(start, mid)
-            finally:
-                upper = done.get() if mid < end else None
-            if isinstance(upper, BaseException):
-                raise upper
-            totals.append(lower if upper is None else lower + upper)
-    finally:
-        tasks.put(None)
+        run(0, mid)
         worker.join()
-    return totals
+    finally:
+        stop.set()  # a join cut short leaves the worker at most one leaf
+    if errors:
+        raise errors[0]
+    return totals[0] + totals[mid]
 
 
 def _slot_rates(hT, gT, n, rho, cb, ce, wide):
@@ -268,15 +261,16 @@ def _widen(rate, scale, x, where=True):
 def _reduce(seed, trials, K, cells):
     """(sum of C_b, sum of C_e, sum of (C_b - C_e)^2) over trials
     [0, trials) of each of the distinct cells (n, rho), in cell order; n = K
-    is the TDMA-like slot. Each sum is the fsum of per-batch pairwise sums.
+    is the TDMA-like slot. Each sum is numpy's np.sum over the cell's full
+    row of trials' values.
 
-    One walk (see `_walk`) draws every batch once for all cells, at any
+    One walk (see `_walk`) draws every trial once for all cells, at any
     count. Each leaf of L trials rates the cells in parts of at most
     _LEAF_DOUBLES // (2 L) cells, in the thread that drew it: a part's two
     (part, L) buffers take one kernel call per run of consecutive n at one
-    rho, and give their three row sums. The walk adds these up the batch's
-    pairwise tree, so a cell's batch sums are numpy's sums of its full rows
-    of rates alone. A reduction holds one batch's leaves at a time.
+    rho, and give their three row sums. The walk adds these up the run's
+    pairwise tree, so a cell's sums are numpy's sums of its full rows of
+    rates alone. A reduction holds at most one leaf per thread.
     """
     def blocks(part):
         runs = []  # [first row, end row, first n, rho, kernel]
@@ -301,8 +295,7 @@ def _reduce(seed, trials, K, cells):
                 sums.append(np.array((sum_cb, sum_ce, np.sum(cb, axis=1))))
         return np.concatenate(sums, axis=1)
 
-    sums = np.array(_walk(seed, trials, K, leaf_sums))  # (batch, which sum, cell)
-    return [tuple(math.fsum(col) for col in sums[:, :, row].T) for row in range(len(cells))]
+    return list(zip(*_walk(seed, trials, K, leaf_sums).tolist()))
 
 
 def _estimate(seed, trials, K, cell):

@@ -9,8 +9,8 @@ iterable of cells (a scan: every CLI mode and `select_served`); it is the
 only loop over cells and the only place that opens a scan scope, on the
 cells that the two work-sharing engines declare; then the high-SNR cells at K
 are answered by one pass over their terms (one li2 call for every xi they
-meet), and the Monte Carlo cells that share (seed, trials, K) by one pass
-over the batches, at any trial count. The memo is a context variable, so
+meet), and the Monte Carlo cells that share (seed, trials, K) by one walk
+over the trials, at any trial count. The memo is a context variable, so
 it belongs to one scan in one thread and goes with it.
 """
 
@@ -91,7 +91,7 @@ def evaluate_cells(K, cells, trials=10_000, seed=0, tol=1e-9):
     declared first, in one step, and share work during this call only.
     The first high-SNR cell answers every high-SNR cell in one pass over
     their terms. The first Monte Carlo cell reduces every Monte Carlo cell
-    in one walk over the batches, each batch drawn once at any count of
+    in one walk over the trials, each trial drawn once at any count of
     cells and trials. Each later cell reads its value, and each raises its
     own errors at its own call.
     """

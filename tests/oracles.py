@@ -59,9 +59,10 @@ def stable_sorted_gains(u, K):
 
 
 def walked_leaves(seed, trials, K):
-    """The leaves of the library's batch walk over trials [0, trials), in
-    trial order: (first trial, h, g, drawn by the calling thread), h and g
-    the (trials, K) views of rank-major buffers the walk handed out."""
+    """The leaves of the library's walk over trials [0, trials), one
+    pairwise tree over the whole run, in trial order: (first trial, h, g,
+    drawn by the calling thread), h and g the (trials, K) views of
+    rank-major buffers the walk handed out."""
     leaves = []  # appended by either thread
     caller = threading.get_ident()
 
@@ -74,7 +75,7 @@ def walked_leaves(seed, trials, K):
 
 
 def walked_gains(seed, trials, K):
-    """The sorted gains (h, g) of trials [0, trials) as the library's batch
+    """The sorted gains (h, g) of trials [0, trials) as the library's
     walk draws them, its leaves joined in trial order: read-only (trials,
     K) views of rank-major buffers."""
     leaves = walked_leaves(seed, trials, K)

@@ -231,8 +231,8 @@ def test_criterion_08_tdma_sign_discrepancy():
 
 def test_criterion_09_cli_determinism(tmp_path):
     """A CLI invocation repeated with identical flags and seed produces
-    byte-identical CSV. The engine holds no worker-dependent state (fixed
-    batch boundaries, index-keyed streams), so worker topology cannot enter."""
+    byte-identical CSV. The engine holds no worker-dependent state (a fixed
+    summation tree, index-keyed streams), so worker topology cannot enter."""
     args = [
         sys.executable, "-m", "dualsel.cli",
         "--mode", "sweep-n", "--k", "4", "--rho-db", "20",

@@ -15,7 +15,6 @@ import pytest
 from dualsel import cli, montecarlo, specfun
 from dualsel.analytic import CapabilityError, SystemConfig, cdf_T, esr_exact, esr_tdma_exact, exp_cb
 from dualsel.montecarlo import (
-    BATCH_TRIALS,
     empirical_cdf_T,
     estimate_esr,
     estimate_esr_tdma,
@@ -37,6 +36,9 @@ from oracles import (
 #: float.hex pins of Monte Carlo estimates, recorded from the stable-sort draw
 PINS = json.loads(Path(__file__).with_name("montecarlo_pins.json").read_text())
 PIN_SEED = 11
+
+#: A long trial count (2**16), the unit of the long runs below.
+BATCH_TRIALS = 1 << 16
 
 
 def cfg_of(K, n, rho):
@@ -148,7 +150,7 @@ class TestSortedGains:
 
 
 class TestSplitDraw:
-    """A batch cut into leaves on two threads equals the stable sort of its
+    """A run cut into leaves on two threads equals the stable sort of its
     whole uniform block bit for bit, with contiguous rank columns in every
     leaf, and no thread outlives the call that started it."""
 
@@ -167,20 +169,18 @@ class TestSplitDraw:
 
     @pytest.mark.parametrize("K", [2, 8, 20])
     def test_leaves_tile_each_batch_along_the_pairwise_tree(self, K):
-        # the calling thread takes the lower part of numpy's first cut, the
-        # worker the upper, and each cuts its part until a leaf's uniform
-        # block holds at most _LEAF_DOUBLES doubles
+        # the calling thread takes the lower part of numpy's first cut of the
+        # whole run, the worker the upper, and each cuts its part until a
+        # leaf's uniform block holds at most _LEAF_DOUBLES doubles; a run of
+        # 128 trials or fewer is one leaf of the calling thread
         limit = montecarlo._LEAF_DOUBLES // (2 * K)
         for trials in (1, 128, 129, 10_000, BATCH_TRIALS + 200):
-            want = []
-            for start in range(0, trials, BATCH_TRIALS):
-                end = min(start + BATCH_TRIALS, trials)
-                if end - start <= 128:
-                    want.append((start, end, True))
-                    continue
-                mid = start + montecarlo._pairwise_split(end - start)
-                want += [(lo, hi, True) for lo, hi in pairwise_leaves(start, mid, limit)]
-                want += [(lo, hi, False) for lo, hi in pairwise_leaves(mid, end, limit)]
+            if trials <= 128:
+                want = [(0, trials, True)]
+            else:
+                mid = montecarlo._pairwise_split(trials)
+                want = [(lo, hi, True) for lo, hi in pairwise_leaves(0, mid, limit)]
+                want += [(lo, hi, False) for lo, hi in pairwise_leaves(mid, trials, limit)]
             got = [(lo, lo + len(h), mine) for lo, h, _, mine in walked_leaves(6, trials, K)]
             assert got == want, trials
 
@@ -217,7 +217,7 @@ class TestSplitDraw:
         assert threading.active_count() == before
 
     def test_concurrent_callers_get_their_own_draws(self):
-        # more calling threads than cores, each splitting its batches, with
+        # more calling threads than cores, each splitting its run, with
         # the interpreter switching threads as often as it can
         calls = [(cfg_of(K, K // 2, 10.0), 10_000, seed) for K in (4, 8, 20) for seed in (1, 2)]
         want = [estimate_esr(*call) for call in calls]
@@ -240,8 +240,8 @@ class TestSplitDraw:
         assert got == want
 
     def test_every_worker_is_joined(self, monkeypatch):
-        # a worker that has had its last part may still be running when the
-        # walk returns; only the join makes it gone, on the error path too
+        # a worker that has handed over its part's total may still be
+        # running; only the join makes it gone, on the error path too
         started, joined = [], []
 
         class Recorded(threading.Thread):
@@ -263,7 +263,7 @@ class TestSplitDraw:
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_an_error_in_either_half_is_raised_after_the_join(self, monkeypatch, failing):
         # every leaf the failing thread draws raises; at K = 20 each thread
-        # draws two leaves of the batch
+        # draws two leaves of the run
         boom = RuntimeError(f"{failing} half")
         caller = threading.get_ident()
 
@@ -277,6 +277,31 @@ class TestSplitDraw:
         with pytest.raises(RuntimeError) as info:
             walked_gains(3, 10_000, 20)
         assert info.value is boom
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failure_in_either_thread_stops_the_other_at_its_next_leaf(self, monkeypatch, failing):
+        # the failing thread raises at its first leaf, and the other waits
+        # for that in its second; it must then stop at its next leaf, not
+        # draw the rest of its part (K = 20 leaves hold at most 3 276 trials)
+        boom = RuntimeError(f"{failing} thread")
+        caller, failed, drawn, waited = threading.get_ident(), threading.Event(), [], []
+
+        def spy_block(seed, start, n, K):
+            if (threading.get_ident() != caller) == (failing == "worker"):
+                failed.set()
+                raise boom
+            drawn.append(start)
+            if len(drawn) == 2:
+                waited.append(failed.wait(timeout=60))
+            return _uniform_block(seed, start, n, K)
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", spy_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            montecarlo._walk(3, 10**6, 20, lambda h, g, lo: 0.0)
+        assert info.value is boom
+        assert len(drawn) < 8 and waited in ([], [True])
         assert threading.active_count() == before
 
 
@@ -420,9 +445,10 @@ class TestEmpiricalCdfT:
 
 @pytest.mark.parametrize("fn", [estimate_esr, empirical_cdf_T])
 def test_multi_batch_run_holds_one_batch_at_a_time(fn):
-    # a batch is dropped before the next is drawn, so three batches peak
-    # no higher than one, up to the output; holding two would add a batch.
-    # Inside a scan a multi-batch run keeps nothing in the memo.
+    # a leaf is dropped once it is summed, so a run three times as long
+    # peaks no higher, up to the output; holding the draws of 2**15 more
+    # trials would add half of batch_bytes. Inside a scan a long run keeps
+    # nothing in the memo.
     cfg = cfg_of(8, 4, 10.0)
     batch_bytes = 2 * BATCH_TRIALS * 8 * 8
     fn(cfg, 10, 1)  # first-call allocations of numpy
@@ -440,8 +466,9 @@ def test_multi_batch_run_holds_one_batch_at_a_time(fn):
 
 
 def test_a_huge_run_makes_its_batches_as_it_reaches_them(monkeypatch):
-    # 10**12 trials are 15 million batches: a list of them, or buffers
-    # sized by the trial count, would show in the peak before the draw
+    # 10**12 trials are hundreds of millions of leaves: a list of them, or
+    # buffers sized by the trial count, would show in the peak before the
+    # first leaf is drawn
     boom = RuntimeError("draw")
 
     def failing_block(seed, start, n, K):
@@ -473,9 +500,9 @@ def test_a_cold_scan_peaks_below_9_mib():
 
 
 def test_a_multi_batch_scan_holds_no_batch_wide_buffers():
-    # each leaf rates its own trials in (cells, leaf) buffers, so three full
-    # K = 20 batches and one trial peak near one leaf per thread; two
-    # (cells, batch) rate buffers alone would be 20 MiB
+    # each leaf rates its own trials in (cells, leaf) buffers, so a K = 20
+    # run of 196 609 trials peaks near one leaf per thread; two (cells,
+    # 65 536) rate buffers alone would be 20 MiB
     select_served(20, 100.0, "montecarlo", 10, 7)  # first-call allocations of numpy
     tracemalloc.start()
     try:
@@ -486,13 +513,17 @@ def test_a_multi_batch_scan_holds_no_batch_wide_buffers():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("rows", [1, 19])
-@pytest.mark.parametrize("n", [129, 136, 1_000, 9_999, 10_000, 65_535, 65_536])
+@pytest.mark.parametrize(
+    "n, rows",
+    [(n, rows) for n in (129, 136, 1_000, 9_999, 10_000, 65_535, 65_536, 65_537, 200_000)
+     for rows in (1, 19)] + [(1_000_003, 1)],
+)
 def test_leaf_sums_added_up_the_pairwise_tree_are_numpys_row_sums(n, rows):
     # every Monte Carlo sum keeps its bits only because numpy sums a
     # contiguous row of n > 128 doubles as the sum of its first
-    # _pairwise_split(n) plus the sum of the rest; a numpy that blocks its
-    # sums otherwise fails here
+    # _pairwise_split(n) plus the sum of the rest, at any n; a numpy that
+    # blocks its sums otherwise fails here. (19 rows of 10**6 doubles would
+    # take 150 MB, so the longest row is checked alone.)
     x = 10.0 ** np.random.Generator(np.random.Philox(key=n * rows)).uniform(-5.0, 5.0, (rows, n))
 
     def tree_sum(lo, hi, limit):
@@ -626,9 +657,9 @@ def cold_cell(K, n, rho, trials, seed):
 
 class TestBatchMemo:
     """Within one scan, the cells that share (seed, trials, K) are answered
-    by one reduction that draws each batch once, at any trial count; no
-    result may tell a scan's cell from a lone call, and no batch outlives
-    the call or the scan that drew it."""
+    by one reduction that draws each trial once, at any trial count; no
+    result may tell a scan's cell from a lone call, and no draw outlives
+    the call or the scan that made it."""
 
     @pytest.mark.parametrize("K", [2, 3, 8, 20])
     def test_scan_equals_cold_cells(self, K):
@@ -640,12 +671,11 @@ class TestBatchMemo:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The batches drawn, in order, as (seed, start_trial, n_trials, K).
-        A batch draws its uniforms in one _uniform_block call per leaf, on
-        either thread; its leaves must tile it, each of its trials drawn
-        exactly once, every leaf drawn before the next batch's, and no
+        """The walks made, in order, as (seed, trials, K). A walk draws its
+        uniforms in one _uniform_block call per leaf, on either thread; its
+        leaves must tile [0, trials), each trial drawn exactly once, and no
         uniforms may be drawn outside a leaf."""
-        batches, ranges = [], []
+        walks, ranges = [], []
         walk = montecarlo._walk
 
         def counting_block(seed, start, n, K):
@@ -657,32 +687,26 @@ class TestBatchMemo:
                 assert (lo, lo + len(h)) in ranges  # this leaf was drawn
                 return each_leaf(h, g, lo)
 
-            totals = walk(seed, trials, K, leaf)
-            # draw order: batch by batch, no leaf across a batch's end
-            index = [lo // BATCH_TRIALS for lo, _ in ranges]
-            assert index == sorted(index)
-            assert all((hi - 1) // BATCH_TRIALS == i for (_, hi), i in zip(ranges, index))
+            total = walk(seed, trials, K, leaf)
             lows, highs = zip(*sorted(ranges))
             assert (*lows, trials) == (0, *highs)
             ranges.clear()
-            starts = range(0, trials, BATCH_TRIALS)
-            assert sorted(set(index)) == list(range(len(starts))) and len(totals) == len(starts)
-            batches.extend((seed, start, min(BATCH_TRIALS, trials - start), K) for start in starts)
-            return totals
+            walks.append((seed, trials, K))
+            return total
 
         monkeypatch.setattr(montecarlo, "_uniform_block", counting_block)
         monkeypatch.setattr(montecarlo, "_walk", counting_walk)
-        yield batches
+        yield walks
         assert not ranges
 
     def test_scan_draws_once(self, draws):
         select_served(8, 100.0, "montecarlo", 10_000, 7)
-        assert draws == [(7, 0, 10_000, 8)]
+        assert draws == [(7, 10_000, 8)]
 
     def test_lone_calls_draw_every_time(self, draws):
         cfg = cfg_of(8, 4, 100.0)
         assert estimate_esr(cfg, 10_000, 7) == estimate_esr(cfg, 10_000, 7)
-        assert draws == [(7, 0, 10_000, 8)] * 2
+        assert draws == [(7, 10_000, 8)] * 2
 
     def test_interleaved_calls_equal_cold_calls(self):
         calls = [
@@ -705,7 +729,7 @@ class TestBatchMemo:
 
     def test_multi_batch_scan_draws_each_batch_once(self, draws):
         select_served(4, 10.0, "montecarlo", BATCH_TRIALS + 5, 3)
-        assert draws == [(3, 0, BATCH_TRIALS, 4), (3, BATCH_TRIALS, 5, 4)]
+        assert draws == [(3, BATCH_TRIALS + 5, 4)]
 
     def test_compare_run_draws_once(self, draws, tmp_path, capsys):
         # the analytic and mc cells alternate over the three rho values
@@ -713,11 +737,11 @@ class TestBatchMemo:
                 "--trials", "10000", "--seed", "5", "--manifest", str(tmp_path / "m.txt")]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.count("\nmc,") == 3
-        assert draws == [(5, 0, 10_000, 4)]
+        assert draws == [(5, 10_000, 4)]
 
     @pytest.mark.parametrize("engine, n", [("mc", 3), ("both", 6)])
     def test_sweep_rho_run_draws_once_and_equals_cold_cells(self, draws, tmp_path, capsys, engine, n):
-        # one pass over both batches answers every rho; engine "both" puts
+        # one walk over the long run answers every rho; engine "both" puts
         # the analytic cells first
         trials = BATCH_TRIALS + 5
         argv = ["--mode", "sweep-rho", "--k", "6", "--served", str(n), "--engine", engine,
@@ -725,7 +749,7 @@ class TestBatchMemo:
                 "--manifest", str(tmp_path / "m.txt")]
         assert cli.main(argv) == 0
         rows = [r.split(",") for r in capsys.readouterr().out.splitlines() if r.startswith("mc,")]
-        assert draws == [(4, 0, BATCH_TRIALS, 6), (4, BATCH_TRIALS, 5, 6)]
+        assert draws == [(4, trials, 6)]
         assert [row[3] for row in rows] == ["0", "10", "20", "30"]
         for row in rows:
             cold = cold_cell(6, n, 10.0 ** (float(row[3]) / 10.0), trials, 4)
@@ -768,7 +792,7 @@ class TestBatchMemo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert draws == [(2, 0, 10_000, 8)]
+        assert draws == [(2, 10_000, 8)]
         assert peak < 8 * 2**20
         for (_, n, rho), value in list(zip(cells, got))[::50]:
             assert value == cold_cell(8, n, rho, 10_000, 2)
@@ -793,7 +817,7 @@ class TestBatchMemo:
             assert list(group) == [(2, 10.0)]
             (sums,) = group.values()
             assert len(sums) == 3 and all(type(x) is float for x in sums)
-        # less than the base-station half of one full batch stays behind
+        # less than the base-station gains of 2**16 trials stays behind
         assert held < BATCH_TRIALS * K * 8
 
     def test_a_failing_cell_raises_at_its_own_call(self, monkeypatch, tmp_path, capsys):
@@ -826,8 +850,8 @@ class TestBatchMemo:
         assert "numerical error: K=5, n=3, rho=100 (20 dB): the means nan" in err
 
     def test_a_reduction_keeps_one_worker(self, monkeypatch):
-        # one worker thread for all of a walk's batches, however few its
-        # trials: three full batches and a short one, or a single trial
+        # one worker thread for each walk of more than 128 trials, however
+        # long, and none for a walk of 128 or fewer
         started = []
         thread = threading.Thread
 
@@ -842,7 +866,7 @@ class TestBatchMemo:
         empirical_cdf_T(cfg_of(8, 4, 10.0), 3 * BATCH_TRIALS + 1, 1)
         estimate_esr(cfg_of(2, 1, 10.0), 1, 1)
         empirical_cdf_T(cfg_of(8, 4, 10.0), 100, 1)
-        assert len(started) == 5
+        assert len(started) == 3
         assert not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize(
@@ -854,7 +878,7 @@ class TestBatchMemo:
         ids=["lone_call", "scan"],
     )
     def test_no_batch_outlives_its_call(self, call, trials):
-        # a full K = 20 batch is 20 MiB, the 10 000-trial one 3 MiB
+        # K = 20 uniforms are 20 MiB for 2**16 trials, 3 MiB for 10 000
         call(10)  # first-call allocations of numpy
         tracemalloc.start()
         try:

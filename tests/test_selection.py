@@ -205,7 +205,7 @@ def distinct_xi_not_one(K):
 
 class TestScanSharing:
     """A high-SNR scan computes each xi's dilogarithm parts and each (K, n)'s
-    varpi once, and a Monte Carlo scan draws each batch once. Its values are
+    varpi once, and a Monte Carlo scan draws each trial once. Its values are
     those of lone calls, bit for bit, and the shared work lasts exactly as
     long as the scan."""
 
@@ -360,7 +360,7 @@ class TestScanSharing:
     @pytest.mark.parametrize("method", ["high_snr", "montecarlo"])
     def test_threads_scan_independently(self, method):
         # more threads than cores, switching often, each scanning at its own
-        # rho and (for Monte Carlo) its own seed, so no two share a batch
+        # rho and (for Monte Carlo) its own seed, so no two share a draw
         rhos = (10.0, 100.0, 1e4, 1e6)
 
         def select(k):
